@@ -6,7 +6,8 @@ Verbs:
   compare   run several configs on the same problem, rank bits-to-gap
   gen-data  synthesize a Gaussian dataset in LIBSVM format
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical error, 4 I/O error.
+Exit codes: 0 ok, 2 configuration error, 3 numerical error, 4 I/O error
+(including an oracle cache file that is corrupt or does not fit the problem).
 Output root comes from --outdir or the DISTNEWTON_OUT environment variable
 (default ./runs).
 """
@@ -18,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -27,8 +28,8 @@ import numpy as np
 from .compressors import CompressorSpec
 from .data import (Dataset, load_dataset, partition as make_partition,
                    save_dataset, synth_artificial)
-from .errors import (ConfigError, DistNewtonError, InputError, NumericalError,
-                     ParseError, SingularMatrixError)
+from .errors import (CacheError, ConfigError, DistNewtonError, InputError,
+                     NumericalError, ParseError, SingularMatrixError)
 from .harness import Budget, RunOptions, Trace, bits_to_reach, run_experiment
 from .methods import Oracles, reference_optimum
 from .problem import Problem, loss_model
@@ -88,7 +89,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        return ExperimentConfig(**d)
+        unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
+        try:
+            return ExperimentConfig(**d)
+        except TypeError as exc:
+            raise ConfigError(f"bad config field: {exc}") from None
 
     # -- derived objects ---------------------------------------------------
 
@@ -177,13 +184,18 @@ def oracles_to_json(o: Oracles) -> str:
 
 def oracles_from_json(text: str, p: Problem) -> Oracles:
     d = json.loads(text)
+    x_star = np.asarray(d["x_star"], dtype=np.float64)
     h_star = np.asarray(d["h_star"], dtype=np.float64)
+    if x_star.shape != (p.d,) or h_star.shape != (p.n, p.m):
+        raise InputError(
+            f"x_star shape {x_star.shape} and h_star shape {h_star.shape} do not "
+            f"match the problem's ({p.d},) and ({p.n}, {p.m})")
     return Oracles(
-        x_star=np.asarray(d["x_star"], dtype=np.float64),
-        value_star=d["value_star"],
+        x_star=x_star,
+        value_star=float(d["value_star"]),
         h_star=h_star,
         hessian_star=p.data_gram(h_star),
-        grad_norm=d["grad_norm"],
+        grad_norm=float(d["grad_norm"]),
     )
 
 
@@ -191,10 +203,21 @@ def load_or_compute_oracles(cfg: ExperimentConfig, p: Problem,
                             outroot: Path) -> Oracles:
     path = oracle_path(cfg, outroot)
     if path.exists():
-        return oracles_from_json(path.read_text(), p)
+        try:
+            return oracles_from_json(path.read_text(), p)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CacheError(f"corrupt oracle cache {path}: "
+                             f"{type(exc).__name__}: {exc}") from None
     o = reference_optimum(p, newton_iters=cfg.newton_ref_iters)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(oracles_to_json(o))
+    # write-then-rename, so a reader never sees a partly written cache file
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(oracles_to_json(o))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return o
 
 
@@ -241,7 +264,7 @@ def cmd_refopt(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    configs = [ExperimentConfig.from_dict(json.loads(Path(f).read_text()))
+    configs = [ExperimentConfig.from_dict(_read_config_file(f))
                for f in args.configs]
     if not configs:
         raise ConfigError("compare needs at least one config")
@@ -339,26 +362,46 @@ def _add_method_flags(sp):
 def parse_compressor_flag(text: str) -> dict:
     parts = text.split(":")
     kind = parts[0]
+
+    def arg(pos: int, name: str, convert):
+        if len(parts) <= pos:
+            raise ConfigError(f"compressor flag {text!r} is missing {kind}'s {name}")
+        try:
+            return convert(parts[pos])
+        except ValueError:
+            raise ConfigError(f"compressor flag {text!r}: {name}={parts[pos]!r} "
+                              f"is not a valid {convert.__name__}") from None
+
     if kind == "identity":
         return {"kind": "identity"}
     if kind == "natural":
         return {"kind": "natural"}
     if kind == "random_r":
-        return {"kind": "random_r", "r": int(parts[1])}
+        return {"kind": "random_r", "r": arg(1, "r", int)}
     if kind == "dithering":
-        spec = {"kind": "dithering", "s": int(parts[1]) if len(parts) > 1 else None}
-        spec["q"] = float(parts[2]) if len(parts) > 2 else 2.0
+        spec = {"kind": "dithering", "s": arg(1, "s", int) if len(parts) > 1 else None}
+        spec["q"] = arg(2, "q", float) if len(parts) > 2 else 2.0
         return spec
     if kind == "bernoulli":
-        return {"kind": "bernoulli", "p": float(parts[1]),
+        return {"kind": "bernoulli", "p": arg(1, "p", float),
                 "inner": parse_compressor_flag(":".join(parts[2:]))}
     raise ConfigError(f"cannot parse compressor flag {text!r}")
+
+
+def _read_config_file(path: str) -> dict:
+    try:
+        d = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return d
 
 
 def _config_from_args(args, method_optional: bool = False) -> ExperimentConfig:
     base: dict = {}
     if args.config:
-        base = json.loads(Path(args.config).read_text())
+        base = _read_config_file(args.config)
 
     def override(key, value):
         if value is not None:
@@ -366,7 +409,11 @@ def _config_from_args(args, method_optional: bool = False) -> ExperimentConfig:
 
     override("dataset_path", args.dataset)
     if args.synth:
-        n, m, d = (int(v) for v in args.synth.split(","))
+        try:
+            n, m, d = (int(v) for v in args.synth.split(","))
+        except ValueError:
+            raise ConfigError(f"--synth expects three integers n,m,d, "
+                              f"got {args.synth!r}") from None
         base["synth"] = {"n": n, "m": m, "d": d, "seed": args.synth_seed}
     override("d_hint", args.d_hint)
     override("n", args.n)
@@ -393,10 +440,7 @@ def _config_from_args(args, method_optional: bool = False) -> ExperimentConfig:
         raise ConfigError("a method is required (flag --method or config file)")
     if "seed" not in base or base["seed"] is None:
         raise ConfigError("a seed is required (flag --seed or config file)")
-    try:
-        return ExperimentConfig.from_dict(base)
-    except TypeError as exc:
-        raise ConfigError(f"bad config field: {exc}") from None
+    return ExperimentConfig.from_dict(base)
 
 
 def build_parser() -> argparse.ArgumentParser:

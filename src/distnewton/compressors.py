@@ -186,7 +186,7 @@ def _compress(spec: CompressorSpec, x: np.ndarray, gen: np.random.Generator) -> 
     return CompressedPayload(values=inner.values / spec.p, fired=True)
 
 
-def _ceil_log2(value: int) -> int:
+def ceil_log2(value: int) -> int:
     return 0 if value <= 1 else (value - 1).bit_length()
 
 
@@ -203,7 +203,7 @@ def bit_cost(spec: CompressorSpec, length: int, fired: bool = True) -> int:
     if spec.kind == "random_r":
         if spec.r > length:
             raise InputError(f"r={spec.r} exceeds vector length {length}")
-        return SCALAR_BITS * spec.r + _ceil_log2(math.comb(length, spec.r))
+        return SCALAR_BITS * spec.r + ceil_log2(math.comb(length, spec.r))
     if spec.kind == "dithering":
         # ceil(2.8 * length) + 32 in exact integer arithmetic
         return (14 * length + 4) // 5 + SCALAR_BITS

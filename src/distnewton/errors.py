@@ -42,6 +42,10 @@ class SingularMatrixError(DistNewtonError, RuntimeError):
         )
 
 
+class CacheError(DistNewtonError, OSError):
+    """A cached artifact on disk is unreadable or does not fit the problem."""
+
+
 class NumericalError(DistNewtonError, RuntimeError):
     """An iterative numerical procedure failed to converge or verify."""
 

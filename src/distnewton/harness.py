@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import methods
-from .compressors import CompressorSpec, bit_cost, omega, SCALAR_BITS
+from .compressors import CompressorSpec, bit_cost, ceil_log2, omega, SCALAR_BITS
 from .errors import ConfigError, NumericalError
 from .linalg import SymMatrix, smallest_eigenvalue
 from .methods import Oracles
@@ -39,10 +39,6 @@ ORACLE_METHODS = ("ns", "mn")
 COMPRESSED_METHODS = ("dcgd", "diana", "nl1", "nl2", "cnl")
 
 HULL_EPS = 1e-10
-
-
-def ceil_log2(value: int) -> int:
-    return 0 if value <= 1 else (value - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +395,10 @@ class _LearnDriver(_DriverBase):
         return dist2 + weight * h_err
 
     def _domination_margin(self, pre_state, h_at_x) -> float:
+        # lam * I sits on both sides and cancels; h_at_x are the true
+        # coefficients at pre_state.x, so their gram is the data Hessian there
         h_est, _, _ = methods._dominated_estimate(pre_state, h_at_x)
-        gap = SymMatrix(h_est.add_diagonal(self.p.lam).entries
-                        - self.p.hessian(pre_state.x).entries)
+        gap = SymMatrix(h_est.entries - self.p.data_gram(h_at_x).entries)
         return smallest_eigenvalue(gap)
 
     def round(self, k):

@@ -2,8 +2,10 @@
 
 Everything here is sized for a few thousand dimensions at most: curvature
 matrices of GLM problems are dense and small, so we keep exact, deterministic
-routines (LAPACK eigendecomposition, a hand-rolled Cholesky with an explicit
-pivot tolerance) rather than anything sparse or iterative.
+LAPACK/BLAS routines (eigendecomposition, Cholesky followed by an explicit
+relative pivot check, solves against the two triangular factors, grams
+shaped for a symmetric rank-k update) rather than anything sparse or
+iterative. Only the LAPACK and BLAS bundled with numpy are used.
 
 All operations are pure: inputs are never mutated, results are fresh arrays.
 """
@@ -98,11 +100,25 @@ def cholesky_spd(a: SymMatrix) -> np.ndarray:
     The pivot test is relative to the largest diagonal entry; a pivot at or
     below tolerance identifies the failing index exactly, which is the
     diagnostic callers want (the optimizers maintain positive definiteness
-    by construction, so a failure here is a logic error upstream).
+    by construction, so a failure here is a logic error upstream). LAPACK
+    does the factorization; the pivots L[j, j]**2 are then checked against
+    the tolerance, and only a failure reruns the elimination in Python to
+    name the offending pivot.
     """
     m = a.entries
-    d = a.dim
     tol = PD_PIVOT_RTOL * max(float(np.max(np.diagonal(m))), 0.0)
+    try:
+        lower = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return _cholesky_pivoted(m, tol)
+    if np.all(np.diagonal(lower) ** 2 > tol):
+        return lower
+    return _cholesky_pivoted(m, tol)
+
+
+def _cholesky_pivoted(m: np.ndarray, tol: float) -> np.ndarray:
+    """Column-by-column Cholesky raising at the first pivot not above tol."""
+    d = m.shape[0]
     lower = np.zeros_like(m)
     for j in range(d):
         pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
@@ -117,17 +133,8 @@ def cholesky_spd(a: SymMatrix) -> np.ndarray:
 
 def solve_cholesky(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L @ L.T) x = b for one RHS vector or a matrix of columns."""
-    d = lower.shape[0]
     b = np.asarray(b, dtype=np.float64)
-    squeeze = b.ndim == 1
-    y = b.reshape(d, -1).copy()
-    for j in range(d):
-        y[j] -= lower[j, :j] @ y[:j]
-        y[j] /= lower[j, j]
-    for j in range(d - 1, -1, -1):
-        y[j] -= lower[j + 1:, j] @ y[j + 1:]
-        y[j] /= lower[j, j]
-    return y[:, 0] if squeeze else y
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
 def solve_spd(a: SymMatrix, b: np.ndarray) -> np.ndarray:
@@ -157,10 +164,17 @@ def weighted_gram(rows: np.ndarray, weights: np.ndarray, scale: float = 1.0) -> 
     """scale * rows.T @ diag(weights) @ rows, as a SymMatrix.
 
     This is the batched form of accumulating one rank-one term per row and
-    is how curvature matrices are assembled from data rows.
+    is how curvature matrices are assembled from data rows. With every
+    scaled weight nonnegative it is X.T @ X for X = rows * sqrt(scale * w),
+    which BLAS computes as a symmetric rank-k update at half the flops;
+    mixed signs take the general product.
     """
     rows = np.asarray(rows, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if rows.shape[0] != weights.shape[0]:
         raise InputError("row count and weight count differ")
-    return SymMatrix((rows * (scale * weights)[:, None]).T @ rows)
+    scaled = scale * weights
+    if np.all(scaled >= 0.0):
+        x = rows * np.sqrt(scaled)[:, None]
+        return SymMatrix(x.T @ x)
+    return SymMatrix((rows * scaled[:, None]).T @ rows)

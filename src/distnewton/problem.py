@@ -27,12 +27,9 @@ Array = np.ndarray
 
 
 def _sigmoid(z: Array) -> Array:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a nonpositive argument never overflows; for z < 0, e == exp(z)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softplus(z: Array) -> Array:
@@ -107,6 +104,7 @@ class Problem:
     # worker-major stacked copies, built once
     _rows: Array = field(init=False, repr=False)
     _labels: Array = field(init=False, repr=False)
+    _constants: ProblemConstants = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.lam < 0:
@@ -118,6 +116,13 @@ class Problem:
         order = np.concatenate(self.part.shards)
         self._rows = self.dataset.features[order]
         self._labels = self.dataset.labels[order]
+        radius = float(np.max(np.linalg.norm(self._rows, axis=1)))
+        self._constants = ProblemConstants(
+            gamma=self.loss.gamma,
+            nu=self.loss.nu,
+            max_row_norm=radius,
+            hessian_lipschitz=self.loss.nu * radius ** 3,
+        )
 
     @property
     def n(self) -> int:
@@ -189,13 +194,8 @@ class Problem:
         return self.data_gram(np.ones(self.n * self.m))
 
     def constants(self) -> ProblemConstants:
-        radius = float(np.max(np.linalg.norm(self._rows, axis=1)))
-        return ProblemConstants(
-            gamma=self.loss.gamma,
-            nu=self.loss.nu,
-            max_row_norm=radius,
-            hessian_lipschitz=self.loss.nu * radius ** 3,
-        )
+        """Smoothness constants, computed once from the stacked rows."""
+        return self._constants
 
     def grad_lipschitz_bound(self) -> float:
         """Upper bound gamma * max_row_norm^2 + lam on the gradient Lipschitz constant."""

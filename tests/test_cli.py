@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from distnewton.cli import ExperimentConfig, main, parse_compressor_flag
 from distnewton.data import load_dataset
 
@@ -56,6 +58,21 @@ class TestRun:
         rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)])
         assert rc == 2
         assert "lam" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{\"method\": ", "[1, 2]"])
+    def test_config_file_not_a_json_object_exits_2(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("synth", ["1,2", "1,2,x"])
+    def test_malformed_synth_exits_2(self, tmp_path, capsys, synth):
+        rc = main(["run", "--synth", synth, "--method", "gd", "--seed", "1",
+                   "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert repr(synth) in capsys.readouterr().err
 
     def test_flags_override_config(self, tmp_path):
         cfg_path, cfg = base_config(tmp_path)
@@ -138,6 +155,43 @@ class TestRefopt:
         assert len(list((tmp_path / "oracles").glob("*.json"))) == 2
 
 
+class TestOracleCache:
+    def cached_file(self, tmp_path):
+        cfg_path, _ = base_config(tmp_path)
+        assert main(["refopt", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 0
+        (cached,) = (tmp_path / "oracles").iterdir()
+        return cfg_path, cached
+
+    def test_corrupt_cache_exits_4_and_names_file(self, tmp_path, capsys):
+        cfg_path, cached = self.cached_file(tmp_path)
+        cached.write_text(cached.read_text()[:100])
+        capsys.readouterr()
+        rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)])
+        assert rc == 4
+        assert cached.name in capsys.readouterr().err
+
+    def test_cache_of_another_shape_exits_4(self, tmp_path, capsys):
+        cfg_path, cached = self.cached_file(tmp_path)
+        d = json.loads(cached.read_text())
+        d["x_star"] = d["x_star"][:-1]
+        cached.write_text(json.dumps(d))
+        capsys.readouterr()
+        rc = main(["refopt", "--config", str(cfg_path), "--outdir", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert cached.name in err and "x_star" in err
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("distnewton.cli.os.replace", refuse)
+        cfg_path, _ = base_config(tmp_path)
+        rc = main(["refopt", "--config", str(cfg_path), "--outdir", str(tmp_path)])
+        assert rc == 4
+        assert list((tmp_path / "oracles").iterdir()) == []
+
+
 class TestCompare:
     def test_ranking_table(self, tmp_path, capsys):
         a, _ = base_config(tmp_path, method="newton", max_iters=8, tag="nw")
@@ -163,6 +217,12 @@ class TestCompare:
         lines = capsys.readouterr().out.splitlines()
         rows = [ln for ln in lines if ln.startswith("newton")]
         assert len(rows) == 2 and rows[0] == rows[1]
+
+    def test_unknown_config_key_exits_2_and_names_it(self, tmp_path, capsys):
+        a, _ = base_config(tmp_path, method="newton", step_size=0.1)
+        rc = main(["compare", str(a), "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "step_size" in capsys.readouterr().err
 
     def test_mismatched_problems_rejected(self, tmp_path, capsys):
         a, _ = base_config(tmp_path, method="newton", tag="a")
@@ -192,6 +252,24 @@ class TestCompressorFlag:
         b = parse_compressor_flag("bernoulli:0.05:random_r:1")
         assert b["kind"] == "bernoulli" and b["p"] == 0.05
         assert b["inner"] == {"kind": "random_r", "r": 1}
+
+    @pytest.mark.parametrize("flag, missing", [("random_r", "r"),
+                                               ("bernoulli", "p"),
+                                               ("bernoulli:0.5:random_r", "r")])
+    def test_missing_argument_exits_2_and_names_it(self, tmp_path, capsys,
+                                                   flag, missing):
+        cfg_path, _ = base_config(tmp_path)
+        rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path),
+                   "--method", "nl2", "--compressor", flag])
+        assert rc == 2
+        assert f"missing {flag.split(':')[-1]}'s {missing}" in capsys.readouterr().err
+
+    def test_non_numeric_argument_exits_2(self, tmp_path, capsys):
+        cfg_path, _ = base_config(tmp_path)
+        rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path),
+                   "--method", "nl2", "--compressor", "random_r:one"])
+        assert rc == 2
+        assert "'one'" in capsys.readouterr().err
 
     def test_env_var_output_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DISTNEWTON_OUT", str(tmp_path / "envroot"))

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from distnewton.compressors import bernoulli, identity, natural, random_r
+from distnewton import methods
+from distnewton.compressors import bernoulli, ceil_log2, identity, natural, random_r
 from distnewton.data import Dataset
 from distnewton.errors import ConfigError
-from distnewton.harness import (Budget, RunOptions, WorkerCharge, bits_to_reach,
-                                ceil_log2, recompute_ledger_totals,
+from distnewton.harness import (Budget, RunOptions, WorkerCharge, _LearnDriver,
+                                bits_to_reach, recompute_ledger_totals,
                                 replica_mismatches, run_experiment, tail_ratios,
                                 verify_replicas)
+from distnewton.linalg import SymMatrix, smallest_eigenvalue
 from distnewton.methods import reference_optimum
 from distnewton.problem import make_problem
 
@@ -186,6 +188,24 @@ class TestDiagnostics:
         trace = run_experiment("nl2", p, random_r(1), Budget(max_iters=10), seed=0)
         margins = [r.extras["domination_margin"] for r in trace.rows[1:]]
         assert all(m >= -1e-8 for m in margins)
+
+    @pytest.mark.parametrize("variant", ["nl2", "cnl"])
+    def test_domination_margin_matches_full_hessian_form(self, variant):
+        # estimate + lam*I - hessian(x), with the regularizer on both sides
+        p = small_problem(lam=1e-2, seed=3)
+        learner = _LearnDriver(p, random_r(1), 0, None, RunOptions(), variant)
+        state = learner.state
+        for _ in range(5):
+            out = (methods.nl2_round(p, state, random_r(1), 0, learner.eta)
+                   if variant == "nl2" else
+                   methods.cnl_round(p, state, random_r(1), 0, learner.eta,
+                                     learner.cubic_coeff))
+            h_est, _, _ = methods._dominated_estimate(state, out.h_at_x)
+            full = smallest_eigenvalue(SymMatrix(
+                h_est.add_diagonal(p.lam).entries - p.hessian(state.x).entries))
+            margin = learner._domination_margin(state, out.h_at_x)
+            assert margin == pytest.approx(full, rel=1e-9, abs=1e-12)
+            state = out.state
 
     def test_nl1_psd_margin_recorded(self):
         p = small_problem(lam=1e-2)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from distnewton import linalg
 from distnewton.errors import InputError, SingularMatrixError
-from distnewton.linalg import (SymMatrix, cholesky_spd, rank1_accumulate,
-                               solve_spd, spd_inverse, sym_eig, weighted_gram)
+from distnewton.linalg import (PD_PIVOT_RTOL, SymMatrix, cholesky_spd,
+                               rank1_accumulate, solve_cholesky, solve_spd,
+                               spd_inverse, sym_eig, weighted_gram)
+
+EPS = np.finfo(np.float64).eps
 
 
 def random_symmetric(seed):
@@ -105,6 +109,66 @@ class TestSolveSpd:
         inv = spd_inverse(a)
         assert np.allclose(inv.entries @ a.entries, np.eye(12), atol=1e-9)
 
+    def test_many_rhs_match_one_at_a_time(self):
+        g = np.random.default_rng(4)
+        a = random_spd(g, 9, cond=1e3)
+        lower = cholesky_spd(a)
+        b = g.standard_normal((9, 3))
+        x = solve_cholesky(lower, b)
+        assert x.shape == (9, 3)
+        for k in range(3):
+            assert np.allclose(x[:, k], solve_cholesky(lower, b[:, k]),
+                               rtol=0, atol=1e-12 * np.linalg.norm(x[:, k]))
+
+
+def pivot_tol(a):
+    return PD_PIVOT_RTOL * max(float(np.max(np.diagonal(a.entries))), 0.0)
+
+
+class TestCholeskyAgainstLoop:
+    """LAPACK factor against the column loop kept for naming failed pivots."""
+
+    # |dL| / |L| <= c * cond(A) * eps; the matrices below have cond <= 1e4
+    RTOL = 1e4 * 1e3 * EPS
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_loop(self, seed):
+        g = np.random.default_rng(seed + 500)
+        a = random_spd(g, int(g.integers(1, 60)), cond=1e4)
+        fast = cholesky_spd(a)
+        loop = linalg._cholesky_pivoted(a.entries, pivot_tol(a))
+        assert np.array_equal(np.tril(fast), fast)
+        assert np.linalg.norm(fast - loop) <= self.RTOL * np.linalg.norm(loop)
+
+    def test_lapack_success_below_tolerance_names_loop_pivot(self):
+        # LAPACK accepts the tiny positive pivot at index 2; the relative
+        # tolerance does not, and the loop names it
+        a = SymMatrix(np.array([[4.0, 2.0, 2.0, 0.0],
+                                [2.0, 5.0, 1.0, 0.0],
+                                [2.0, 1.0, 1.0 + 1e-13, 0.0],
+                                [0.0, 0.0, 0.0, 3.0]]))
+        assert np.all(np.diagonal(np.linalg.cholesky(a.entries)) > 0)
+        with pytest.raises(SingularMatrixError) as exc:
+            cholesky_spd(a)
+        with pytest.raises(SingularMatrixError) as ref:
+            linalg._cholesky_pivoted(a.entries, pivot_tol(a))
+        assert exc.value.pivot_index == ref.value.pivot_index == 2
+        assert exc.value.pivot == ref.value.pivot
+        assert exc.value.tol == pytest.approx(5.0 * PD_PIVOT_RTOL)
+
+    def test_lapack_failure_names_loop_pivot(self):
+        a = SymMatrix(np.array([[2.0, 1.0, 0.0, 0.0, 0.0],
+                                [1.0, 2.0, 0.0, 0.0, 0.0],
+                                [0.0, 0.0, 1.0, 0.0, 0.0],
+                                [0.0, 0.0, 0.0, 1.0, 3.0],
+                                [0.0, 0.0, 0.0, 3.0, 1.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a.entries)
+        with pytest.raises(SingularMatrixError) as exc:
+            cholesky_spd(a)
+        assert exc.value.pivot_index == 4
+        assert exc.value.pivot == pytest.approx(-8.0)
+
 
 class TestRank1:
     def test_basis_vector(self):
@@ -143,3 +207,31 @@ def test_weighted_gram_matches_rank1_sum():
         acc = rank1_accumulate(acc, 0.5 * c, row)
     batched = weighted_gram(rows, w, scale=0.5)
     assert np.allclose(acc.entries, batched.entries, atol=1e-12)
+
+
+def general_gram(rows, w, scale):
+    return (rows * (scale * w)[:, None]).T @ rows
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_weighted_gram_nonnegative_weights_take_the_symmetric_product(seed):
+    g = np.random.default_rng(seed)
+    rows = g.standard_normal((200, 17))
+    w = g.random(200) * 0.25
+    w[::7] = 0.0
+    gram = weighted_gram(rows, w, scale=1.0 / 200)
+    x = rows * np.sqrt((1.0 / 200) * w)[:, None]
+    # bitwise equal to X.T @ X: that product is exactly symmetric already
+    assert np.array_equal(gram.entries, x.T @ x)
+    assert np.array_equal(gram.entries, gram.entries.T)
+    ref = general_gram(rows, w, 1.0 / 200)
+    assert np.linalg.norm(gram.entries - ref) <= 1e3 * EPS * np.linalg.norm(ref)
+
+
+def test_weighted_gram_mixed_signs_take_the_general_product():
+    g = np.random.default_rng(12)
+    rows = g.standard_normal((50, 8))
+    w = g.standard_normal(50)
+    assert np.min(w) < 0 < np.max(w)
+    gram = weighted_gram(rows, w, scale=0.1)
+    assert np.array_equal(gram.entries, SymMatrix(general_gram(rows, w, 0.1)).entries)

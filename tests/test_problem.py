@@ -6,7 +6,7 @@ import pytest
 from distnewton.data import Dataset, partition, synth_artificial
 from distnewton.errors import InputError
 from distnewton.linalg import smallest_eigenvalue
-from distnewton.problem import LOGISTIC_NU, loss_model, make_problem
+from distnewton.problem import LOGISTIC_NU, _sigmoid, loss_model, make_problem
 
 
 def tiny_problem(loss="logistic", lam=0.0, n=2, count=10, d=3, seed=0):
@@ -120,6 +120,28 @@ class TestCoefficients:
                 assert np.all(lhs <= c.nu * norms * np.linalg.norm(x - y) + 1e-12)
 
 
+def masked_sigmoid(z):
+    """The two-branch reference form: each side exponentiates a nonpositive value."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bitwise_the_masked_form():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    normal = np.finfo(np.float64).tiny
+    special = np.array([0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 709.79, -709.79,
+                        np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310,
+                        normal, -normal, 1e308, -1e308])
+    z = np.concatenate([special, np.linspace(-745.0, 745.0, 200_001),
+                        np.random.default_rng(0).standard_normal(10_000) * 30.0])
+    fast, ref = _sigmoid(z), masked_sigmoid(z)
+    assert np.array_equal(fast.view(np.uint64), ref.view(np.uint64))
+
+
 class TestValueAndGradient:
     def test_logistic_value_at_zero(self):
         p = tiny_problem("logistic", lam=0.0)
@@ -210,6 +232,14 @@ class TestConstants:
         p = tiny_problem("logistic", seed=11)
         c = p.constants()
         assert c.hessian_lipschitz == pytest.approx(c.nu * c.max_row_norm ** 3)
+
+    def test_computed_once_and_matches_the_rows(self):
+        p = tiny_problem("logistic", count=20, d=5, seed=3)
+        c = p.constants()
+        assert p.constants() is c
+        radius = float(np.max(np.linalg.norm(p.stacked_rows, axis=1)))
+        assert c.max_row_norm == radius
+        assert c.hessian_lipschitz == LOGISTIC_NU * radius ** 3
 
     def test_negative_lambda_rejected(self):
         ds = synth_artificial(2, 2, 2, seed=0)
