@@ -29,7 +29,8 @@ from .compressors import CompressorSpec
 from .data import (Dataset, load_dataset, partition as make_partition,
                    save_dataset, synth_artificial)
 from .errors import (CacheError, ConfigError, DistNewtonError, InputError,
-                     NumericalError, ParseError, SingularMatrixError)
+                     NumericalError, ParseError, ReplicaMismatchError,
+                     SingularMatrixError)
 from .harness import Budget, RunOptions, Trace, bits_to_reach, run_experiment
 from .methods import Oracles, reference_optimum
 from .problem import Problem, loss_model
@@ -483,7 +484,7 @@ def main(argv=None) -> int:
     except (ConfigError, InputError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, SingularMatrixError) as exc:
+    except (NumericalError, ReplicaMismatchError, SingularMatrixError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

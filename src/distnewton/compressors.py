@@ -131,7 +131,7 @@ def compress_with_info(spec: CompressorSpec, x: np.ndarray, rng) -> CompressedPa
     draws, so replicas replaying the same stream always stay in sync.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError("cannot compress non-finite values")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     return _compress(spec, x, gen)
@@ -150,7 +150,7 @@ def _compress(spec: CompressorSpec, x: np.ndarray, gen: np.random.Generator) -> 
         if spec.r > m:
             raise InputError(f"r={spec.r} exceeds vector length {m}")
         idx = gen.choice(m, size=spec.r, replace=False)
-        out = np.zeros_like(x)
+        out = np.zeros(m)
         out[idx] = (m / spec.r) * x[idx]
         return CompressedPayload(values=out)
 
@@ -158,7 +158,7 @@ def _compress(spec: CompressorSpec, x: np.ndarray, gen: np.random.Generator) -> 
         s = _dither_levels(spec, m)
         norm = float(np.linalg.norm(x, ord=spec.q))
         if norm == 0.0:
-            return CompressedPayload(values=np.zeros_like(x))
+            return CompressedPayload(values=np.zeros(m))
         scaled = np.abs(x) / norm * s
         low = np.floor(scaled)
         bump = gen.random(m) < (scaled - low)
@@ -170,9 +170,10 @@ def _compress(spec: CompressorSpec, x: np.ndarray, gen: np.random.Generator) -> 
         mant, expo = np.frexp(mag)            # mag = mant * 2**expo, mant in [0.5, 1)
         low = np.ldexp(0.5, expo)             # 2**floor(log2 mag); exact power of two
         high = np.ldexp(1.0, expo)
-        # p(down) = (2**ceil - |t|) / 2**floor; equals 1 when |t| is a power of two
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_down = np.where(mag > 0, (high - mag) / low, 1.0)
+        # p(down) = (2**ceil - |t|) / 2**floor; equals 1 when |t| is a power of
+        # two. low > 0 even for mag == 0 (frexp gives exponent 0), so the
+        # division never warns
+        p_down = np.where(mag > 0, (high - mag) / low, 1.0)
         down = gen.random(m) < p_down
         out = np.sign(x) * np.where(down, low, high)
         out[mag == 0] = 0.0
@@ -181,7 +182,7 @@ def _compress(spec: CompressorSpec, x: np.ndarray, gen: np.random.Generator) -> 
     # bernoulli wrapper: fire decision first, then the inner operator
     fired = bool(gen.random() < spec.p)
     if not fired:
-        return CompressedPayload(values=np.zeros_like(x), fired=False)
+        return CompressedPayload(values=np.zeros(m), fired=False)
     inner = _compress(spec.inner, x, gen)
     return CompressedPayload(values=inner.values / spec.p, fired=True)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import methods
 from .compressors import CompressorSpec, bit_cost, ceil_log2, omega, SCALAR_BITS
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, ReplicaMismatchError
 from .linalg import SymMatrix, smallest_eigenvalue
 from .methods import Oracles
 from .problem import Problem
@@ -394,21 +394,20 @@ class _LearnDriver(_DriverBase):
         weight = (4.0 / (9.0 * scale)) if self.variant == "cnl" else 1.0 / (3.0 * scale)
         return dist2 + weight * h_err
 
-    def _domination_margin(self, pre_state, h_at_x) -> float:
+    def _domination_margin(self, h_est: SymMatrix, h_at_x: Array) -> float:
         # lam * I sits on both sides and cancels; h_at_x are the true
-        # coefficients at pre_state.x, so their gram is the data Hessian there
-        h_est, _, _ = methods._dominated_estimate(pre_state, h_at_x)
+        # coefficients at the round's iterate, so their gram is the data
+        # Hessian there
         gap = SymMatrix(h_est.entries - self.p.data_gram(h_at_x).entries)
         return smallest_eigenvalue(gap)
 
     def round(self, k):
-        pre_state = self.state
         if self.variant == "nl1":
-            out = methods.nl1_round(self.p, pre_state, self.spec, self.seed, self.eta)
+            out = methods.nl1_round(self.p, self.state, self.spec, self.seed, self.eta)
         elif self.variant == "nl2":
-            out = methods.nl2_round(self.p, pre_state, self.spec, self.seed, self.eta)
+            out = methods.nl2_round(self.p, self.state, self.spec, self.seed, self.eta)
         else:
-            out = methods.cnl_round(self.p, pre_state, self.spec, self.seed,
+            out = methods.cnl_round(self.p, self.state, self.spec, self.seed,
                                     self.eta, self.cubic_coeff)
         self.state = out.state
         self.x = out.state.x
@@ -418,10 +417,12 @@ class _LearnDriver(_DriverBase):
             extras["beta"] = out.beta
 
         # server replica mirror, advanced purely from the wire messages
-        for i, msg in enumerate(out.messages):
-            self.server_h[i] = methods.apply_coeff_update(
-                self.server_h[i], msg.delta, self.eta, self.rule, self.gamma)
-        extras["replica_ok"] = verify_replicas(self.server_h, self.state.h)
+        deltas = np.stack([msg.delta for msg in out.messages])
+        self.server_h = methods.apply_coeff_update(
+            self.server_h, deltas, self.eta, self.rule, self.gamma)
+        if not verify_replicas(self.server_h, self.state.h):
+            raise ReplicaMismatchError(replica_mismatches(self.server_h, self.state.h))
+        extras["replica_ok"] = True        # kept in the trace as the health flag
 
         # convex-hull tracking of coefficients against visited h(x^t)
         if self.hull_lo is None:
@@ -444,7 +445,7 @@ class _LearnDriver(_DriverBase):
                 extras["min_eig_estimate"] = smallest_eigenvalue(self.state.h_matrix)
             else:
                 extras["domination_margin"] = self._domination_margin(
-                    pre_state, out.h_at_x)
+                    out.h_est, out.h_at_x)
         extras["rebuild_drift"] = self.state.rebuild_drift
 
         charges = []

@@ -249,6 +249,7 @@ class LearnRound:
     h_at_x: Array                  # fresh coefficients h(x^k), for diagnostics
     beta: Optional[float] = None
     clamped: int = 0
+    h_est: Optional[SymMatrix] = None  # dominated variants: beta*A - 2*gamma*G
 
 
 def apply_coeff_update(h_old: Array, delta: Array, eta: float, rule: str,
@@ -271,28 +272,25 @@ def default_eta(spec: CompressorSpec, m: int) -> float:
 
 def _gather_messages(p: Problem, state: LearnState, spec: CompressorSpec,
                      seed: int, eta: float, rule: str, gamma: float):
-    """Worker half of a learning round: compress updates, advance h."""
-    h_new = np.empty_like(state.h)
-    h_at_x = np.empty_like(state.h)
-    messages = []
-    clamped = 0
-    for i in range(p.n):
-        h_cur = p.h_coeffs(i, state.x)
-        h_at_x[i] = h_cur
-        stream = RngStream(seed, i, state.iteration)
-        payload = compress_with_info(spec, h_cur - state.h[i], stream)
-        updated = apply_coeff_update(state.h[i], payload.values, eta, rule, gamma)
-        unclamped = state.h[i] + eta * payload.values
-        clamped += int(np.count_nonzero(updated != unclamped))
-        h_new[i] = updated
-        messages.append(WorkerMessage(
-            grad=p.local_grad(i, state.x),
-            delta=payload.values,
-            fired=payload.fired,
-            beta=None,
-            changed=np.flatnonzero(updated != state.h[i]),
-        ))
-    return h_new, h_at_x, messages, clamped
+    """Worker half of a learning round: compress updates, advance h.
+
+    Every worker evaluates at the same broadcast iterate, so coefficients
+    and local gradients come from one batched pass; only the compression
+    draws stay per worker.
+    """
+    h_at_x = p.h_coeffs(slice(None), state.x)
+    grads = p.local_grad(slice(None), state.x)
+    diffs = h_at_x - state.h
+    payloads = [compress_with_info(spec, diffs[i], RngStream(seed, i, state.iteration))
+                for i in range(p.n)]
+    deltas = np.stack([payload.values for payload in payloads])
+    h_new = apply_coeff_update(state.h, deltas, eta, rule, gamma)
+    clamped = int(np.count_nonzero(h_new != state.h + eta * deltas))
+    changed = h_new != state.h
+    messages = [WorkerMessage(grad=grads[i], delta=deltas[i], fired=payload.fired,
+                              beta=None, changed=np.flatnonzero(changed[i]))
+                for i, payload in enumerate(payloads)]
+    return h_new, h_at_x, grads, messages, clamped
 
 
 def _advance_gram(p: Problem, state: LearnState, h_new: Array,
@@ -320,9 +318,8 @@ def _advance_gram(p: Problem, state: LearnState, h_new: Array,
     return SymMatrix(state.h_matrix.entries + update.entries), state.rebuild_drift
 
 
-def _server_gradient(p: Problem, x: Array, messages: list) -> Array:
-    stacked = np.stack([msg.grad for msg in messages])
-    return stacked.mean(axis=0) + p.lam * x
+def _server_gradient(p: Problem, x: Array, grads: Array) -> Array:
+    return grads.mean(axis=0) + p.lam * x
 
 
 # -- nonnegative-coefficient variant (requires lam > 0, convex losses) -----
@@ -347,10 +344,10 @@ def nl1_round(p: Problem, state: LearnState, spec: CompressorSpec,
     """
     if p.lam <= 0:
         raise ConfigError("nonnegative curvature learning requires lam > 0")
-    h_new, h_at_x, messages, clamped = _gather_messages(
+    h_new, h_at_x, grads, messages, clamped = _gather_messages(
         p, state, spec, seed, eta, rule="nonneg", gamma=0.0)
 
-    g = _server_gradient(p, state.x, messages)
+    g = _server_gradient(p, state.x, grads)
     x_new = state.x - solve_spd(state.h_matrix.add_diagonal(p.lam), g)
 
     gram, drift = _advance_gram(p, state, h_new, weight_shift=0.0)
@@ -405,12 +402,12 @@ def _dominated_estimate(state: DominatedState, h_at_x: Array) -> tuple[SymMatrix
 
 def _dominated_round(p: Problem, state: DominatedState, spec: CompressorSpec,
                      seed: int, eta: float, cubic_coeff: Optional[float]) -> LearnRound:
-    h_new, h_at_x, messages, clamped = _gather_messages(
+    h_new, h_at_x, grads, messages, clamped = _gather_messages(
         p, state, spec, seed, eta, rule="clamp", gamma=state.gamma)
     h_est, beta, betas = _dominated_estimate(state, h_at_x)
     messages = [replace(msg, beta=float(b)) for msg, b in zip(messages, betas)]
 
-    g = _server_gradient(p, state.x, messages)
+    g = _server_gradient(p, state.x, grads)
     h_reg = h_est.add_diagonal(p.lam)
     if cubic_coeff is None:
         x_new = state.x - solve_spd(h_reg, g)
@@ -423,7 +420,7 @@ def _dominated_round(p: Problem, state: DominatedState, spec: CompressorSpec,
                                rebuild_drift=drift, gamma=state.gamma,
                                mean_gram=state.mean_gram)
     return LearnRound(state=new_state, messages=messages, h_at_x=h_at_x,
-                      beta=beta, clamped=clamped)
+                      beta=beta, clamped=clamped, h_est=h_est)
 
 
 def nl2_round(p: Problem, state: DominatedState, spec: CompressorSpec,
@@ -467,14 +464,10 @@ def default_first_order_stepsize(p: Problem, spec: CompressorSpec) -> float:
 def dcgd_round(p: Problem, x: Array, spec: CompressorSpec, seed: int,
                iteration: int, stepsize: float) -> tuple[Array, list]:
     """Compressed gradient descent: average of compressed local gradients."""
-    payloads = []
-    vecs = []
-    for i in range(p.n):
-        g_i = p.local_grad(i, x) + p.lam * x
-        payload = compress_with_info(spec, g_i, RngStream(seed, i, iteration))
-        payloads.append(payload)
-        vecs.append(payload.values)
-    ghat = np.stack(vecs).mean(axis=0)
+    grads = p.local_grad(slice(None), x) + p.lam * x
+    payloads = [compress_with_info(spec, grads[i], RngStream(seed, i, iteration))
+                for i in range(p.n)]
+    ghat = np.stack([payload.values for payload in payloads]).mean(axis=0)
     return x - stepsize * ghat, payloads
 
 
@@ -489,7 +482,7 @@ def diana_init(p: Problem, x0: Array, shifts: str = "zero") -> DianaState:
     if shifts == "zero":
         v = np.zeros((p.n, p.d))
     elif shifts == "local_grad":
-        v = np.stack([p.local_grad(i, x0) + p.lam * x0 for i in range(p.n)])
+        v = p.local_grad(slice(None), x0) + p.lam * x0
     else:
         raise ConfigError(f"unknown shift initialization {shifts!r}")
     return DianaState(x=x0.copy(), shifts=v)
@@ -498,17 +491,12 @@ def diana_init(p: Problem, x0: Array, shifts: str = "zero") -> DianaState:
 def diana_round(p: Problem, state: DianaState, spec: CompressorSpec, seed: int,
                 stepsize: float, theta: float) -> tuple[DianaState, list]:
     """Variance-reduced compressed gradient round with learned shifts."""
-    payloads = []
-    estimates = []
-    new_shifts = state.shifts.copy()
-    for i in range(p.n):
-        g_i = p.local_grad(i, state.x) + p.lam * state.x
-        payload = compress_with_info(spec, g_i - state.shifts[i],
-                                     RngStream(seed, i, state.iteration))
-        payloads.append(payload)
-        estimates.append(state.shifts[i] + payload.values)
-        new_shifts[i] = state.shifts[i] + theta * payload.values
-    ghat = np.stack(estimates).mean(axis=0)
+    diffs = p.local_grad(slice(None), state.x) + p.lam * state.x - state.shifts
+    payloads = [compress_with_info(spec, diffs[i], RngStream(seed, i, state.iteration))
+                for i in range(p.n)]
+    values = np.stack([payload.values for payload in payloads])
+    ghat = (state.shifts + values).mean(axis=0)
+    new_shifts = state.shifts + theta * values
     x_new = state.x - stepsize * ghat
     return DianaState(x=x_new, shifts=new_shifts,
                       iteration=state.iteration + 1), payloads

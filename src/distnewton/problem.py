@@ -101,9 +101,11 @@ class Problem:
     loss: LossModel
     lam: float
 
-    # worker-major stacked copies, built once
+    # worker-major stacked copies, built once, with (n, m, d) / (n, m) views
     _rows: Array = field(init=False, repr=False)
     _labels: Array = field(init=False, repr=False)
+    _worker_rows: Array = field(init=False, repr=False)
+    _worker_labels: Array = field(init=False, repr=False)
     _constants: ProblemConstants = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -116,6 +118,8 @@ class Problem:
         order = np.concatenate(self.part.shards)
         self._rows = self.dataset.features[order]
         self._labels = self.dataset.labels[order]
+        self._worker_rows = self._rows.reshape(self.n, self.m, self.d)
+        self._worker_labels = self._labels.reshape(self.n, self.m)
         radius = float(np.max(np.linalg.norm(self._rows, axis=1)))
         self._constants = ProblemConstants(
             gamma=self.loss.gamma,
@@ -145,11 +149,13 @@ class Problem:
     def stacked_labels(self) -> Array:
         return self._labels
 
-    def worker_rows(self, i: int) -> Array:
-        return self._rows[i * self.m:(i + 1) * self.m]
+    def worker_rows(self, i: int | slice) -> Array:
+        """Rows of worker i as (m, d), or of a slice of workers as (k, m, d)."""
+        return self._worker_rows[i]
 
-    def worker_labels(self, i: int) -> Array:
-        return self._labels[i * self.m:(i + 1) * self.m]
+    def worker_labels(self, i: int | slice) -> Array:
+        """Labels of worker i as (m,), or of a slice of workers as (k, m)."""
+        return self._worker_labels[i]
 
     # -- values and derivatives -------------------------------------------
 
@@ -163,13 +169,19 @@ class Problem:
         w = self.loss.dphi(t, self._labels)
         return self._rows.T @ w / (self.n * self.m) + self.lam * x
 
-    def local_grad(self, i: int, x: Array) -> Array:
+    def local_grad(self, i: int | slice, x: Array) -> Array:
+        """Data gradient of worker i at x, (d,); a slice of workers gives (k, d).
+
+        The stacked matmul runs one BLAS product per worker, so each row is
+        bitwise the single-worker result (an einsum or one whole-matrix
+        product would sum in a different order).
+        """
         rows = self.worker_rows(i)
         w = self.loss.dphi(rows @ x, self.worker_labels(i))
-        return rows.T @ w / self.m
+        return (np.swapaxes(rows, -1, -2) @ w[..., None])[..., 0] / self.m
 
-    def h_coeffs(self, i: int, x: Array) -> Array:
-        """Per-sample second derivatives of worker i at x."""
+    def h_coeffs(self, i: int | slice, x: Array) -> Array:
+        """Per-sample second derivatives of worker i at x, (m,); a slice gives (k, m)."""
         rows = self.worker_rows(i)
         return self.loss.ddphi(rows @ x, self.worker_labels(i))
 

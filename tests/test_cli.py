@@ -74,6 +74,14 @@ class TestRun:
         assert rc == 2
         assert repr(synth) in capsys.readouterr().err
 
+    def test_replica_mismatch_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("distnewton.harness.verify_replicas", lambda a, b: False)
+        cfg_path, _ = base_config(tmp_path, method="nl2",
+                                  compressor={"kind": "random_r", "r": 1})
+        rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path / "out")])
+        assert rc == 3
+        assert "replica mismatch" in capsys.readouterr().err
+
     def test_flags_override_config(self, tmp_path):
         cfg_path, cfg = base_config(tmp_path)
         outdir = tmp_path / "out"

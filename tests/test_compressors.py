@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,23 @@ class TestBitCost:
     def test_r_exceeding_length(self):
         with pytest.raises(InputError):
             bit_cost(random_r(9), 4)
+
+
+@pytest.mark.parametrize("spec", [identity(), random_r(1), dithering(), natural(),
+                                  bernoulli(random_r(1), 0.5)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_rejected(spec, bad):
+    with pytest.raises(InputError):
+        compress(spec, np.array([1.0, bad, 2.0]), gen(0))
+
+
+def test_natural_zero_and_subnormal_entries_round_silently():
+    x = np.array([0.0, -0.0, 5e-324, -3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = compress(natural(), x, gen(0))
+    assert np.array_equal(out, [0.0, 0.0, 5e-324, out[3]])
+    assert out[3] in (-2.0, -4.0)
 
 
 def test_spec_serialization_roundtrip():

@@ -6,7 +6,7 @@ import pytest
 from distnewton import methods
 from distnewton.compressors import bernoulli, ceil_log2, identity, natural, random_r
 from distnewton.data import Dataset
-from distnewton.errors import ConfigError
+from distnewton.errors import ConfigError, ReplicaMismatchError
 from distnewton.harness import (Budget, RunOptions, WorkerCharge, _LearnDriver,
                                 bits_to_reach, recompute_ledger_totals,
                                 replica_mismatches, run_experiment, tail_ratios,
@@ -181,6 +181,24 @@ class TestReplicas:
                                opts=RunOptions(diagnostics=False))
         assert all(r.extras["replica_ok"] for r in trace.rows[1:])
 
+    def test_diverged_server_update_raises_and_names_entry(self, monkeypatch):
+        p = small_problem(lam=1e-2, seed=5)
+        learner = _LearnDriver(p, random_r(1), 0, None, RunOptions(), "nl2")
+        learner.round(0)
+        apply = methods.apply_coeff_update
+
+        def perturbed(h_old, delta, *args):
+            h_new = apply(h_old, delta, *args)
+            if h_old is learner.server_h:      # the server mirror, not the workers
+                h_new[2, 1] = np.nextafter(h_new[2, 1], np.inf)
+            return h_new
+
+        monkeypatch.setattr(methods, "apply_coeff_update", perturbed)
+        with pytest.raises(ReplicaMismatchError) as info:
+            learner.round(1)
+        assert info.value.mismatches == [(2, 1)]
+        assert "(worker 2, index 1)" in str(info.value)
+
 
 class TestDiagnostics:
     def test_nl2_domination_margin_recorded(self):
@@ -203,7 +221,7 @@ class TestDiagnostics:
             h_est, _, _ = methods._dominated_estimate(state, out.h_at_x)
             full = smallest_eigenvalue(SymMatrix(
                 h_est.add_diagonal(p.lam).entries - p.hessian(state.x).entries))
-            margin = learner._domination_margin(state, out.h_at_x)
+            margin = learner._domination_margin(out.h_est, out.h_at_x)
             assert margin == pytest.approx(full, rel=1e-9, abs=1e-12)
             state = out.state
 
