@@ -1,9 +1,12 @@
 """Randomized unbiased compression operators with exact bit-cost bookkeeping.
 
 Every operator C satisfies E[C(x)] = x and E||C(x)||^2 <= (omega+1)||x||^2
-for its variance parameter omega. Draws come from counter-based streams
-(see rngs.RngStream), so a server holding the same stream identity can
-replay worker-side randomness bit-for-bit.
+for its variance parameter omega. ``compress_with_info`` takes one vector
+or an (n, m) block of n workers' vectors and draws one (n, K) block of raw
+uniforms for it, row i for row i, so a round compresses every worker in one
+call. Draws come from counter-based streams (see rngs.RngStream), so a
+server holding the same stream identity can replay worker-side randomness
+bit-for-bit.
 
 Bit costs are ledger conventions, not an encoding: scalars count 32 bits
 regardless of the 64-bit arithmetic used internally.
@@ -23,6 +26,8 @@ from .rngs import RngStream
 SCALAR_BITS = 32
 
 KINDS = ("identity", "random_r", "dithering", "natural", "bernoulli")
+
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -118,73 +123,149 @@ def omega(spec: CompressorSpec, length: int) -> float:
 
 @dataclass(frozen=True)
 class CompressedPayload:
-    """Result of one compression: the vector plus what was actually sent."""
+    """Result of one compression: the vectors plus what was actually sent.
+
+    ``fired`` is False only for a bernoulli wrapper that sent zero: a bool
+    for one vector, an (n,) bool array for a block of n rows.
+    """
 
     values: np.ndarray
-    fired: bool = True      # False only for a bernoulli wrapper that sent zero
+    fired: bool | np.ndarray = True
+
+
+def _draw_count(spec: CompressorSpec, m: int) -> int:
+    """Uniforms one row of length m consumes, before rounding to counters."""
+    if spec.kind == "identity":
+        return 0
+    if spec.kind == "random_r":
+        if spec.r > m:
+            raise InputError(f"r={spec.r} exceeds vector length {m}")
+        return spec.r
+    if spec.kind == "bernoulli":
+        # the fire uniform first, then the inner operator's draws
+        return 1 + _draw_count(spec.inner, m)
+    return m
+
+
+def _row_draws(spec: CompressorSpec, m: int) -> int:
+    """K, the draw-block width: the draw count rounded up to whole Philox counters."""
+    return -(-_draw_count(spec, m) // 4) * 4
 
 
 def compress_with_info(spec: CompressorSpec, x: np.ndarray, rng) -> CompressedPayload:
-    """Apply the operator; ``rng`` is an RngStream or a numpy Generator.
+    """Compress one vector (m,) or every row of a block (n, m).
 
-    Bernoulli wrappers consume their fire/no-fire uniform before any inner
-    draws, so replicas replaying the same stream always stay in sync.
+    ``rng`` is an RngStream or a numpy Generator. One ``random((n, K))``
+    call draws every row's uniforms (see rngs.RngStream for K), and each
+    row consumes all K of its draws whatever it does with them, so row i
+    depends only on x[i] and the stream advanced by i*K/4 counters. A
+    vector is the n=1 case.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
+    if not 1 <= x.ndim <= 2:
+        raise InputError(f"compress takes (m,) or (n, m) input, got shape {x.shape}")
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise InputError("cannot compress non-finite values")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return _compress(spec, x, gen)
+    block = x if x.ndim == 2 else x[None]
+    width = _row_draws(spec, block.shape[1])
+    uniforms = None
+    if width:
+        gen = rng.generator() if isinstance(rng, RngStream) else rng
+        uniforms = gen.random((block.shape[0], width))
+    values, fired = _compress(spec, block, uniforms)
+    if x.ndim == 1:
+        return CompressedPayload(values=values[0], fired=fired is None or bool(fired[0]))
+    if fired is None:
+        fired = np.ones(block.shape[0], dtype=bool)
+    return CompressedPayload(values=values, fired=fired)
 
 
 def compress(spec: CompressorSpec, x: np.ndarray, rng) -> np.ndarray:
     return compress_with_info(spec, x, rng).values
 
 
-def _compress(spec: CompressorSpec, x: np.ndarray, gen: np.random.Generator) -> CompressedPayload:
-    m = x.shape[0]
+def _fisher_yates(u: np.ndarray, m: int, r: int) -> np.ndarray:
+    """Flat indices into an (n, m) block of r distinct picks per row.
+
+    A partial Fisher-Yates shuffle of each row's index list: step j swaps
+    position j with position j + floor(u[:, j] * (m - j)) and never touches
+    positions below j again, so positions 0..r-1 end up holding the picks.
+    """
+    n = u.shape[0]
+    if n == 1:
+        # one row: Python ints, with only the swapped positions stored
+        moved: dict = {}
+        picks = []
+        for j, uj in enumerate(u[0, :r].tolist()):
+            other = j + int(uj * (m - j))
+            picks.append(moved.get(other, other))
+            moved[other] = moved.get(j, j)
+        return np.array(picks)
+    start = np.arange(0, n * m, m)
+    other = (u[:, :r] * (m - np.arange(r))).astype(np.intp)
+    other += start[:, None] + np.arange(r)
+    if r == 1:
+        return other[:, 0]
+    # the list starts as the identity, so step 0 needs no lookup
+    perm = np.arange(n * m)
+    perm[other[:, 0]] = start
+    picks = [other[:, 0]]
+    for j in range(1, r):
+        to = other[:, j]
+        picks.append(perm[to])
+        perm[to] = perm[start + j]
+    return np.concatenate(picks)
+
+
+def _compress(spec: CompressorSpec, x: np.ndarray,
+              u: Optional[np.ndarray]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Row-wise kernel over x (n, m), row i reading its uniforms from u[i].
+
+    Returns the compressed rows and the (n,) fired mask, None when every
+    row was sent.
+    """
+    n, m = x.shape
     if spec.kind == "identity":
-        return CompressedPayload(values=x.copy())
+        return x.copy(), None
 
     if spec.kind == "random_r":
-        if spec.r > m:
-            raise InputError(f"r={spec.r} exceeds vector length {m}")
-        idx = gen.choice(m, size=spec.r, replace=False)
-        out = np.zeros(m)
-        out[idx] = (m / spec.r) * x[idx]
-        return CompressedPayload(values=out)
+        picks = _fisher_yates(u, m, spec.r)
+        out = np.zeros(n * m)
+        out[picks] = (m / spec.r) * x.ravel()[picks]
+        return out.reshape(n, m), None
 
     if spec.kind == "dithering":
         s = _dither_levels(spec, m)
-        norm = float(np.linalg.norm(x, ord=spec.q))
-        if norm == 0.0:
-            return CompressedPayload(values=np.zeros(m))
-        scaled = np.abs(x) / norm * s
+        mag = np.abs(x)
+        if spec.q == 2.0:
+            norm = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+        else:
+            norm = np.add.reduce(mag ** spec.q, axis=1, keepdims=True) ** (1.0 / spec.q)
+        # the floor on the norm keeps 0/0 out: a zero row scales to level 0
+        # everywhere and sends zero
+        scaled = mag / np.maximum(norm, _TINY) * s
         low = np.floor(scaled)
-        bump = gen.random(m) < (scaled - low)
-        levels = low + bump
-        return CompressedPayload(values=np.sign(x) * (norm / s) * levels)
+        levels = low + (u[:, :m] < scaled - low)
+        return np.copysign(levels, x) * (norm / s), None
 
     if spec.kind == "natural":
         mag = np.abs(x)
-        mant, expo = np.frexp(mag)            # mag = mant * 2**expo, mant in [0.5, 1)
+        _, expo = np.frexp(mag)               # mag = mant * 2**expo, mant in [0.5, 1)
         low = np.ldexp(0.5, expo)             # 2**floor(log2 mag); exact power of two
         high = np.ldexp(1.0, expo)
-        # p(down) = (2**ceil - |t|) / 2**floor; equals 1 when |t| is a power of
-        # two. low > 0 even for mag == 0 (frexp gives exponent 0), so the
-        # division never warns
-        p_down = np.where(mag > 0, (high - mag) / low, 1.0)
-        down = gen.random(m) < p_down
-        out = np.sign(x) * np.where(down, low, high)
-        out[mag == 0] = 0.0
-        return CompressedPayload(values=out)
+        # p(down) = (2**ceil - |t|) / 2**floor, 1 when |t| is a power of two.
+        # A zero entry has low = 0.5 (frexp gives exponent 0), so nothing
+        # warns, and sign(0) = 0 sends it as zero
+        down = u[:, :m] < (high - mag) / low
+        return np.sign(x) * np.where(down, low, high), None
 
-    # bernoulli wrapper: fire decision first, then the inner operator
-    fired = bool(gen.random() < spec.p)
-    if not fired:
-        return CompressedPayload(values=np.zeros(m), fired=False)
-    inner = _compress(spec.inner, x, gen)
-    return CompressedPayload(values=inner.values / spec.p, fired=True)
+    # bernoulli wrapper: column 0 decides, the inner operator reads the rest
+    fired = u[:, 0] < spec.p
+    out = np.zeros((n, m))
+    if np.count_nonzero(fired):
+        inner, _ = _compress(spec.inner, x[fired], u[fired, 1:])
+        out[fired] = inner / spec.p
+    return out, fired
 
 
 def ceil_log2(value: int) -> int:

@@ -297,10 +297,10 @@ class _NewtonBaselineDriver(_DriverBase):
 
 class _DcgdDriver(_DriverBase):
     def round(self, k):
-        self.x, payloads = methods.dcgd_round(
+        self.x, payload = methods.dcgd_round(
             self.p, self.x, self.spec, self.seed, k, self.opts.stepsize)
-        charges = [WorkerCharge(compressed=(self.spec, self.p.d, pay.fired))
-                   for pay in payloads]
+        charges = [WorkerCharge(compressed=(self.spec, self.p.d, fired))
+                   for fired in payload.fired.tolist()]
         return charges, {}
 
 
@@ -310,12 +310,12 @@ class _DianaDriver(_DriverBase):
         self.state = methods.diana_init(p, self.x)
 
     def round(self, k):
-        self.state, payloads = methods.diana_round(
+        self.state, payload = methods.diana_round(
             self.p, self.state, self.spec, self.seed,
             self.opts.stepsize, self.opts.theta)
         self.x = self.state.x
-        charges = [WorkerCharge(compressed=(self.spec, self.p.d, pay.fired))
-                   for pay in payloads]
+        charges = [WorkerCharge(compressed=(self.spec, self.p.d, fired))
+                   for fired in payload.fired.tolist()]
         return charges, {}
 
 
@@ -523,7 +523,7 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
 
     def metrics(extras: dict, wall_ms: float, iteration: int) -> TraceRow:
         x = driver.x
-        value = p.value(x)
+        value, grad = p.value_and_grad(x)
         gap = value - oracles.value_star if oracles is not None else math.nan
         row_extras = {"value": value}
         if oracles is not None:
@@ -532,7 +532,7 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
         return TraceRow(
             iteration=iteration,
             gap=gap,
-            grad_norm=float(np.linalg.norm(p.grad(x))),
+            grad_norm=float(np.linalg.norm(grad)),
             bits_up_cum=ledger.up_cum,
             bits_down_cum=ledger.down_cum,
             phi=driver.phi(),

@@ -5,10 +5,14 @@ variants), the compressed curvature-learning rounds (nonnegative and
 shift-dominated variants, plus the cubically regularized one), and the
 first-order/quasi-Newton baselines.
 
-Round functions are pure: they consume a state and per-round randomness
-identity and return the successor state together with the per-worker
-messages a real deployment would put on the wire. The harness turns those
-messages into ledger charges and server-side replica updates.
+Round functions are pure: they consume a state and the round's randomness
+identity, ``RngStream(seed, iteration)``, and return the successor state
+together with the per-worker messages a real deployment would put on the
+wire. A compressed round makes one compress call over all n workers' vectors;
+row i of the round's draw block is worker i's randomness, which a real
+worker derives alone by advancing the round stream (see rngs.RngStream).
+The harness turns those messages into ledger charges and server-side
+replica updates.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .compressors import CompressorSpec, compress_with_info
+from .compressors import CompressedPayload, CompressorSpec, compress_with_info
 from .errors import ConfigError, InputError, NumericalError
 from .linalg import SymMatrix, solve_spd, sym_eig
 from .problem import Problem
@@ -275,21 +279,21 @@ def _gather_messages(p: Problem, state: LearnState, spec: CompressorSpec,
     """Worker half of a learning round: compress updates, advance h.
 
     Every worker evaluates at the same broadcast iterate, so coefficients
-    and local gradients come from one batched pass; only the compression
-    draws stay per worker.
+    and local gradients come from one batched pass, and one compress call
+    over the (n, m) differences draws every worker's row of the round's
+    stream.
     """
     h_at_x = p.h_coeffs(slice(None), state.x)
     grads = p.local_grad(slice(None), state.x)
-    diffs = h_at_x - state.h
-    payloads = [compress_with_info(spec, diffs[i], RngStream(seed, i, state.iteration))
-                for i in range(p.n)]
-    deltas = np.stack([payload.values for payload in payloads])
+    payload = compress_with_info(spec, h_at_x - state.h,
+                                 RngStream(seed, state.iteration))
+    deltas = payload.values
     h_new = apply_coeff_update(state.h, deltas, eta, rule, gamma)
     clamped = int(np.count_nonzero(h_new != state.h + eta * deltas))
     changed = h_new != state.h
-    messages = [WorkerMessage(grad=grads[i], delta=deltas[i], fired=payload.fired,
+    messages = [WorkerMessage(grad=grads[i], delta=deltas[i], fired=fired,
                               beta=None, changed=np.flatnonzero(changed[i]))
-                for i, payload in enumerate(payloads)]
+                for i, fired in enumerate(payload.fired.tolist())]
     return h_new, h_at_x, grads, messages, clamped
 
 
@@ -462,13 +466,11 @@ def default_first_order_stepsize(p: Problem, spec: CompressorSpec) -> float:
 
 
 def dcgd_round(p: Problem, x: Array, spec: CompressorSpec, seed: int,
-               iteration: int, stepsize: float) -> tuple[Array, list]:
+               iteration: int, stepsize: float) -> tuple[Array, CompressedPayload]:
     """Compressed gradient descent: average of compressed local gradients."""
     grads = p.local_grad(slice(None), x) + p.lam * x
-    payloads = [compress_with_info(spec, grads[i], RngStream(seed, i, iteration))
-                for i in range(p.n)]
-    ghat = np.stack([payload.values for payload in payloads]).mean(axis=0)
-    return x - stepsize * ghat, payloads
+    payload = compress_with_info(spec, grads, RngStream(seed, iteration))
+    return x - stepsize * payload.values.mean(axis=0), payload
 
 
 @dataclass
@@ -489,17 +491,16 @@ def diana_init(p: Problem, x0: Array, shifts: str = "zero") -> DianaState:
 
 
 def diana_round(p: Problem, state: DianaState, spec: CompressorSpec, seed: int,
-                stepsize: float, theta: float) -> tuple[DianaState, list]:
+                stepsize: float, theta: float) -> tuple[DianaState, CompressedPayload]:
     """Variance-reduced compressed gradient round with learned shifts."""
     diffs = p.local_grad(slice(None), state.x) + p.lam * state.x - state.shifts
-    payloads = [compress_with_info(spec, diffs[i], RngStream(seed, i, state.iteration))
-                for i in range(p.n)]
-    values = np.stack([payload.values for payload in payloads])
+    payload = compress_with_info(spec, diffs, RngStream(seed, state.iteration))
+    values = payload.values
     ghat = (state.shifts + values).mean(axis=0)
     new_shifts = state.shifts + theta * values
     x_new = state.x - stepsize * ghat
     return DianaState(x=x_new, shifts=new_shifts,
-                      iteration=state.iteration + 1), payloads
+                      iteration=state.iteration + 1), payload
 
 
 @dataclass

@@ -160,12 +160,25 @@ class Problem:
     # -- values and derivatives -------------------------------------------
 
     def value(self, x: Array) -> float:
+        return self._value_at(self._rows @ x, x)
+
+    def grad(self, x: Array) -> Array:
+        return self._grad_at(self._rows @ x, x)
+
+    def value_and_grad(self, x: Array) -> tuple[float, Array]:
+        """``(value(x), grad(x))`` from one shared product ``rows @ x``.
+
+        Two evaluations of that product are bitwise equal, so both results
+        equal the separate calls bit for bit.
+        """
         t = self._rows @ x
+        return self._value_at(t, x), self._grad_at(t, x)
+
+    def _value_at(self, t: Array, x: Array) -> float:
         data_term = float(np.mean(self.loss.phi(t, self._labels)))
         return data_term + 0.5 * self.lam * float(x @ x)
 
-    def grad(self, x: Array) -> Array:
-        t = self._rows @ x
+    def _grad_at(self, t: Array, x: Array) -> Array:
         w = self.loss.dphi(t, self._labels)
         return self._rows.T @ w / (self.n * self.m) + self.lam * x
 

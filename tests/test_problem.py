@@ -8,6 +8,8 @@ from distnewton.errors import InputError
 from distnewton.linalg import smallest_eigenvalue
 from distnewton.problem import LOGISTIC_NU, _sigmoid, loss_model, make_problem
 
+from conftest import phishing_shaped_problem
+
 
 def tiny_problem(loss="logistic", lam=0.0, n=2, count=10, d=3, seed=0):
     g = np.random.default_rng(seed)
@@ -164,6 +166,21 @@ class TestValueAndGradient:
         x = np.random.default_rng(5).standard_normal(p.d)
         local = np.mean([p.local_grad(i, x) for i in range(p.n)], axis=0)
         assert np.allclose(p.grad(x), local + p.lam * x, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", ["a2a", "phishing", "tiny-squared"])
+    def test_value_and_grad_is_bitwise_the_separate_calls(self, shape, a2a_1e3):
+        if shape == "a2a":
+            p = a2a_1e3
+        elif shape == "phishing":
+            p = phishing_shaped_problem(1e-4)
+        else:
+            p = tiny_problem("squared", lam=0.05)
+        g = np.random.default_rng(3)
+        for scale in (0.0, 0.3, 3.0):
+            x = scale * g.standard_normal(p.d)
+            value, grad = p.value_and_grad(x)
+            assert value == p.value(x)
+            assert np.array_equal(grad, p.grad(x))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_matches_finite_differences(self, seed):
