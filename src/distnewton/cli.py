@@ -159,12 +159,20 @@ class ExperimentConfig:
 # Reference-optimum cache (content addressed)
 # ---------------------------------------------------------------------------
 
+# Version of the reference-optimum computation, hashed into the cache key so
+# that a file written by an earlier formula is never read back. Keys without
+# it were format 1 (whole-matrix products for value and gradient); format 2
+# evaluates every iterate through the stacked per-worker margin pass.
+ORACLE_FORMAT = 2
+
+
 def _oracle_cache_key(cfg: ExperimentConfig) -> str:
     h = hashlib.sha256()
     if cfg.dataset_path is not None:
         h.update(Path(cfg.dataset_path).read_bytes())
     key = dict(cfg.problem_key())
     key.pop("dataset_path")
+    key["oracle_format"] = ORACLE_FORMAT
     h.update(json.dumps(key, sort_keys=True).encode())
     return h.hexdigest()[:24]
 

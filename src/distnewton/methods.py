@@ -279,9 +279,10 @@ def _gather_messages(p: Problem, state: LearnState, spec: CompressorSpec,
     """Worker half of a learning round: compress updates, advance h.
 
     Every worker evaluates at the same broadcast iterate, so coefficients
-    and local gradients come from one batched pass, and one compress call
-    over the (n, m) differences draws every worker's row of the round's
-    stream.
+    and local gradients come from the problem's one evaluation there (in a
+    harness run, the one its metrics row already made), and one compress
+    call over the (n, m) differences draws every worker's row of the
+    round's stream.
     """
     h_at_x = p.h_coeffs(slice(None), state.x)
     grads = p.local_grad(slice(None), state.x)
@@ -294,7 +295,7 @@ def _gather_messages(p: Problem, state: LearnState, spec: CompressorSpec,
     messages = [WorkerMessage(grad=grads[i], delta=deltas[i], fired=fired,
                               beta=None, changed=np.flatnonzero(changed[i]))
                 for i, fired in enumerate(payload.fired.tolist())]
-    return h_new, h_at_x, grads, messages, clamped
+    return h_new, h_at_x, messages, clamped
 
 
 def _advance_gram(p: Problem, state: LearnState, h_new: Array,
@@ -322,10 +323,6 @@ def _advance_gram(p: Problem, state: LearnState, h_new: Array,
     return SymMatrix(state.h_matrix.entries + update.entries), state.rebuild_drift
 
 
-def _server_gradient(p: Problem, x: Array, grads: Array) -> Array:
-    return grads.mean(axis=0) + p.lam * x
-
-
 # -- nonnegative-coefficient variant (requires lam > 0, convex losses) -----
 
 def nl1_init(p: Problem, x0: Array, h0: Array) -> LearnState:
@@ -348,10 +345,10 @@ def nl1_round(p: Problem, state: LearnState, spec: CompressorSpec,
     """
     if p.lam <= 0:
         raise ConfigError("nonnegative curvature learning requires lam > 0")
-    h_new, h_at_x, grads, messages, clamped = _gather_messages(
+    h_new, h_at_x, messages, clamped = _gather_messages(
         p, state, spec, seed, eta, rule="nonneg", gamma=0.0)
 
-    g = _server_gradient(p, state.x, grads)
+    g = p.grad(state.x)
     x_new = state.x - solve_spd(state.h_matrix.add_diagonal(p.lam), g)
 
     gram, drift = _advance_gram(p, state, h_new, weight_shift=0.0)
@@ -406,12 +403,12 @@ def _dominated_estimate(state: DominatedState, h_at_x: Array) -> tuple[SymMatrix
 
 def _dominated_round(p: Problem, state: DominatedState, spec: CompressorSpec,
                      seed: int, eta: float, cubic_coeff: Optional[float]) -> LearnRound:
-    h_new, h_at_x, grads, messages, clamped = _gather_messages(
+    h_new, h_at_x, messages, clamped = _gather_messages(
         p, state, spec, seed, eta, rule="clamp", gamma=state.gamma)
     h_est, beta, betas = _dominated_estimate(state, h_at_x)
     messages = [replace(msg, beta=float(b)) for msg, b in zip(messages, betas)]
 
-    g = _server_gradient(p, state.x, grads)
+    g = p.grad(state.x)
     h_reg = h_est.add_diagonal(p.lam)
     if cubic_coeff is None:
         x_new = state.x - solve_spd(h_reg, g)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,14 +41,17 @@ def _softplus(z: Array) -> Array:
 class LossModel:
     """Scalar loss phi(t, b) with first/second derivatives in t.
 
-    ``gamma`` bounds |phi''| everywhere; ``nu`` is a Lipschitz constant of
-    phi''. Both are closed-form per loss kind, not estimated from data.
+    ``derivs`` returns ``(phi, dphi, ddphi)`` from one shared kernel, each
+    bitwise equal to the separate field. ``gamma`` bounds |phi''|
+    everywhere; ``nu`` is a Lipschitz constant of phi''. Both are
+    closed-form per loss kind, not estimated from data.
     """
 
     kind: str
     phi: Callable[[Array, Array], Array]
     dphi: Callable[[Array, Array], Array]
     ddphi: Callable[[Array, Array], Array]
+    derivs: Callable[[Array, Array], tuple[Array, Array, Array]]
     gamma: float
     nu: float
 
@@ -56,11 +59,33 @@ class LossModel:
 # max |d^3/dt^3 log(1+exp(-t))| = max |s(1-s)(1-2s)| over s in (0,1)
 LOGISTIC_NU = 1.0 / (6.0 * math.sqrt(3.0))
 
+
+def _logistic_derivs(t: Array, b: Array) -> tuple[Array, Array, Array]:
+    # One exp serves _sigmoid(bt), _sigmoid(-bt) and _softplus(-bt), each
+    # bitwise the separate form. With e = exp(-|bt|) <= 1, max(step, e)
+    # picks the numerator 1 where bt >= 0 and e elsewhere, as _sigmoid's
+    # np.where does, without a data-dependent branch.
+    bt = b * t
+    e = np.exp(-np.abs(bt))
+    denom = 1.0 + e
+    step = (bt >= 0).astype(np.float64)
+    sig_pos = np.maximum(step, e) / denom           # _sigmoid(bt)
+    sig_neg = np.maximum(1.0 - step, e) / denom     # _sigmoid(-bt)
+    phi = np.maximum(-bt, 0.0) + np.log1p(e)
+    return phi, -b * sig_neg, (b * b) * sig_pos * sig_neg
+
+
+def _squared_derivs(t: Array, b: Array) -> tuple[Array, Array, Array]:
+    r = t - b
+    return 0.5 * r ** 2, r, np.ones_like(t)
+
+
 _LOGISTIC = LossModel(
     kind="logistic",
     phi=lambda t, b: _softplus(-b * t),
     dphi=lambda t, b: -b * _sigmoid(-b * t),
     ddphi=lambda t, b: (b * b) * _sigmoid(b * t) * _sigmoid(-b * t),
+    derivs=_logistic_derivs,
     gamma=0.25,
     nu=LOGISTIC_NU,
 )
@@ -70,6 +95,7 @@ _SQUARED = LossModel(
     phi=lambda t, b: 0.5 * (t - b) ** 2,
     dphi=lambda t, b: t - b,
     ddphi=lambda t, b: np.ones_like(t),
+    derivs=_squared_derivs,
     gamma=1.0,
     nu=0.0,
 )
@@ -92,9 +118,28 @@ class ProblemConstants:
     hessian_lipschitz: float     # nu * max_row_norm**3
 
 
+class _Point(NamedTuple):
+    """The data terms of P at one iterate; arrays are read-only."""
+
+    key: bytes                  # x.tobytes()
+    loss: LossModel
+    value: float                # (1/nm) sum_ij loss(a_ij . x, b_ij)
+    grads: Array                # (n, d) local data gradients
+    grad: Array                 # (d,) their mean
+    h: Array                    # (n, m) second derivatives
+
+
 @dataclass
 class Problem:
-    """Dataset + partition + loss + regularizer, with cached worker views."""
+    """Dataset + partition + loss + regularizer, with cached worker views.
+
+    Everything the methods read from the data at an iterate x comes from
+    one evaluation: one stacked per-worker margin pass ``worker_rows @ x``
+    and one fused loss kernel. The last evaluation is kept in a one-slot
+    cache keyed by the bytes of x, so the metrics row at x^k, the worker
+    pass of round k and a Newton step's ``hessian`` plus ``grad`` share it.
+    The slot holds only the lam-free data terms, and lam enters on read.
+    """
 
     dataset: Dataset
     part: Partition
@@ -107,6 +152,8 @@ class Problem:
     _worker_rows: Array = field(init=False, repr=False)
     _worker_labels: Array = field(init=False, repr=False)
     _constants: ProblemConstants = field(init=False, repr=False)
+    _slot: Optional[_Point] = field(init=False, repr=False, compare=False,
+                                    default=None)
 
     def __post_init__(self):
         if self.lam < 0:
@@ -159,54 +206,63 @@ class Problem:
 
     # -- values and derivatives -------------------------------------------
 
+    def _point(self, x: Array) -> _Point:
+        """The evaluation at x, from the slot when x's bytes match it.
+
+        The stacked matmul runs one BLAS product per worker, so every
+        worker's margins, coefficients and local gradient are bitwise what
+        that worker computes from its own rows alone.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        key = x.tobytes()
+        slot = self._slot
+        if slot is not None and slot.key == key and slot.loss is self.loss:
+            return slot
+        rows = self.worker_rows(slice(None))
+        phi, dphi, h = self.loss.derivs(rows @ x, self.worker_labels(slice(None)))
+        grads = (np.swapaxes(rows, -1, -2) @ dphi[..., None])[..., 0] / self.m
+        grad = grads.mean(axis=0)
+        for a in (grads, grad, h):
+            a.setflags(write=False)
+        self._slot = _Point(key, self.loss, float(np.mean(phi)), grads, grad, h)
+        return self._slot
+
     def value(self, x: Array) -> float:
-        return self._value_at(self._rows @ x, x)
+        return self._point(x).value + 0.5 * self.lam * float(x @ x)
 
     def grad(self, x: Array) -> Array:
-        return self._grad_at(self._rows @ x, x)
+        """Mean of the local gradients plus lam * x."""
+        return self._point(x).grad + self.lam * x
 
     def value_and_grad(self, x: Array) -> tuple[float, Array]:
-        """``(value(x), grad(x))`` from one shared product ``rows @ x``.
-
-        Two evaluations of that product are bitwise equal, so both results
-        equal the separate calls bit for bit.
-        """
-        t = self._rows @ x
-        return self._value_at(t, x), self._grad_at(t, x)
-
-    def _value_at(self, t: Array, x: Array) -> float:
-        data_term = float(np.mean(self.loss.phi(t, self._labels)))
-        return data_term + 0.5 * self.lam * float(x @ x)
-
-    def _grad_at(self, t: Array, x: Array) -> Array:
-        w = self.loss.dphi(t, self._labels)
-        return self._rows.T @ w / (self.n * self.m) + self.lam * x
+        """``(value(x), grad(x))`` from one evaluation, bitwise the separate calls."""
+        point = self._point(x)
+        return (point.value + 0.5 * self.lam * float(x @ x),
+                point.grad + self.lam * x)
 
     def local_grad(self, i: int | slice, x: Array) -> Array:
         """Data gradient of worker i at x, (d,); a slice of workers gives (k, d).
 
-        The stacked matmul runs one BLAS product per worker, so each row is
-        bitwise the single-worker result (an einsum or one whole-matrix
-        product would sum in a different order).
+        Row i is bitwise worker i's own ``rows_i.T @ dphi / m``. The result
+        is a read-only view of the evaluation slot.
         """
-        rows = self.worker_rows(i)
-        w = self.loss.dphi(rows @ x, self.worker_labels(i))
-        return (np.swapaxes(rows, -1, -2) @ w[..., None])[..., 0] / self.m
+        return self._point(x).grads[i]
 
     def h_coeffs(self, i: int | slice, x: Array) -> Array:
-        """Per-sample second derivatives of worker i at x, (m,); a slice gives (k, m)."""
-        rows = self.worker_rows(i)
-        return self.loss.ddphi(rows @ x, self.worker_labels(i))
+        """Per-sample second derivatives of worker i at x, (m,); a slice gives (k, m).
+
+        Read-only, like every array the evaluation slot hands out.
+        """
+        return self._point(x).h[i]
 
     def h_all(self, x: Array) -> Array:
-        """All h coefficients at x as an (n, m) array."""
-        t = self._rows @ x
-        return self.loss.ddphi(t, self._labels).reshape(self.n, self.m)
+        """All h coefficients at x as a read-only (n, m) array."""
+        return self._point(x).h
 
     def hessian(self, x: Array) -> SymMatrix:
         """Full second derivative of P at x (regularizer included)."""
-        h = self.loss.ddphi(self._rows @ x, self._labels)
-        gram = weighted_gram(self._rows, h, scale=1.0 / (self.n * self.m))
+        gram = weighted_gram(self._rows, self._point(x).h.reshape(-1),
+                             scale=1.0 / (self.n * self.m))
         return gram.add_diagonal(self.lam)
 
     def data_gram(self, weights: Array) -> SymMatrix:

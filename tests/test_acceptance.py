@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cached_a2a, cached_a2a_oracles, phishing_shaped_problem, sparse_binary_dataset
+from stand_ins import cached_a2a, cached_a2a_oracles, phishing_shaped_problem, sparse_binary_dataset
 from distnewton.cli import main as cli_main
 from distnewton.compressors import (bernoulli, dithering, natural, omega,
                                     random_r, compress, CompressorSpec)

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from distnewton import cli
 from distnewton.cli import ExperimentConfig, main, parse_compressor_flag
 from distnewton.data import load_dataset
 
@@ -188,6 +190,33 @@ class TestOracleCache:
         assert rc == 4
         err = capsys.readouterr().err
         assert cached.name in err and "x_star" in err
+
+    def test_format_version_is_part_of_the_key(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path)[1])
+        key = cli._oracle_cache_key(cfg)
+        monkeypatch.setattr(cli, "ORACLE_FORMAT", cli.ORACLE_FORMAT + 1)
+        assert cli._oracle_cache_key(cfg) != key
+        monkeypatch.setattr(cli, "ORACLE_FORMAT", cli.ORACLE_FORMAT - 1)
+        assert cli._oracle_cache_key(cfg) == key
+
+    def test_old_keyed_file_is_never_read(self, tmp_path, monkeypatch):
+        cfg_path, cfg_dict = base_config(tmp_path)
+        cfg = ExperimentConfig.from_dict(cfg_dict)
+        # the unversioned key of format 1 and the key of the previous format
+        unversioned = hashlib.sha256(json.dumps(
+            {k: v for k, v in cfg.problem_key().items() if k != "dataset_path"},
+            sort_keys=True).encode()).hexdigest()[:24]
+        monkeypatch.setattr(cli, "ORACLE_FORMAT", cli.ORACLE_FORMAT - 1)
+        previous = cli._oracle_cache_key(cfg)
+        monkeypatch.undo()
+        stale = tmp_path / "oracles"
+        stale.mkdir()
+        for key in (unversioned, previous):
+            (stale / f"{key}.json").write_text("{not json")   # would exit 4 if read
+        assert main(["refopt", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 0
+        fresh = cli.oracle_path(cfg, tmp_path)
+        assert fresh.name not in {f"{unversioned}.json", f"{previous}.json"}
+        assert json.loads(fresh.read_text())["x_star"]
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys):
         def refuse(src, dst):

@@ -8,7 +8,8 @@ from distnewton.errors import InputError
 from distnewton.linalg import smallest_eigenvalue
 from distnewton.problem import LOGISTIC_NU, _sigmoid, loss_model, make_problem
 
-from conftest import phishing_shaped_problem
+from stand_ins import phishing_shaped_problem
+from test_worker_pass import dense_problem, legacy_worker, start_point
 
 
 def tiny_problem(loss="logistic", lam=0.0, n=2, count=10, d=3, seed=0):
@@ -142,6 +143,79 @@ def test_sigmoid_is_bitwise_the_masked_form():
                         np.random.default_rng(0).standard_normal(10_000) * 30.0])
     fast, ref = _sigmoid(z), masked_sigmoid(z)
     assert np.array_equal(fast.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared"])
+def test_fused_derivs_are_bitwise_the_separate_fields(kind):
+    lm = loss_model(kind)
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0,
+                        5e-324, -5e-324, np.inf, -np.inf])
+    t = np.concatenate([special, np.random.default_rng(1).standard_normal(5000) * 20.0])
+    for b_value in (1.0, -1.0):
+        b = np.full_like(t, b_value)
+        fused = lm.derivs(t, b)
+        for got, field_fn in zip(fused, (lm.phi, lm.dphi, lm.ddphi)):
+            assert np.array_equal(got.view(np.uint64), field_fn(t, b).view(np.uint64))
+
+
+class TestEvaluationSlot:
+    @pytest.mark.parametrize("i", [0, 5, slice(None), slice(2, 7), slice(3, 4)])
+    def test_worker_terms_equal_the_per_worker_formula(self, i):
+        p = dense_problem()
+        x = start_point(p)
+        workers = range(p.n)[i] if isinstance(i, slice) else [i]
+        legacy = [legacy_worker(p, w, x) for w in workers]
+        h, grads = p.h_coeffs(i, x), p.local_grad(i, x)
+        if isinstance(i, slice):
+            assert h.shape == (len(workers), p.m) and grads.shape == (len(workers), p.d)
+        else:
+            h, grads = h[None], grads[None]
+        assert np.array_equal(h, np.stack([hc for hc, _ in legacy]))
+        assert np.array_equal(grads, np.stack([gr for _, gr in legacy]))
+
+    def test_mutating_x_in_place_gives_fresh_results(self):
+        p = dense_problem()
+        x = start_point(p)
+        before = (p.value(x), p.grad(x), p.h_all(x).copy(), p.hessian(x).entries)
+        x *= 2.0
+        fresh = dense_problem()
+        assert p.value(x) == fresh.value(x) != before[0]
+        assert np.array_equal(p.grad(x), fresh.grad(x))
+        assert not np.array_equal(p.grad(x), before[1])
+        assert np.array_equal(p.h_all(x), fresh.h_all(x))
+        assert not np.array_equal(p.h_all(x), before[2])
+        assert np.array_equal(p.hessian(x).entries, fresh.hessian(x).entries)
+        assert np.array_equal(p.local_grad(slice(None), x),
+                              fresh.local_grad(slice(None), x))
+
+    def test_changing_lam_gives_fresh_results(self):
+        p = dense_problem(lam=1e-2)
+        x = start_point(p)
+        value, grad, hess = p.value(x), p.grad(x), p.hessian(x).entries
+        p.lam = 0.5
+        fresh = dense_problem(lam=0.5)
+        assert p.value(x) == fresh.value(x) != value
+        assert np.array_equal(p.grad(x), fresh.grad(x))
+        assert not np.array_equal(p.grad(x), grad)
+        assert np.array_equal(p.hessian(x).entries, fresh.hessian(x).entries)
+        assert not np.array_equal(p.hessian(x).entries, hess)
+        assert np.array_equal(p.value_and_grad(x)[1], fresh.grad(x))
+
+    def test_returned_arrays_cannot_change_a_later_call(self):
+        p = dense_problem()
+        x = start_point(p)
+        h, grads, g = p.h_all(x), p.local_grad(slice(None), x), p.grad(x)
+        ref = (h.copy(), grads.copy(), g.copy(), p.value(x))
+        for view in (h, grads, p.h_coeffs(1, x), p.local_grad(2, x)):
+            with pytest.raises(ValueError):
+                view[...] = 7.0
+        g[:] = 7.0                       # a fresh array, owned by the caller
+        _, g_again = p.value_and_grad(x)
+        g_again[:] = 9.0
+        assert np.array_equal(p.h_all(x), ref[0])
+        assert np.array_equal(p.local_grad(slice(None), x), ref[1])
+        assert np.array_equal(p.grad(x), ref[2])
+        assert p.value(x) == ref[3]
 
 
 class TestValueAndGradient:

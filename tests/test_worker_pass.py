@@ -4,8 +4,8 @@ Every worker evaluates at the same broadcast iterate, so one call over a
 slice of workers serves a whole round, and one compress call over the
 (n, length) block draws every worker's row of the round stream. These tests
 pin that the batched rounds equal a simulation in which each worker works
-alone, drawing from its own advanced stream, bit for bit, and that short
-traces keep pinned bytes.
+alone, drawing from its own advanced stream, bit for bit, that short
+traces keep pinned bytes, and that a run evaluates the data once per iterate.
 """
 
 import hashlib
@@ -17,10 +17,11 @@ from distnewton import methods
 from distnewton.compressors import (_row_draws, bernoulli, compress_with_info,
                                     random_r)
 from distnewton.data import Dataset
-from distnewton.harness import Budget, run_experiment
+from distnewton.harness import (COMPRESSED_METHODS, METHOD_NAMES, Budget,
+                               run_experiment)
 from distnewton.linalg import solve_spd
 from distnewton.methods import reference_optimum
-from distnewton.problem import make_problem
+from distnewton.problem import Problem, make_problem
 from distnewton.rngs import RngStream
 
 
@@ -213,14 +214,39 @@ def test_diana_round_equals_per_worker_loop(a2a_1e3):
         assert np.array_equal(out.shifts, shifts)
 
 
-# SHA-256 of each trace's CSV under the round stream contract: one (n, K)
-# draw block per round. The nl2 trace read
+# SHA-256 of each trace's CSV under the one-evaluation contract: every
+# margin comes from the stacked per-worker pass. Under the round stream
+# contract with whole-matrix products for value/grad the three read
+#   nl2  4dddb1d5e8c3d7ed57ec9e295c9a767c4aeb6272a5e20f0299df0b730b306747
+#   dcgd 986d737d42e0e18ab000472de3c7ead43daaa5e777afb4378a7cbf870f2b719b
+#   cnl  e0a4fea48a2f255a3767decfc3832323cedcbc9e91364c0b6700ba89f669df15
+# and the nl2 trace read
 # 45cb065421041745f15ad8611fe4ad2fde3d4466f871cf959edd1cf2bd7c129b under the
 # earlier per-worker streams keyed by (seed, worker, iteration).
 GOLDEN_TRACE_SHA256 = {
-    "nl2": "4dddb1d5e8c3d7ed57ec9e295c9a767c4aeb6272a5e20f0299df0b730b306747",
-    "dcgd": "986d737d42e0e18ab000472de3c7ead43daaa5e777afb4378a7cbf870f2b719b",
-    "cnl": "e0a4fea48a2f255a3767decfc3832323cedcbc9e91364c0b6700ba89f669df15",
+    "nl2": "c4d713688002211d73c51fb92574f760cd346bff8e567bb0ecdb8ebcae5f164d",
+    "dcgd": "a5ed19ec15de20afb5f7d0c18e9762bafb30248807e1bf5dc3b7530823ea1a80",
+    "cnl": "70096d473543909764924d9b15caf983ff79b52b4fca09c973214ca20d4623ae",
+}
+
+# SHA-256 of the iter,bits_up_cum,bits_down_cum columns of the same traces.
+# Taken before the one-evaluation change and unchanged by it: sharing the
+# margins moves float columns only, never a ledger integer.
+GOLDEN_LEDGER_SHA256 = {
+    "nl2": "a8906364e16a96a67dc8efe3221486f470a666ad063e9d55fe4b2a0fc846ebc1",
+    "dcgd": "a4078681c172732ca2427b49ae71f4e3ff651dc609bb2693e538fb8d0aa4ffda",
+    "cnl": "195bc8569c613854bfdf2448acc75d543991170c56b3247d562384bdd745dd8f",
+}
+
+# SHA-256 over 12 rounds of the compressed methods' iterates (and learned
+# coefficients, h(x^k) or shifts), also taken before the one-evaluation
+# change: their workers always read the stacked pass, so nothing moved.
+GOLDEN_ITERATES_SHA256 = {
+    "nl1": "599d85cc1e4b1c596dd8b95d67ef6a8c0c45cb04ac417d253ed28738d3646391",
+    "nl2": "a2c321c3764412827e0ab628a23b03c16a7bde13536c19c09aaaf43f262729da",
+    "cnl": "cc5f30e92375fb2ac0a1f31f4e91b1d531fdeb848525ab1094b1cb830f8ecaca",
+    "dcgd": "95e02e7f8d759714df5237c2bedb004997afa0edb70df563b5fca9d521f938c3",
+    "diana": "b08f581375266a33ae596f6516f1187bf224a2b0d39a58aa7f1c6444da0455e0",
 }
 
 
@@ -230,6 +256,11 @@ def golden_trace(method):
             "cnl": bernoulli(random_r(2), 0.5)}[method]
     return run_experiment(method, p, spec, Budget(max_iters=12), seed=9,
                           oracles=reference_optimum(p))
+
+
+def ledger_columns(csv_text):
+    return "".join(",".join(line.split(",")[i] for i in (0, 3, 4)) + "\n"
+                   for line in csv_text.splitlines())
 
 
 def test_short_nl2_trace_matches_golden_hash():
@@ -243,3 +274,84 @@ def test_short_compressed_traces_match_golden_hashes(method):
     trace = golden_trace(method)
     assert hashlib.sha256(trace.csv_text().encode()).hexdigest() == \
         GOLDEN_TRACE_SHA256[method]
+
+
+@pytest.mark.parametrize("method", ["nl2", "dcgd", "cnl"])
+def test_short_trace_ledger_columns_match_golden_hashes(method):
+    text = golden_trace(method).csv_text()
+    assert ledger_columns(text).startswith("iter,bits_up_cum,bits_down_cum\n")
+    assert hashlib.sha256(ledger_columns(text).encode()).hexdigest() == \
+        GOLDEN_LEDGER_SHA256[method]
+
+
+def compressed_iterates_digest(method, rounds=12):
+    p = dense_problem()
+    x0, h0 = start_point(p), np.zeros((p.n, p.m))
+    digest = hashlib.sha256()
+    if method in ("dcgd", "diana"):
+        spec = random_r(3)
+        stepsize = methods.default_first_order_stepsize(p, spec)
+        x = x0
+        state = methods.diana_init(p, x0, shifts="local_grad")
+        for k in range(rounds):
+            if method == "dcgd":
+                x, _ = methods.dcgd_round(p, x, spec, 9, k, stepsize)
+                digest.update(x.tobytes())
+            else:
+                state, _ = methods.diana_round(p, state, spec, 9, stepsize, 0.5)
+                digest.update(state.x.tobytes() + state.shifts.tobytes())
+        return digest.hexdigest()
+    spec = bernoulli(random_r(2), 0.5) if method == "cnl" else random_r(2)
+    eta = methods.default_eta(spec, p.m)
+    if method == "nl1":
+        state = methods.nl1_init(p, x0, h0)
+    else:
+        state = getattr(methods, f"{method}_init")(p, x0, h0, p.loss.gamma)
+    for _ in range(rounds):
+        if method == "nl1":
+            out = methods.nl1_round(p, state, spec, 9, eta)
+        elif method == "nl2":
+            out = methods.nl2_round(p, state, spec, 9, eta)
+        else:
+            out = methods.cnl_round(p, state, spec, 9, eta,
+                                    p.constants().hessian_lipschitz)
+        state = out.state
+        digest.update(state.x.tobytes() + state.h.tobytes() + out.h_at_x.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("method", list(GOLDEN_ITERATES_SHA256))
+def test_compressed_method_iterates_match_golden_hashes(method):
+    assert compressed_iterates_digest(method) == GOLDEN_ITERATES_SHA256[method]
+
+
+def test_server_gradient_is_bitwise_the_mean_of_local_grads(problem):
+    # the learners' server step reads p.grad at the broadcast iterate; it
+    # must equal the average of what the workers sent, plus lam * x
+    p = problem
+    for seed in range(5):
+        x = start_point(p, seed)
+        expected = p.local_grad(slice(None), x).mean(axis=0) + p.lam * x
+        assert np.array_equal(p.grad(x), expected)
+        assert np.array_equal(p.value_and_grad(x)[1], expected)
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_one_margin_pass_per_iterate(method, monkeypatch):
+    """A run evaluates the data once per iterate: rounds + 1 margin passes."""
+    p = dense_problem()
+    oracles = reference_optimum(p)
+    spec = random_r(2) if method in COMPRESSED_METHODS else None
+    passes = []
+    original = Problem.worker_rows
+
+    def counted(self, i):
+        passes.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(Problem, "worker_rows", counted)
+    rounds = 5
+    trace = run_experiment(method, p, spec, Budget(max_iters=rounds), seed=9,
+                           oracles=oracles)
+    assert trace.final().iteration == rounds
+    assert len(passes) == rounds + 1
