@@ -196,8 +196,6 @@ class TestOracleCache:
         key = cli._oracle_cache_key(cfg)
         monkeypatch.setattr(cli, "ORACLE_FORMAT", cli.ORACLE_FORMAT + 1)
         assert cli._oracle_cache_key(cfg) != key
-        monkeypatch.setattr(cli, "ORACLE_FORMAT", cli.ORACLE_FORMAT - 1)
-        assert cli._oracle_cache_key(cfg) == key
 
     def test_old_keyed_file_is_never_read(self, tmp_path, monkeypatch):
         cfg_path, cfg_dict = base_config(tmp_path)
