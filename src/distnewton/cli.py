@@ -132,7 +132,7 @@ class ExperimentConfig:
         return RunOptions(
             eta=self.eta, gamma=self.gamma, stepsize=self.stepsize,
             theta=self.theta, h0=self.h0,
-            x0=None if self.x0 is None else np.asarray(self.x0, dtype=np.float64),
+            x0=self.x0,
             option=self.option, diagnostics=self.diagnostics,
             timing=self.timing,
         )

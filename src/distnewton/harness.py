@@ -6,6 +6,14 @@ The ledger charges each payload with the closed-form bit costs (32-bit
 scalars by convention) and keeps the full payload log so cumulative totals
 can be re-derived independently.
 
+Every method is one row of the private table ``_METHODS``: whether it needs
+a compressor spec or oracles, its default stepsize, shift rate and learning
+rate, whether the objective must never increase, and a start function
+returning the per-round step. ``run_experiment`` reads everything through
+that row. The three learners (nl1, nl2, cnl) share one start function,
+which also mirrors the server's coefficient replicas and records the
+hull, neighborhood and curvature diagnostics.
+
 Traces are deterministic given (config, seed); wall-clock timing is only
 recorded when explicitly enabled, because measured times can never be
 byte-reproducible.
@@ -19,24 +27,18 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import methods
 from .compressors import CompressorSpec, bit_cost, ceil_log2, omega, SCALAR_BITS
-from .errors import ConfigError, NumericalError, ReplicaMismatchError
+from .errors import ConfigError, InputError, NumericalError, ReplicaMismatchError
 from .linalg import SymMatrix, smallest_eigenvalue
 from .methods import Oracles
 from .problem import Problem
 
 Array = np.ndarray
-
-METHOD_NAMES = ("gd", "dcgd", "diana", "bfgs", "newton", "newton_coeff",
-                "ns", "mn", "nl1", "nl2", "cnl")
-LEARNING_METHODS = ("nl1", "nl2", "cnl")
-ORACLE_METHODS = ("ns", "mn")
-COMPRESSED_METHODS = ("dcgd", "diana", "nl1", "nl2", "cnl")
 
 HULL_EPS = 1e-10
 
@@ -243,125 +245,100 @@ class RunOptions:
     timing: bool = False                 # measured wall_ms breaks byte-reproducibility
 
 
-class _DriverBase:
-    needs_oracles = False
+# ---------------------------------------------------------------------------
+# Methods: one table row each
+# ---------------------------------------------------------------------------
 
-    def __init__(self, p: Problem, spec, seed: int, oracles, opts: RunOptions):
-        self.p = p
-        self.spec = spec
-        self.seed = seed
-        self.oracles = oracles
-        self.opts = opts
-        self.x = opts.x0.copy() if opts.x0 is not None else np.zeros(p.d)
+class _Run(NamedTuple):
+    """One run's inputs; stepsize, theta and eta have the method's defaults."""
 
-    def worker_h(self):
-        return None
-
-    def phi(self) -> float:
-        return math.nan
-
-    def round(self, k: int) -> tuple[list[WorkerCharge], dict]:
-        raise NotImplementedError
+    p: Problem
+    spec: Optional[CompressorSpec]
+    seed: int
+    oracles: Optional[Oracles]
+    opts: RunOptions
+    stepsize: Optional[float]
+    theta: Optional[float]
+    eta: Optional[float]
 
 
-class _PlainGradientDriver(_DriverBase):
-    """Methods whose upstream payload is one uncompressed local gradient."""
+# A method's start function takes (run, x0) and returns (step, phi): step(k)
+# runs round k and returns (x^{k+1}, one WorkerCharge per worker, trace
+# extras); phi() is the Lyapunov function at the current state.
 
-    def __init__(self, p, spec, seed, oracles, opts, step_fn, extra_beta=0):
-        super().__init__(p, spec, seed, oracles, opts)
-        self._step_fn = step_fn
-        self._extra_beta = extra_beta
-
-    def round(self, k):
-        self.x = self._step_fn(self.x)
-        charge = WorkerCharge(grad_floats=self.p.d, beta_scalars=self._extra_beta)
-        return [charge] * self.p.n, {}
+def _no_phi() -> float:
+    return math.nan
 
 
-class _NewtonBaselineDriver(_DriverBase):
-    """Exact Newton iterates, charged as one of the two naive wire formats."""
-
-    def __init__(self, p, spec, seed, oracles, opts, coefficient_form: bool):
-        super().__init__(p, spec, seed, oracles, opts)
-        self._coefficient_form = coefficient_form
-
-    def round(self, k):
-        self.x = methods.newton_step(self.p, self.x)
-        if self._coefficient_form:
-            charge = WorkerCharge(grad_floats=self.p.d, coeff_floats=self.p.m)
-        else:
-            charge = WorkerCharge(grad_floats=self.p.d,
-                                  raw_sym_floats=self.p.d * (self.p.d + 1) // 2)
-        return [charge] * self.p.n, {}
+def _grad_charge(p: Problem) -> WorkerCharge:
+    return WorkerCharge(grad_floats=p.d)
 
 
-class _DcgdDriver(_DriverBase):
-    def round(self, k):
-        self.x, payload = methods.dcgd_round(
-            self.p, self.x, self.spec, self.seed, k, self.opts.stepsize)
-        charges = [WorkerCharge(compressed=(self.spec, self.p.d, fired))
-                   for fired in payload.fired.tolist()]
-        return charges, {}
+def _stateless(update, charge):
+    """Start function of a step x -> update(run, x); every worker sends charge(p)."""
+    def start(run: _Run, x: Array):
+        charges = [charge(run.p)] * run.p.n
+
+        def step(k):
+            nonlocal x
+            x = update(run, x)
+            return x, charges, {}
+        return step, _no_phi
+    return start
 
 
-class _DianaDriver(_DriverBase):
-    def __init__(self, p, spec, seed, oracles, opts):
-        super().__init__(p, spec, seed, oracles, opts)
-        self.state = methods.diana_init(p, self.x)
-
-    def round(self, k):
-        self.state, payload = methods.diana_round(
-            self.p, self.state, self.spec, self.seed,
-            self.opts.stepsize, self.opts.theta)
-        self.x = self.state.x
-        charges = [WorkerCharge(compressed=(self.spec, self.p.d, fired))
-                   for fired in payload.fired.tolist()]
-        return charges, {}
+def _compressed_charges(run: _Run, fired: Array) -> list[WorkerCharge]:
+    return [WorkerCharge(compressed=(run.spec, run.p.d, f)) for f in fired.tolist()]
 
 
-class _BfgsDriver(_DriverBase):
-    def __init__(self, p, spec, seed, oracles, opts):
-        super().__init__(p, spec, seed, oracles, opts)
-        self.state = methods.bfgs_init(p, self.x)
-
-    def round(self, k):
-        self.state = methods.bfgs_step(self.p, self.state)
-        self.x = self.state.x
-        return ([WorkerCharge(grad_floats=self.p.d)] * self.p.n,
-                {"bfgs_skipped": self.state.skipped})
+def _start_dcgd(run: _Run, x: Array):
+    def step(k):
+        nonlocal x
+        x, payload = methods.dcgd_round(run.p, x, run.spec, run.seed, k, run.stepsize)
+        return x, _compressed_charges(run, payload.fired), {}
+    return step, _no_phi
 
 
-class _LearnDriver(_DriverBase):
-    """Curvature-learning methods plus all their runtime diagnostics."""
+def _start_diana(run: _Run, x: Array):
+    state = methods.diana_init(run.p, x)
 
-    def __init__(self, p, spec, seed, oracles, opts, variant: str):
-        super().__init__(p, spec, seed, oracles, opts)
-        self.variant = variant
-        if spec is None:
-            raise ConfigError(f"{variant} requires a compressor spec")
-        self.eta = opts.eta if opts.eta is not None else methods.default_eta(spec, p.m)
-        if self.eta > methods.default_eta(spec, p.m) + 1e-15:
-            warnings.warn(
-                f"learning rate {self.eta:.4g} exceeds 1/(omega+1); "
-                "convergence guarantees do not apply", stacklevel=2)
+    def step(k):
+        nonlocal state
+        state, payload = methods.diana_round(run.p, state, run.spec, run.seed,
+                                             run.stepsize, run.theta)
+        return state.x, _compressed_charges(run, payload.fired), {}
+    return step, _no_phi
+
+
+def _start_bfgs(run: _Run, x: Array):
+    state = methods.bfgs_init(run.p, x)
+    charges = [_grad_charge(run.p)] * run.p.n
+
+    def step(k):
+        nonlocal state
+        state = methods.bfgs_step(run.p, state)
+        return state.x, charges, {"bfgs_skipped": state.skipped}
+    return step, _no_phi
+
+
+class _Learner:
+    """One curvature-learning run plus all its runtime diagnostics."""
+
+    def __init__(self, run: _Run, x: Array, bounded: bool, cubic: bool):
+        p, opts = run.p, run.opts
+        self.run = run
         if opts.h0 == "h_at_x0":
-            h0 = p.h_all(self.x)
+            h0 = p.h_all(x)
         elif opts.h0 == "zeros":
             h0 = np.zeros((p.n, p.m))
         else:
             raise ConfigError(f"unknown h0 policy {opts.h0!r}")
-
-        if variant == "nl1":
-            self.state = methods.nl1_init(p, self.x, h0)
-            self.rule = "nonneg"
-            self.gamma = 0.0
-        else:
-            self.gamma = opts.gamma if opts.gamma is not None else p.loss.gamma
-            init = methods.nl2_init if variant == "nl2" else methods.cnl_init
-            self.state = init(p, self.x, h0, self.gamma)
-            self.rule = "clamp"
-        self.cubic_coeff = (p.constants().hessian_lipschitz
-                            if variant == "cnl" else None)
+        gamma = None
+        if bounded:
+            gamma = opts.gamma if opts.gamma is not None else p.loss.gamma
+        self.state = methods.learn_init(
+            p, x, h0, gamma, p.constants().hessian_lipschitz if cubic else None)
+        self.projection = ("nonneg", 0.0) if gamma is None else ("clamp", gamma)
         self.server_h = self.state.h.copy()
         self.hull_lo: Optional[Array] = None
         self.hull_hi: Optional[Array] = None
@@ -369,57 +346,40 @@ class _LearnDriver(_DriverBase):
 
     def _neighborhood_radius_sq(self) -> float:
         """Squared radius of the local-convergence region claimed by the theory."""
-        c = self.p.constants()
+        p, oracles = self.run.p, self.run.oracles
+        c = p.constants()
         if c.nu == 0.0:
             return math.inf
-        if self.variant == "nl1":
-            return self.p.lam ** 2 / (12.0 * c.nu ** 2 * c.max_row_norm ** 6)
-        if self.oracles is None or self.oracles.hessian_star is None:
+        if self.state.gamma is None:
+            return p.lam ** 2 / (12.0 * c.nu ** 2 * c.max_row_norm ** 6)
+        if oracles is None or oracles.hessian_star is None:
             return math.nan
-        mu = smallest_eigenvalue(self.oracles.hessian_star) + self.p.lam
-        return mu ** 2 / (432.0 * self.p.m * self.p.n
-                          * c.nu ** 2 * c.max_row_norm ** 6)
-
-    def worker_h(self):
-        return self.state.h
+        mu = smallest_eigenvalue(oracles.hessian_star) + p.lam
+        return mu ** 2 / (432.0 * p.m * p.n * c.nu ** 2 * c.max_row_norm ** 6)
 
     def phi(self) -> float:
-        o = self.oracles
-        c = self.p.constants()
+        p, o = self.run.p, self.run.oracles
+        c = p.constants()
         if o is None or o.h_star is None or c.nu == 0.0:
             return math.nan
-        dist2 = float(np.sum((self.x - o.x_star) ** 2))
+        dist2 = float(np.sum((self.state.x - o.x_star) ** 2))
         h_err = float(np.sum((self.state.h - o.h_star) ** 2))
-        scale = self.p.m * self.p.n * self.eta * c.nu ** 2 * c.max_row_norm ** 2
-        weight = (4.0 / (9.0 * scale)) if self.variant == "cnl" else 1.0 / (3.0 * scale)
-        return dist2 + weight * h_err
+        scale = p.m * p.n * self.run.eta * c.nu ** 2 * c.max_row_norm ** 2
+        cubic = self.state.cubic_coeff is not None
+        return dist2 + (4.0 / (9.0 * scale) if cubic else 1.0 / (3.0 * scale)) * h_err
 
-    def _domination_margin(self, h_est: SymMatrix, h_at_x: Array) -> float:
-        # lam * I sits on both sides and cancels; h_at_x are the true
-        # coefficients at the round's iterate, so their gram is the data
-        # Hessian there
-        gap = SymMatrix(h_est.entries - self.p.data_gram(h_at_x).entries)
-        return smallest_eigenvalue(gap)
-
-    def round(self, k):
-        if self.variant == "nl1":
-            out = methods.nl1_round(self.p, self.state, self.spec, self.seed, self.eta)
-        elif self.variant == "nl2":
-            out = methods.nl2_round(self.p, self.state, self.spec, self.seed, self.eta)
-        else:
-            out = methods.cnl_round(self.p, self.state, self.spec, self.seed,
-                                    self.eta, self.cubic_coeff)
+    def step(self, k):
+        run, p = self.run, self.run.p
+        out = methods.learn_round(p, self.state, run.spec, run.seed, run.eta)
         self.state = out.state
-        self.x = out.state.x
 
         extras: dict = {"clamped": out.clamped}
         if out.beta is not None:
             extras["beta"] = out.beta
 
-        # server replica mirror, advanced purely from the wire messages
-        deltas = np.stack([msg.delta for msg in out.messages])
+        # server replica mirror, advanced purely from the wire payloads
         self.server_h = methods.apply_coeff_update(
-            self.server_h, deltas, self.eta, self.rule, self.gamma)
+            self.server_h, out.deltas, run.eta, *self.projection)
         if not verify_replicas(self.server_h, self.state.h):
             raise ReplicaMismatchError(replica_mismatches(self.server_h, self.state.h))
         extras["replica_ok"] = True        # kept in the trace as the health flag
@@ -436,56 +396,97 @@ class _LearnDriver(_DriverBase):
             np.all(self.state.h >= self.hull_lo - pad)
             and np.all(self.state.h <= self.hull_hi + pad))
 
-        if self.oracles is not None and math.isfinite(self.neighborhood):
-            dist2 = float(np.sum((self.x - self.oracles.x_star) ** 2))
+        if run.oracles is not None and math.isfinite(self.neighborhood):
+            dist2 = float(np.sum((self.state.x - run.oracles.x_star) ** 2))
             extras["in_neighborhood"] = dist2 <= self.neighborhood
 
-        if self.opts.diagnostics:
-            if self.variant == "nl1":
+        if run.opts.diagnostics:
+            if out.betas is None:
                 extras["min_eig_estimate"] = smallest_eigenvalue(self.state.h_matrix)
             else:
-                extras["domination_margin"] = self._domination_margin(
-                    out.h_est, out.h_at_x)
+                # lam * I sits on both sides and cancels; h_at_x are the true
+                # coefficients at the round's iterate, so their gram is the
+                # data Hessian there
+                extras["domination_margin"] = smallest_eigenvalue(SymMatrix(
+                    out.h_est.entries - p.data_gram(out.h_at_x).entries))
         extras["rebuild_drift"] = self.state.rebuild_drift
 
-        charges = []
-        for msg in out.messages:
-            charges.append(WorkerCharge(
-                grad_floats=self.p.d,
-                compressed=(self.spec, self.p.m, msg.fired),
-                beta_scalars=0 if msg.beta is None else 1,
-                data_vectors=len(msg.changed) if self.opts.option == 1 else 0,
-                vector_floats=self.p.d,
-                index_bits=ceil_log2(self.p.n * self.p.m),
-            ))
-        return charges, extras
+        # Option 1 ships the data vector of every changed coefficient
+        vectors = (out.changed.sum(axis=1).tolist() if run.opts.option == 1
+                   else [0] * p.n)
+        betas = 0 if out.betas is None else 1
+        index_bits = ceil_log2(p.n * p.m)
+        charges = [WorkerCharge(grad_floats=p.d, compressed=(run.spec, p.m, fired),
+                                beta_scalars=betas, data_vectors=v,
+                                vector_floats=p.d, index_bits=index_bits)
+                   for fired, v in zip(out.fired.tolist(), vectors)]
+        return self.state.x, charges, extras
 
 
-def _build_driver(method: str, p: Problem, spec, seed, oracles, opts) -> _DriverBase:
-    if method == "gd":
-        step = opts.stepsize
-        return _PlainGradientDriver(p, spec, seed, oracles, opts,
-                                    lambda x: methods.gd_step(p, x, step))
-    if method == "bfgs":
-        return _BfgsDriver(p, spec, seed, oracles, opts)
-    if method == "newton":
-        return _NewtonBaselineDriver(p, spec, seed, oracles, opts, coefficient_form=False)
-    if method == "newton_coeff":
-        return _NewtonBaselineDriver(p, spec, seed, oracles, opts, coefficient_form=True)
-    if method == "ns":
-        return _PlainGradientDriver(p, spec, seed, oracles, opts,
-                                    lambda x: methods.ns_step(p, oracles, x))
-    if method == "mn":
-        return _PlainGradientDriver(p, spec, seed, oracles, opts,
-                                    lambda x: methods.mn_step(p, oracles, x),
-                                    extra_beta=1)
-    if method == "dcgd":
-        return _DcgdDriver(p, spec, seed, oracles, opts)
-    if method == "diana":
-        return _DianaDriver(p, spec, seed, oracles, opts)
-    if method in LEARNING_METHODS:
-        return _LearnDriver(p, spec, seed, oracles, opts, variant=method)
-    raise ConfigError(f"unknown method {method!r}; choose from {METHOD_NAMES}")
+def _learner(bounded: bool, cubic: bool):
+    def start(run: _Run, x: Array):
+        learner = _Learner(run, x, bounded, cubic)
+        return learner.step, learner.phi
+    return start
+
+
+@dataclass(frozen=True)
+class _Method:
+    """One row of the method table.
+
+    ``stepsize``, ``theta`` and ``eta`` give a default, as f(p, spec), for
+    the RunOptions field of that name; ``eta`` also marks a method that
+    learns coefficients, warned when its rate exceeds that theory default.
+    ``monotone`` methods must not increase the objective.
+    """
+
+    start: Callable
+    needs_spec: bool = False
+    needs_oracles: bool = False
+    stepsize: Optional[Callable] = None
+    theta: Optional[Callable] = None
+    eta: Optional[Callable] = None
+    monotone: bool = False
+
+
+# defaults call through ``methods`` at run time, so a rebinding of a
+# methods function (tests, the benchmark's tracer) is seen
+def _first_order_stepsize(p, spec):
+    return methods.default_first_order_stepsize(p, spec)
+
+
+def _theory_eta(p, spec):
+    return methods.default_eta(spec, p.m)
+
+
+_METHODS = {
+    "gd": _Method(_stateless(lambda run, x: methods.gd_step(run.p, x, run.stepsize),
+                             _grad_charge),
+                  stepsize=lambda p, spec: 1.0 / p.grad_lipschitz_bound()),
+    "dcgd": _Method(_start_dcgd, needs_spec=True, stepsize=_first_order_stepsize),
+    "diana": _Method(_start_diana, needs_spec=True, stepsize=_first_order_stepsize,
+                     theta=lambda p, spec: 1.0 / (omega(spec, p.d) + 1.0)),
+    "bfgs": _Method(_start_bfgs),
+    "newton": _Method(_stateless(
+        lambda run, x: methods.newton_step(run.p, x),
+        lambda p: WorkerCharge(grad_floats=p.d, raw_sym_floats=p.d * (p.d + 1) // 2))),
+    "newton_coeff": _Method(_stateless(
+        lambda run, x: methods.newton_step(run.p, x),
+        lambda p: WorkerCharge(grad_floats=p.d, coeff_floats=p.m))),
+    "ns": _Method(_stateless(lambda run, x: methods.ns_step(run.p, run.oracles, x),
+                             _grad_charge), needs_oracles=True),
+    "mn": _Method(_stateless(lambda run, x: methods.mn_step(run.p, run.oracles, x),
+                             lambda p: WorkerCharge(grad_floats=p.d, beta_scalars=1)),
+                  needs_oracles=True),
+    "nl1": _Method(_learner(bounded=False, cubic=False), needs_spec=True,
+                   eta=_theory_eta),
+    "nl2": _Method(_learner(bounded=True, cubic=False), needs_spec=True,
+                   eta=_theory_eta),
+    "cnl": _Method(_learner(bounded=True, cubic=True), needs_spec=True,
+                   eta=_theory_eta, monotone=True),
+}
+METHOD_NAMES = tuple(_METHODS)
+COMPRESSED_METHODS = tuple(name for name, rec in _METHODS.items() if rec.needs_spec)
 
 
 def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
@@ -499,30 +500,44 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
     round, so ``max_iters=0`` yields a single initial row. The gap column
     needs oracles; methods that reuse optimum curvature require them.
     """
-    if method not in METHOD_NAMES:
+    rec = _METHODS.get(method)
+    if rec is None:
         raise ConfigError(f"unknown method {method!r}; choose from {METHOD_NAMES}")
     opts = opts or RunOptions()
-    if method in ORACLE_METHODS and oracles is None:
+    if rec.needs_oracles and oracles is None:
         raise ConfigError(f"method {method!r} requires precomputed oracles")
     if budget.target_gap is not None and oracles is None:
         raise ConfigError("a target gap budget requires oracles for gap reporting")
-    if method in COMPRESSED_METHODS and spec is None:
+    if rec.needs_spec and spec is None:
         raise ConfigError(f"method {method!r} requires a compressor spec")
-    if spec is not None and method in ("dcgd", "diana") and opts.stepsize is None:
-        opts = RunOptions(**{**opts.__dict__,
-                             "stepsize": methods.default_first_order_stepsize(p, spec)})
-    if method == "gd" and opts.stepsize is None:
-        opts = RunOptions(**{**opts.__dict__,
-                             "stepsize": 1.0 / p.grad_lipschitz_bound()})
-    if method == "diana" and opts.theta is None:
-        opts = RunOptions(**{**opts.__dict__,
-                             "theta": 1.0 / (omega(spec, p.d) + 1.0)})
+    if opts.option not in (1, 2):
+        raise ConfigError(f"option must be 1 or 2, not {opts.option!r}")
+    try:
+        x0 = np.zeros(p.d) if opts.x0 is None else np.array(opts.x0, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InputError(f"x0 is not an array of numbers: {opts.x0!r}") from None
+    if x0.shape != (p.d,):
+        raise InputError(f"x0 has shape {x0.shape}, but the problem has d={p.d}")
+    if not np.all(np.isfinite(x0)):
+        raise InputError("x0 has non-finite entries")
 
-    driver = _build_driver(method, p, spec, seed, oracles, opts)
+    def default(value, rule):
+        return rule(p, spec) if value is None and rule is not None else value
+
+    eta = opts.eta
+    if rec.eta is not None:
+        theory = rec.eta(p, spec)
+        if eta is None:
+            eta = theory
+        elif eta > theory + 1e-15:
+            warnings.warn(f"learning rate {eta:.4g} exceeds 1/(omega+1); "
+                          "convergence guarantees do not apply", stacklevel=2)
+    run = _Run(p, spec, seed, oracles, opts, default(opts.stepsize, rec.stepsize),
+               default(opts.theta, rec.theta), eta)
+    step, phi = rec.start(run, x0)
     ledger = CommLedger()
 
-    def metrics(extras: dict, wall_ms: float, iteration: int) -> TraceRow:
-        x = driver.x
+    def metrics(x: Array, extras: dict, wall_ms: float, iteration: int) -> TraceRow:
         value, grad = p.value_and_grad(x)
         gap = value - oracles.value_star if oracles is not None else math.nan
         row_extras = {"value": value}
@@ -535,12 +550,12 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
             grad_norm=float(np.linalg.norm(grad)),
             bits_up_cum=ledger.up_cum,
             bits_down_cum=ledger.down_cum,
-            phi=driver.phi(),
+            phi=phi(),
             wall_ms=wall_ms,
             extras=row_extras,
         )
 
-    rows = [metrics({}, math.nan, 0)]
+    rows = [metrics(x0, {}, math.nan, 0)]
     k = 0
     while True:
         if k >= budget.max_iters:
@@ -550,17 +565,17 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
         if budget.bit_budget is not None and ledger.up_cum >= budget.bit_budget:
             break
         start = time.perf_counter() if opts.timing else None
-        charges, extras = driver.round(k)
+        x, charges, extras = step(k)
         wall = (time.perf_counter() - start) * 1e3 if opts.timing else math.nan
         charge_round(ledger, k, charges, broadcast_floats=p.d)
         k += 1
-        row = metrics(extras, wall, k)
-        if method == "cnl":
+        row = metrics(x, extras, wall, k)
+        if rec.monotone:
             prev = rows[-1].extras["value"]
             row.extras["decrease_ok"] = row.extras["value"] <= prev + 1e-12
             if row.extras["value"] > prev + 1e-9 * (1.0 + abs(prev)):
                 raise NumericalError(
-                    f"cubic-model step increased the objective at round {k}: "
+                    f"{method} step increased the objective at round {k}: "
                     f"{prev!r} -> {row.extras['value']!r}")
         rows.append(row)
 

@@ -1,24 +1,28 @@
 """Optimization methods on the simulated parameter server.
 
 Stateless Newton-type steps (exact Newton, fixed-curvature and max-scaled
-variants), the compressed curvature-learning rounds (nonnegative and
-shift-dominated variants, plus the cubically regularized one), and the
-first-order/quasi-Newton baselines.
+variants), one compressed curvature learner, and the first-order and
+quasi-Newton baselines. The learner (``learn_init``/``learn_round``) is
+NEWTON-LEARN with three choices: the projection (nonnegative cone, or clamp
+to [-gamma, gamma]), the estimate (the plain coefficient gram, or its
+shift-dominated scaling) and the step (SPD solve, or cubic model). A bound
+gamma picks the clamp and the dominated estimate, and a cubic coefficient
+picks the cubic step: nl1 has neither, nl2 has gamma, cnl has both.
 
 Round functions are pure: they consume a state and the round's randomness
 identity, ``RngStream(seed, iteration)``, and return the successor state
-together with the per-worker messages a real deployment would put on the
-wire. A compressed round makes one compress call over all n workers' vectors;
-row i of the round's draw block is worker i's randomness, which a real
-worker derives alone by advancing the round stream (see rngs.RngStream).
-The harness turns those messages into ledger charges and server-side
-replica updates.
+together with what the workers put on the wire, as one (n, ...) array per
+payload component. A compressed round makes one compress call over all n
+workers' vectors; row i of the round's draw block is worker i's randomness,
+which a real worker derives alone by advancing the round stream (see
+rngs.RngStream). The harness turns those arrays into ledger charges and
+server-side replica updates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -216,44 +220,50 @@ def solve_cubic_model(h_reg: SymMatrix, g: Array, m_cubic: float) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# Compressed curvature learning (shared machinery)
+# Compressed curvature learning: one learner, three choices
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WorkerMessage:
-    """What one worker puts on the wire in one round."""
-
-    grad: Array                    # local gradient, d floats
-    delta: Array                   # compressed coefficient update, length m
-    fired: bool                    # bernoulli wrappers: False when zero was sent
-    beta: Optional[float]          # curvature ratio scalar (dominated variants)
-    changed: Array                 # coefficient indices whose value changed
-
 
 @dataclass
 class LearnState:
     """Iterate plus learned coefficients and their incremental gram matrix.
 
+    ``gamma`` and ``cubic_coeff`` pick the variant (see ``learn_init``).
     ``h_matrix`` is the running (1/nm)-weighted gram of the coefficients:
-    for the nonnegative variant it is the curvature estimate itself; for
-    the shift-dominated variants it accumulates (h + 2*gamma) weights.
+    with ``gamma=None`` it is the curvature estimate itself; with a bound
+    gamma it accumulates (h + 2*gamma) weights, and ``mean_gram`` holds
+    the fixed (1/nm) sum a a^T.
     """
 
     x: Array
     h: Array                       # (n, m) learned coefficients
     h_matrix: SymMatrix
+    gamma: Optional[float] = None
+    cubic_coeff: Optional[float] = None
+    mean_gram: Optional[SymMatrix] = None
     iteration: int = 0
     rebuild_drift: float = 0.0     # relative drift seen at the last rebuild
 
 
 @dataclass(frozen=True)
 class LearnRound:
+    """A learning round's successor state and what the workers sent.
+
+    Row i of each array is worker i's payload: its local gradient, its
+    compressed coefficient update, whether a bernoulli wrapper fired, its
+    curvature ratio (bounded variants only) and which of its coefficients
+    changed.
+    """
+
     state: LearnState
-    messages: list
+    grads: Array                   # (n, d)
+    deltas: Array                  # (n, m)
+    fired: Array                   # (n,) bool
+    betas: Optional[Array]         # (n,), None for the nonnegative variant
+    changed: Array                 # (n, m) bool
     h_at_x: Array                  # fresh coefficients h(x^k), for diagnostics
+    h_est: SymMatrix               # the data part of the step's curvature
     beta: Optional[float] = None
     clamped: int = 0
-    h_est: Optional[SymMatrix] = None  # dominated variants: beta*A - 2*gamma*G
 
 
 def apply_coeff_update(h_old: Array, delta: Array, eta: float, rule: str,
@@ -274,123 +284,35 @@ def default_eta(spec: CompressorSpec, m: int) -> float:
     return 1.0 / (omega(spec, m) + 1.0)
 
 
-def _gather_messages(p: Problem, state: LearnState, spec: CompressorSpec,
-                     seed: int, eta: float, rule: str, gamma: float):
-    """Worker half of a learning round: compress updates, advance h.
+def learn_init(p: Problem, x0: Array, h0: Array, gamma: Optional[float] = None,
+               cubic_coeff: Optional[float] = None) -> LearnState:
+    """Start curvature learning at x0 from coefficients h0.
 
-    Every worker evaluates at the same broadcast iterate, so coefficients
-    and local gradients come from the problem's one evaluation there (in a
-    harness run, the one its metrics row already made), and one compress
-    call over the (n, m) differences draws every worker's row of the
-    round's stream.
+    ``gamma=None`` is the nonnegative variant (nl1, needs lam > 0): updates
+    are projected onto the nonnegative cone and the gram of h is the
+    estimate. A bound gamma gives the shift-dominated variant (nl2): updates
+    are clamped to [-gamma, gamma] and the estimate is scaled to dominate
+    the true curvature, so lam = 0 is allowed. ``cubic_coeff`` (cnl, with a
+    bound) replaces the Newton step by the cubically regularized model
+    step; only the Newton-step variants need h0 >= 0.
     """
-    h_at_x = p.h_coeffs(slice(None), state.x)
-    grads = p.local_grad(slice(None), state.x)
-    payload = compress_with_info(spec, h_at_x - state.h,
-                                 RngStream(seed, state.iteration))
-    deltas = payload.values
-    h_new = apply_coeff_update(state.h, deltas, eta, rule, gamma)
-    clamped = int(np.count_nonzero(h_new != state.h + eta * deltas))
-    changed = h_new != state.h
-    messages = [WorkerMessage(grad=grads[i], delta=deltas[i], fired=fired,
-                              beta=None, changed=np.flatnonzero(changed[i]))
-                for i, fired in enumerate(payload.fired.tolist())]
-    return h_new, h_at_x, messages, clamped
-
-
-def _advance_gram(p: Problem, state: LearnState, h_new: Array,
-                  weight_shift: float) -> tuple[SymMatrix, float]:
-    """Accumulate the coefficient gram incrementally; rebuild periodically."""
-    next_iter = state.iteration + 1
-    if next_iter % REBUILD_PERIOD == 0:
-        rebuilt = p.data_gram(h_new + weight_shift)
-        denom = max(rebuilt.frobenius(), 1e-300)
-        diff = state.h_matrix.entries.copy()
-        flat_change = (h_new - state.h).reshape(-1)
-        idx = np.flatnonzero(flat_change)
-        if idx.size:
-            diff += linalg.weighted_gram(
-                p.stacked_rows[idx], flat_change[idx],
-                scale=1.0 / (p.n * p.m)).entries
-        drift = float(np.linalg.norm(diff - rebuilt.entries, "fro")) / denom
-        return rebuilt, drift
-    flat_change = (h_new - state.h).reshape(-1)
-    idx = np.flatnonzero(flat_change)
-    if idx.size == 0:
-        return state.h_matrix, state.rebuild_drift
-    update = linalg.weighted_gram(p.stacked_rows[idx], flat_change[idx],
-                                  scale=1.0 / (p.n * p.m))
-    return SymMatrix(state.h_matrix.entries + update.entries), state.rebuild_drift
-
-
-# -- nonnegative-coefficient variant (requires lam > 0, convex losses) -----
-
-def nl1_init(p: Problem, x0: Array, h0: Array) -> LearnState:
-    if p.lam <= 0:
-        raise ConfigError("nonnegative curvature learning requires lam > 0")
     h0 = np.asarray(h0, dtype=np.float64)
-    if np.min(h0) < 0:
-        raise ConfigError("initial coefficients must be nonnegative")
-    return LearnState(x=x0.copy(), h=h0.copy(), h_matrix=p.data_gram(h0))
-
-
-def nl1_round(p: Problem, state: LearnState, spec: CompressorSpec,
-              seed: int, eta: float) -> LearnRound:
-    """One round of nonnegative curvature learning.
-
-    The iterate moves using the pre-update curvature estimate (the gram of
-    h^k), then the learned coefficients and their gram advance. Projection
-    onto the nonnegative cone keeps the estimate positive semidefinite, so
-    with lam > 0 the step matrix is always invertible.
-    """
-    if p.lam <= 0:
+    bounded = gamma is not None
+    if not bounded and p.lam <= 0:
         raise ConfigError("nonnegative curvature learning requires lam > 0")
-    h_new, h_at_x, messages, clamped = _gather_messages(
-        p, state, spec, seed, eta, rule="nonneg", gamma=0.0)
-
-    g = p.grad(state.x)
-    x_new = state.x - solve_spd(state.h_matrix.add_diagonal(p.lam), g)
-
-    gram, drift = _advance_gram(p, state, h_new, weight_shift=0.0)
-    new_state = LearnState(x=x_new, h=h_new, h_matrix=gram,
-                           iteration=state.iteration + 1, rebuild_drift=drift)
-    return LearnRound(state=new_state, messages=messages, h_at_x=h_at_x,
-                      clamped=clamped)
-
-
-# -- shift-dominated variants (general case, and the cubic globalization) --
-
-@dataclass
-class DominatedState(LearnState):
-    """Learning state whose gram carries the +2*gamma weight shift."""
-
-    gamma: float = 0.0
-    mean_gram: SymMatrix = None    # (1/nm) sum a a^T, fixed over the run
-
-
-def _dominated_init(p: Problem, x0: Array, h0: Array, gamma: float,
-                    require_nonneg: bool) -> DominatedState:
-    h0 = np.asarray(h0, dtype=np.float64)
-    if gamma <= 0:
+    if bounded and gamma <= 0:
         raise ConfigError("curvature bound gamma must be positive")
-    if np.max(np.abs(h0)) > gamma:
+    if bounded and np.max(np.abs(h0)) > gamma:
         raise ConfigError("initial coefficients must satisfy |h| <= gamma")
-    if require_nonneg and np.min(h0) < 0:
+    if cubic_coeff is None and np.min(h0) < 0:
         raise ConfigError("initial coefficients must be nonnegative")
-    return DominatedState(x=x0.copy(), h=h0.copy(),
-                          h_matrix=p.data_gram(h0 + 2.0 * gamma),
-                          gamma=gamma, mean_gram=p.mean_gram())
+    return LearnState(x=x0.copy(), h=h0.copy(),
+                      h_matrix=p.data_gram(h0 + 2.0 * gamma if bounded else h0),
+                      gamma=gamma, cubic_coeff=cubic_coeff,
+                      mean_gram=p.mean_gram() if bounded else None)
 
 
-def nl2_init(p: Problem, x0: Array, h0: Array, gamma: float) -> DominatedState:
-    return _dominated_init(p, x0, h0, gamma, require_nonneg=True)
-
-
-def cnl_init(p: Problem, x0: Array, h0: Array, gamma: float) -> DominatedState:
-    return _dominated_init(p, x0, h0, gamma, require_nonneg=False)
-
-
-def _dominated_estimate(state: DominatedState, h_at_x: Array) -> tuple[SymMatrix, float, Array]:
+def _dominated_estimate(state: LearnState, h_at_x: Array) -> tuple[SymMatrix, float, Array]:
     """Curvature estimate beta * A - 2*gamma*G and the per-worker ratios."""
     gamma = state.gamma
     ratios = (h_at_x + 2.0 * gamma) / (state.h + 2.0 * gamma)
@@ -401,49 +323,66 @@ def _dominated_estimate(state: DominatedState, h_at_x: Array) -> tuple[SymMatrix
     return h_est, beta, betas
 
 
-def _dominated_round(p: Problem, state: DominatedState, spec: CompressorSpec,
-                     seed: int, eta: float, cubic_coeff: Optional[float]) -> LearnRound:
-    h_new, h_at_x, messages, clamped = _gather_messages(
-        p, state, spec, seed, eta, rule="clamp", gamma=state.gamma)
-    h_est, beta, betas = _dominated_estimate(state, h_at_x)
-    messages = [replace(msg, beta=float(b)) for msg, b in zip(messages, betas)]
+def _advance_gram(p: Problem, state: LearnState, h_new: Array) -> tuple[SymMatrix, float]:
+    """Accumulate the coefficient gram incrementally; rebuild periodically."""
+    flat_change = (h_new - state.h).reshape(-1)
+    idx = np.flatnonzero(flat_change)
+    entries = state.h_matrix.entries
+    if idx.size:
+        entries = entries + linalg.weighted_gram(
+            p.stacked_rows[idx], flat_change[idx], scale=1.0 / (p.n * p.m)).entries
+    if (state.iteration + 1) % REBUILD_PERIOD == 0:
+        rebuilt = p.data_gram(h_new + (0.0 if state.gamma is None else 2.0 * state.gamma))
+        denom = max(rebuilt.frobenius(), 1e-300)
+        return rebuilt, float(np.linalg.norm(entries - rebuilt.entries, "fro")) / denom
+    if idx.size == 0:
+        return state.h_matrix, state.rebuild_drift
+    return SymMatrix(entries), state.rebuild_drift
 
+
+def learn_round(p: Problem, state: LearnState, spec: CompressorSpec,
+                seed: int, eta: float) -> LearnRound:
+    """One round of compressed curvature learning.
+
+    Workers all evaluate at the broadcast iterate, so coefficients and
+    local gradients come from the problem's one evaluation there (in a
+    harness run, the one its metrics row already made), and one compress
+    call over the (n, m) differences draws every worker's row of the
+    round's stream. The iterate moves with the pre-update estimate: the
+    gram of h^k (nonnegative variant, PSD by the projection) or beta times
+    the shifted gram minus 2*gamma*G, which upper-bounds the true second
+    derivative. With ``cubic_coeff`` = nu * max_row_norm^3 the model step
+    upper-bounds P, so the objective can never increase. Then the
+    coefficients and their gram advance.
+    """
+    gamma = state.gamma
+    h_at_x = p.h_coeffs(slice(None), state.x)
+    grads = p.local_grad(slice(None), state.x)
+    payload = compress_with_info(spec, h_at_x - state.h,
+                                 RngStream(seed, state.iteration))
+    deltas = payload.values
+    rule, bound = ("nonneg", 0.0) if gamma is None else ("clamp", gamma)
+    h_new = apply_coeff_update(state.h, deltas, eta, rule, bound)
+    clamped = int(np.count_nonzero(h_new != state.h + eta * deltas))
+
+    if gamma is None:
+        h_est, beta, betas = state.h_matrix, None, None
+    else:
+        h_est, beta, betas = _dominated_estimate(state, h_at_x)
     g = p.grad(state.x)
     h_reg = h_est.add_diagonal(p.lam)
-    if cubic_coeff is None:
+    if state.cubic_coeff is None:
         x_new = state.x - solve_spd(h_reg, g)
     else:
-        x_new = state.x + solve_cubic_model(h_reg, g, cubic_coeff)
+        x_new = state.x + solve_cubic_model(h_reg, g, state.cubic_coeff)
 
-    gram, drift = _advance_gram(p, state, h_new, weight_shift=2.0 * state.gamma)
-    new_state = DominatedState(x=x_new, h=h_new, h_matrix=gram,
-                               iteration=state.iteration + 1,
-                               rebuild_drift=drift, gamma=state.gamma,
-                               mean_gram=state.mean_gram)
-    return LearnRound(state=new_state, messages=messages, h_at_x=h_at_x,
-                      beta=beta, clamped=clamped, h_est=h_est)
-
-
-def nl2_round(p: Problem, state: DominatedState, spec: CompressorSpec,
-              seed: int, eta: float) -> LearnRound:
-    """Learning round whose estimate dominates the true curvature.
-
-    The max of the shifted coefficient ratios scales the accumulated gram
-    so that the estimate plus regularizer always upper-bounds the true
-    second derivative, keeping the step well posed even with lam = 0.
-    """
-    return _dominated_round(p, state, spec, seed, eta, cubic_coeff=None)
-
-
-def cnl_round(p: Problem, state: DominatedState, spec: CompressorSpec,
-              seed: int, eta: float, cubic_coeff: float) -> LearnRound:
-    """Dominated learning round with a cubically regularized model step.
-
-    ``cubic_coeff`` is the Hessian Lipschitz bound nu * max_row_norm^3; with
-    a dominating estimate the model upper-bounds P, so the objective can
-    never increase.
-    """
-    return _dominated_round(p, state, spec, seed, eta, cubic_coeff=cubic_coeff)
+    gram, drift = _advance_gram(p, state, h_new)
+    new_state = LearnState(x=x_new, h=h_new, h_matrix=gram, gamma=gamma,
+                           cubic_coeff=state.cubic_coeff, mean_gram=state.mean_gram,
+                           iteration=state.iteration + 1, rebuild_drift=drift)
+    return LearnRound(state=new_state, grads=grads, deltas=deltas, fired=payload.fired,
+                      betas=betas, changed=h_new != state.h, h_at_x=h_at_x,
+                      h_est=h_est, beta=beta, clamped=clamped)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,17 @@ class TestRun:
         assert rc == 2
         assert repr(synth) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["gd", "nl1", "bfgs"])
+    @pytest.mark.parametrize("x0", [[0.1, 0.2], [0.0, float("nan"), 0.0, 0.0],
+                                    ["a", 0.0, 0.0, 0.0]],
+                             ids=["short", "nan", "text"])
+    def test_bad_x0_exits_2_and_names_it(self, tmp_path, capsys, method, x0):
+        compressor = {"kind": "random_r", "r": 1} if method == "nl1" else None
+        cfg_path, _ = base_config(tmp_path, method=method, compressor=compressor, x0=x0)
+        rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "x0" in capsys.readouterr().err
+
     def test_replica_mismatch_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("distnewton.harness.verify_replicas", lambda a, b: False)
         cfg_path, _ = base_config(tmp_path, method="nl2",

@@ -6,8 +6,8 @@ import pytest
 from distnewton import methods
 from distnewton.compressors import bernoulli, ceil_log2, identity, natural, random_r
 from distnewton.data import Dataset
-from distnewton.errors import ConfigError, ReplicaMismatchError
-from distnewton.harness import (Budget, RunOptions, WorkerCharge, _LearnDriver,
+from distnewton.errors import ConfigError, InputError, ReplicaMismatchError
+from distnewton.harness import (_METHODS, Budget, RunOptions, WorkerCharge,
                                 bits_to_reach, recompute_ledger_totals,
                                 replica_mismatches, run_experiment, tail_ratios,
                                 verify_replicas)
@@ -71,13 +71,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_experiment("nl1", p, random_r(1), Budget(max_iters=1), seed=0)
 
-    def test_oracle_methods_require_oracles(self):
-        with pytest.raises(ConfigError):
-            run_experiment("ns", small_problem(), None, Budget(max_iters=1), seed=0)
+    @pytest.mark.parametrize("method", [m for m, rec in _METHODS.items()
+                                        if rec.needs_oracles])
+    def test_oracle_methods_require_oracles(self, method):
+        with pytest.raises(ConfigError, match="oracles"):
+            run_experiment(method, small_problem(), None, Budget(max_iters=1), seed=0)
 
-    def test_compressed_methods_require_spec(self):
-        with pytest.raises(ConfigError):
-            run_experiment("dcgd", small_problem(), None, Budget(max_iters=1), seed=0)
+    @pytest.mark.parametrize("method", [m for m, rec in _METHODS.items()
+                                        if rec.needs_spec])
+    def test_compressed_methods_require_spec(self, method):
+        with pytest.raises(ConfigError, match="compressor spec"):
+            run_experiment(method, small_problem(), None, Budget(max_iters=1), seed=0)
 
     def test_target_gap_requires_oracles(self):
         with pytest.raises(ConfigError):
@@ -86,9 +90,28 @@ class TestConfigValidation:
 
     def test_eta_above_theory_warns(self):
         p = small_problem(lam=1e-2)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             run_experiment("nl1", p, random_r(1), Budget(max_iters=1), seed=0,
                            opts=RunOptions(eta=1.0, diagnostics=False))
+        # attributed to the caller of run_experiment, not to the harness
+        assert [w.filename for w in record] == [__file__]
+
+    @pytest.mark.parametrize("method", ["gd", "nl1", "bfgs"])
+    @pytest.mark.parametrize("x0", [[0.1, 0.2], [0.0, 0.0, math.nan, 0.0, 0.0],
+                                    [[0.0] * 5], ["a", 0.0, 0.0, 0.0, 0.0]],
+                             ids=["short", "nan", "nested", "text"])
+    def test_bad_x0_raises_input_error(self, method, x0):
+        p = small_problem()
+        spec = random_r(1) if method == "nl1" else None
+        with pytest.raises(InputError, match="x0"):
+            run_experiment(method, p, spec, Budget(max_iters=1), seed=0,
+                           opts=RunOptions(x0=x0))
+
+    @pytest.mark.parametrize("option", [0, 3, 7])
+    def test_option_outside_1_2_rejected(self, option):
+        with pytest.raises(ConfigError, match="option"):
+            run_experiment("nl1", small_problem(), random_r(1), Budget(max_iters=1),
+                           seed=0, opts=RunOptions(option=option))
 
 
 class TestLedger:
@@ -183,19 +206,22 @@ class TestReplicas:
 
     def test_diverged_server_update_raises_and_names_entry(self, monkeypatch):
         p = small_problem(lam=1e-2, seed=5)
-        learner = _LearnDriver(p, random_r(1), 0, None, RunOptions(), "nl2")
-        learner.round(0)
         apply = methods.apply_coeff_update
+        calls = []
 
         def perturbed(h_old, delta, *args):
             h_new = apply(h_old, delta, *args)
-            if h_old is learner.server_h:      # the server mirror, not the workers
+            calls.append(1)
+            # each round updates the workers first, then the server mirror;
+            # the fourth call is the server's update in round 1
+            if len(calls) == 4:
                 h_new[2, 1] = np.nextafter(h_new[2, 1], np.inf)
             return h_new
 
         monkeypatch.setattr(methods, "apply_coeff_update", perturbed)
         with pytest.raises(ReplicaMismatchError) as info:
-            learner.round(1)
+            run_experiment("nl2", p, random_r(1), Budget(max_iters=3), seed=0)
+        assert len(calls) == 4
         assert info.value.mismatches == [(2, 1)]
         assert "(worker 2, index 1)" in str(info.value)
 
@@ -211,19 +237,20 @@ class TestDiagnostics:
     def test_domination_margin_matches_full_hessian_form(self, variant):
         # estimate + lam*I - hessian(x), with the regularizer on both sides
         p = small_problem(lam=1e-2, seed=3)
-        learner = _LearnDriver(p, random_r(1), 0, None, RunOptions(), variant)
-        state = learner.state
-        for _ in range(5):
-            out = (methods.nl2_round(p, state, random_r(1), 0, learner.eta)
-                   if variant == "nl2" else
-                   methods.cnl_round(p, state, random_r(1), 0, learner.eta,
-                                     learner.cubic_coeff))
+        trace = run_experiment(variant, p, random_r(1), Budget(max_iters=5), seed=0)
+        cubic = p.constants().hessian_lipschitz if variant == "cnl" else None
+        x0 = np.zeros(p.d)
+        state = methods.learn_init(p, x0, p.h_all(x0), p.loss.gamma, cubic)
+        eta = methods.default_eta(random_r(1), p.m)
+        for row in trace.rows[1:]:
+            out = methods.learn_round(p, state, random_r(1), 0, eta)
             h_est, _, _ = methods._dominated_estimate(state, out.h_at_x)
             full = smallest_eigenvalue(SymMatrix(
                 h_est.add_diagonal(p.lam).entries - p.hessian(state.x).entries))
-            margin = learner._domination_margin(out.h_est, out.h_at_x)
+            margin = row.extras["domination_margin"]
             assert margin == pytest.approx(full, rel=1e-9, abs=1e-12)
             state = out.state
+            assert row.extras["value"] == p.value(state.x)   # the run's own iterate
 
     def test_nl1_psd_margin_recorded(self):
         p = small_problem(lam=1e-2)

@@ -7,11 +7,10 @@ from distnewton.compressors import bernoulli, identity, random_r
 from distnewton.data import Dataset
 from distnewton.errors import ConfigError
 from distnewton.linalg import SymMatrix, smallest_eigenvalue
-from distnewton.methods import (bfgs_init, bfgs_step, cnl_init, cnl_round,
-                                dcgd_round, default_eta, diana_init,
-                                diana_round, gd_step, mn_step, newton_step,
-                                nl1_init, nl1_round, nl2_init, nl2_round,
-                                ns_step, reference_optimum, solve_cubic_model)
+from distnewton.methods import (bfgs_init, bfgs_step, dcgd_round, default_eta,
+                                diana_init, diana_round, gd_step, learn_init,
+                                learn_round, mn_step, newton_step, ns_step,
+                                reference_optimum, solve_cubic_model)
 from distnewton.problem import make_problem
 
 
@@ -174,25 +173,25 @@ class TestNl1:
     def test_scalar_arithmetic_oracle(self):
         # single sample a=1, b=+1, lam=0.1, h0=0.25: x1 = 0.5/0.35
         p = tiny_scalar_problem()
-        state = nl1_init(p, np.zeros(1), np.array([[0.25]]))
-        out = nl1_round(p, state, identity(), seed=0, eta=1.0)
+        state = learn_init(p, np.zeros(1), np.array([[0.25]]))
+        out = learn_round(p, state, identity(), seed=0, eta=1.0)
         assert out.state.x[0] == pytest.approx(0.5 / 0.35, rel=1e-12)
         assert out.state.h[0, 0] == pytest.approx(0.25)
 
     def test_squared_loss_identity_eta_one_is_newton(self):
         p = small_problem("squared", lam=0.1)
         x0 = np.zeros(p.d)
-        state = nl1_init(p, x0, p.h_all(x0))
-        out = nl1_round(p, state, identity(), seed=0, eta=1.0)
+        state = learn_init(p, x0, p.h_all(x0))
+        out = learn_round(p, state, identity(), seed=0, eta=1.0)
         assert np.allclose(out.state.x, newton_step(p, x0), atol=1e-12)
         assert np.linalg.norm(p.grad(out.state.x)) <= 1e-12
 
     def test_non_fire_keeps_coefficients(self):
         p = small_problem("logistic", lam=1e-2)
         x0 = np.zeros(p.d)
-        state = nl1_init(p, x0, p.h_all(x0))
+        state = learn_init(p, x0, p.h_all(x0))
         spec = bernoulli(identity(), 1e-12)     # never fires in practice
-        out = nl1_round(p, state, spec, seed=1, eta=1.0)
+        out = learn_round(p, state, spec, seed=1, eta=1.0)
         assert np.array_equal(out.state.h, state.h)
         # the step still moved using the stale estimate
         assert not np.array_equal(out.state.x, state.x)
@@ -200,15 +199,15 @@ class TestNl1:
     def test_requires_positive_lambda(self):
         p = small_problem("logistic", lam=0.0)
         with pytest.raises(ConfigError):
-            nl1_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)))
+            learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)))
 
     def test_cone_invariant_and_psd(self):
         p = small_problem("logistic", lam=1e-2, seed=9)
         spec = random_r(2)
         eta = default_eta(spec, p.m)
-        state = nl1_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)))
+        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)))
         for k in range(30):
-            state = nl1_round(p, state, spec, seed=5, eta=eta).state
+            state = learn_round(p, state, spec, seed=5, eta=eta).state
             assert np.min(state.h) >= 0.0
         assert smallest_eigenvalue(state.h_matrix) >= -1e-10
 
@@ -216,9 +215,9 @@ class TestNl1:
         p = small_problem("logistic", lam=1e-2, seed=11)
         spec = random_r(3)
         eta = default_eta(spec, p.m)
-        state = nl1_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)))
+        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)))
         for _ in range(50):
-            state = nl1_round(p, state, spec, seed=6, eta=eta).state
+            state = learn_round(p, state, spec, seed=6, eta=eta).state
         rebuilt = p.data_gram(state.h)
         drift = np.linalg.norm(state.h_matrix.entries - rebuilt.entries, "fro")
         assert drift <= 1e-8 * rebuilt.frobenius()
@@ -226,28 +225,28 @@ class TestNl1:
     def test_option1_changed_indices_match_coefficient_change(self):
         p = small_problem("logistic", lam=1e-2, seed=12)
         spec = random_r(1)
-        state = nl1_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)))
-        out = nl1_round(p, state, spec, seed=7, eta=default_eta(spec, p.m))
-        for i, msg in enumerate(out.messages):
+        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)))
+        out = learn_round(p, state, spec, seed=7, eta=default_eta(spec, p.m))
+        for i, sent in enumerate(out.changed):
             changed = np.flatnonzero(out.state.h[i] != state.h[i])
-            assert np.array_equal(msg.changed, changed)
-            assert len(msg.changed) <= 1
+            assert np.array_equal(np.flatnonzero(sent), changed)
+            assert np.count_nonzero(sent) <= 1
 
 
 class TestNl2:
     def test_fresh_coefficients_give_newton_step(self):
         p = small_problem("logistic", lam=1e-2)
         x0 = np.zeros(p.d)
-        state = nl2_init(p, x0, p.h_all(x0), gamma=p.loss.gamma)
-        out = nl2_round(p, state, identity(), seed=0, eta=1.0)
+        state = learn_init(p, x0, p.h_all(x0), gamma=p.loss.gamma)
+        out = learn_round(p, state, identity(), seed=0, eta=1.0)
         assert out.beta == pytest.approx(1.0)
         assert np.allclose(out.state.x, newton_step(p, x0), atol=1e-10)
 
     def test_squared_loss_one_step(self):
         p = small_problem("squared", lam=0.1)
         x0 = np.zeros(p.d)
-        state = nl2_init(p, x0, p.h_all(x0), gamma=1.0)
-        out = nl2_round(p, state, identity(), seed=0, eta=1.0)
+        state = learn_init(p, x0, p.h_all(x0), gamma=1.0)
+        out = learn_round(p, state, identity(), seed=0, eta=1.0)
         assert np.linalg.norm(p.grad(out.state.x)) <= 1e-11
 
     def test_domination_every_round(self):
@@ -255,8 +254,8 @@ class TestNl2:
         p = small_problem("logistic", lam=1e-2, seed=13)
         spec = random_r(2)
         eta = default_eta(spec, p.m)
-        state = nl2_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)),
-                         gamma=p.loss.gamma)
+        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)),
+                           gamma=p.loss.gamma)
         for _ in range(25):
             h_at_x = p.h_all(state.x)
             h_est, beta, _ = _dominated_estimate(state, h_at_x)
@@ -264,14 +263,14 @@ class TestNl2:
                             - p.hessian(state.x).entries)
             assert smallest_eigenvalue(gap) >= -1e-8
             assert beta > 0
-            state = nl2_round(p, state, spec, seed=8, eta=eta).state
+            state = learn_round(p, state, spec, seed=8, eta=eta).state
             assert np.max(np.abs(state.h)) <= p.loss.gamma + 1e-15
 
     def test_works_with_zero_lambda(self):
         p = small_problem("logistic", lam=0.0, count=60, seed=14)
-        state = nl2_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)),
-                         gamma=p.loss.gamma)
-        out = nl2_round(p, state, identity(), seed=0, eta=1.0)
+        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)),
+                           gamma=p.loss.gamma)
+        out = learn_round(p, state, identity(), seed=0, eta=1.0)
         assert np.all(np.isfinite(out.state.x))
 
 
@@ -280,9 +279,9 @@ class TestCnl:
         p = small_problem("squared", lam=0.1, seed=15)
         x0 = np.zeros(p.d)
         h0 = p.h_all(x0)
-        a = nl2_round(p, nl2_init(p, x0, h0, gamma=1.0), random_r(2), seed=3, eta=0.25)
-        b = cnl_round(p, cnl_init(p, x0, h0, gamma=1.0), random_r(2), seed=3,
-                      eta=0.25, cubic_coeff=0.0)
+        a = learn_round(p, learn_init(p, x0, h0, gamma=1.0), random_r(2), seed=3, eta=0.25)
+        b = learn_round(p, learn_init(p, x0, h0, gamma=1.0, cubic_coeff=0.0),
+                        random_r(2), seed=3, eta=0.25)
         assert np.array_equal(a.state.x, b.state.x)
         assert np.array_equal(a.state.h, b.state.h)
 
@@ -291,12 +290,11 @@ class TestCnl:
         m_cubic = p.constants().hessian_lipschitz
         spec = bernoulli(random_r(1), 0.25)
         eta = default_eta(spec, p.m)
-        state = cnl_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)),
-                         gamma=p.loss.gamma)
+        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)),
+                           gamma=p.loss.gamma, cubic_coeff=m_cubic)
         values = [p.value(state.x)]
         for _ in range(40):
-            state = cnl_round(p, state, spec, seed=9, eta=eta,
-                              cubic_coeff=m_cubic).state
+            state = learn_round(p, state, spec, seed=9, eta=eta).state
             values.append(p.value(state.x))
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-12)
@@ -305,11 +303,10 @@ class TestCnl:
         p = small_problem("logistic", lam=1e-2, count=60, seed=17)
         o = reference_optimum(p)
         m_cubic = p.constants().hessian_lipschitz
-        state = cnl_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)),
-                         gamma=p.loss.gamma)
+        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)),
+                           gamma=p.loss.gamma, cubic_coeff=m_cubic)
         for _ in range(60):
-            state = cnl_round(p, state, identity(), seed=10, eta=1.0,
-                              cubic_coeff=m_cubic).state
+            state = learn_round(p, state, identity(), seed=10, eta=1.0).state
         assert p.value(state.x) - o.value_star <= 1e-10
 
 

@@ -3,8 +3,7 @@ import pytest
 
 from distnewton.compressors import random_r
 from distnewton.data import Dataset
-from distnewton.methods import (cnl_init, cnl_round, default_eta, nl2_init,
-                                nl2_round)
+from distnewton.methods import default_eta, learn_init, learn_round
 from distnewton.problem import make_problem
 
 
@@ -22,16 +21,10 @@ def test_shifted_gram_matches_rebuild_after_50_rounds(variant):
     eta = default_eta(spec, p.m)
     gamma = p.loss.gamma
     h0 = p.h_all(np.zeros(p.d))
-    if variant == "nl2":
-        state = nl2_init(p, np.zeros(p.d), h0, gamma)
-        advance = lambda s: nl2_round(p, s, spec, seed=4, eta=eta).state
-    else:
-        m_cubic = p.constants().hessian_lipschitz
-        state = cnl_init(p, np.zeros(p.d), h0, gamma)
-        advance = lambda s: cnl_round(p, s, spec, seed=4, eta=eta,
-                                      cubic_coeff=m_cubic).state
+    m_cubic = p.constants().hessian_lipschitz if variant == "cnl" else None
+    state = learn_init(p, np.zeros(p.d), h0, gamma, m_cubic)
     for _ in range(50):
-        state = advance(state)
+        state = learn_round(p, state, spec, seed=4, eta=eta).state
     rebuilt = p.data_gram(state.h + 2.0 * gamma)
     drift = np.linalg.norm(state.h_matrix.entries - rebuilt.entries, "fro")
     assert drift <= 1e-8 * rebuilt.frobenius()

@@ -18,7 +18,7 @@ from distnewton.compressors import (_row_draws, bernoulli, compress_with_info,
                                     random_r)
 from distnewton.data import Dataset
 from distnewton.harness import (COMPRESSED_METHODS, METHOD_NAMES, Budget,
-                               run_experiment)
+                               RunOptions, run_experiment)
 from distnewton.linalg import solve_spd
 from distnewton.methods import reference_optimum
 from distnewton.problem import Problem, make_problem
@@ -73,22 +73,27 @@ def legacy_gather(p, state, spec, seed, eta, rule, gamma):
     return h_new, h_at_x, grads, deltas, changed, clamped, fired
 
 
+def learner_init(p, variant, x0, h0):
+    gamma = None if variant == "nl1" else p.loss.gamma
+    cubic = p.constants().hessian_lipschitz if variant == "cnl" else None
+    return methods.learn_init(p, x0, h0, gamma, cubic)
+
+
 def legacy_learn_round(p, state, spec, seed, eta, variant):
     rule, gamma = ("nonneg", 0.0) if variant == "nl1" else ("clamp", state.gamma)
     h_new, h_at_x, grads, deltas, changed, clamped, fired = legacy_gather(
         p, state, spec, seed, eta, rule, gamma)
     g = np.stack(grads).mean(axis=0) + p.lam * state.x
     if variant == "nl1":
-        h_reg, shift = state.h_matrix.add_diagonal(p.lam), 0.0
+        h_reg = state.h_matrix.add_diagonal(p.lam)
     else:
-        h_est, _, _ = methods._dominated_estimate(state, h_at_x)
-        h_reg, shift = h_est.add_diagonal(p.lam), 2.0 * state.gamma
+        h_reg = methods._dominated_estimate(state, h_at_x)[0].add_diagonal(p.lam)
     if variant == "cnl":
         x_new = state.x + methods.solve_cubic_model(
             h_reg, g, p.constants().hessian_lipschitz)
     else:
         x_new = state.x - solve_spd(h_reg, g)
-    gram, _ = methods._advance_gram(p, state, h_new, weight_shift=shift)
+    gram, _ = methods._advance_gram(p, state, h_new)
     return x_new, h_new, gram, h_at_x, grads, deltas, changed, clamped, fired
 
 
@@ -154,17 +159,8 @@ def test_learn_round_equals_per_worker_loop(a2a_1e3, variant, spec, eta):
     p = a2a_1e3
     if eta is None:
         eta = methods.default_eta(spec, p.m)
-    h0 = np.zeros((p.n, p.m))
-    if variant == "nl1":
-        state = methods.nl1_init(p, start_point(p), h0)
-        out = methods.nl1_round(p, state, spec, 4, eta)
-    elif variant == "nl2":
-        state = methods.nl2_init(p, start_point(p), h0, p.loss.gamma)
-        out = methods.nl2_round(p, state, spec, 4, eta)
-    else:
-        state = methods.cnl_init(p, start_point(p), h0, p.loss.gamma)
-        out = methods.cnl_round(p, state, spec, 4, eta,
-                                p.constants().hessian_lipschitz)
+    state = learner_init(p, variant, start_point(p), np.zeros((p.n, p.m)))
+    out = methods.learn_round(p, state, spec, 4, eta)
     x_new, h_new, gram, h_at_x, grads, deltas, changed, clamped, fired = \
         legacy_learn_round(p, state, spec, 4, eta, variant)
 
@@ -177,11 +173,15 @@ def test_learn_round_equals_per_worker_loop(a2a_1e3, variant, spec, eta):
         assert clamped > 0          # the clamp count is exercised
     if spec.kind == "bernoulli":
         assert 0 < sum(fired) < p.n  # both outcomes are exercised
-    for msg, grad, delta, idx, sent in zip(out.messages, grads, deltas, changed, fired):
-        assert np.array_equal(msg.grad, grad)
-        assert np.array_equal(msg.delta, delta)
-        assert np.array_equal(msg.changed, idx)
-        assert msg.fired is sent
+    assert np.array_equal(out.grads, np.stack(grads))
+    assert np.array_equal(out.deltas, np.stack(deltas))
+    for row, idx in zip(out.changed, changed):
+        assert np.array_equal(np.flatnonzero(row), idx)
+    assert all(a is b for a, b in zip(out.fired.tolist(), fired, strict=True))
+    if variant == "nl1":
+        assert out.betas is None
+    else:
+        assert np.array_equal(out.betas, methods._dominated_estimate(state, h_at_x)[2])
 
 
 def test_dcgd_round_equals_per_worker_loop(a2a_1e3):
@@ -215,7 +215,10 @@ def test_diana_round_equals_per_worker_loop(a2a_1e3):
 
 
 # SHA-256 of each trace's CSV under the one-evaluation contract: every
-# margin comes from the stacked per-worker pass. Under the round stream
+# margin comes from the stacked per-worker pass. The last key is an nl1 run
+# with option=2 and h0="zeros". The eight pins beside nl2, dcgd and cnl, and
+# every JSON pin, were taken before the method table replaced one class per
+# method, a change that kept every byte. Under the round stream
 # contract with whole-matrix products for value/grad the three read
 #   nl2  4dddb1d5e8c3d7ed57ec9e295c9a767c4aeb6272a5e20f0299df0b730b306747
 #   dcgd 986d737d42e0e18ab000472de3c7ead43daaa5e777afb4378a7cbf870f2b719b
@@ -224,9 +227,35 @@ def test_diana_round_equals_per_worker_loop(a2a_1e3):
 # 45cb065421041745f15ad8611fe4ad2fde3d4466f871cf959edd1cf2bd7c129b under the
 # earlier per-worker streams keyed by (seed, worker, iteration).
 GOLDEN_TRACE_SHA256 = {
-    "nl2": "c4d713688002211d73c51fb92574f760cd346bff8e567bb0ecdb8ebcae5f164d",
+    "gd": "c05a96f51a40b89ace134e524d87d46013efe1ef0ba1fd733170e8f431d07e35",
     "dcgd": "a5ed19ec15de20afb5f7d0c18e9762bafb30248807e1bf5dc3b7530823ea1a80",
+    "diana": "d324602651ccb77c5d94d8c78ff7d88e9b22c6357d60f0970cdaf5363b089285",
+    "bfgs": "3ce3e4007e6b7319e1959276dc29625348b2682071e69a2679ba168ee92ae8e0",
+    "newton": "ac4cee33a1218a04cee74a7233e0639ebbce30698f80b5c52d6ad6efeae5dbe2",
+    "newton_coeff": "94a8ac6e2f026e9b76eb4f591f16f35dc06ee72538f6328293e3d359db4cac96",
+    "ns": "96a53a00e15d94600ff1d78ed08f075c17b76dd294131a25344ce51d26c28213",
+    "mn": "b9d058977bab96065b521ded180bd57bedaf2d8faf18d06520b4533c46c22519",
+    "nl1": "ee728002327226db0d4c469f137e2116ace4e34f9339da115142bab17186b21c",
+    "nl2": "c4d713688002211d73c51fb92574f760cd346bff8e567bb0ecdb8ebcae5f164d",
     "cnl": "70096d473543909764924d9b15caf983ff79b52b4fca09c973214ca20d4623ae",
+    "nl1-option2-zeros": "7dee0d431c45c50d3dc646011c6f9cda4b1b03c6b0db2815fd32376cd486d8fb",
+}
+
+# SHA-256 of the JSON text of the same traces: it also carries the
+# extras (decrease_ok, bfgs_skipped, replica_ok, the margins, ...).
+GOLDEN_JSON_SHA256 = {
+    "gd": "cfeaeac8ebc3191a18bcb2b5a41a5d39efeadab76c0739447c8b82ef1c2d9ec1",
+    "dcgd": "c6e8fc353c293bdef28dfdec4586f119adea06eb59f6703caf7972c102b4c07e",
+    "diana": "f1b9d3681410afe62ff6c0b0532e214bfee7823bf6a701b4b499a02fee883097",
+    "bfgs": "c5e2afd9fd674b4eb77d9913ba383e3a0828bc75f739ede8f91009b1d078ffaa",
+    "newton": "f14dbc90a68bf9a70a96aa78544f487c6ec777c621e16e4f7fef3fbca28cc579",
+    "newton_coeff": "510b8e6f51039153f40e216f432d4bcfa0df14c3fad621ccaa4a13e26398e51f",
+    "ns": "296d9b6aa7c124547ed6b8e8f9d69cedd8ba103d88946e0d448639c1b9c2f109",
+    "mn": "5333c5ac976d4eff6fe1a1919e8dfed6fdc261df17158dd0b2d8a4b746d134f7",
+    "nl1": "dbfbda86cf7b92c1d41bc7cd82eef685e59004cd1fde370dfa96b706af80fb76",
+    "nl2": "fe06265902a1881c688b3515414d4a236573ab15be9b2f1471b383cd35dc25bf",
+    "cnl": "2730a0ee7077d5e8895a000f3e9d1b7ba1be3e0134daa30e5783fd4dbd8622ef",
+    "nl1-option2-zeros": "d74a68d238110559232301bacf0b9421bca51a37d06e58a6d4bacbfbc026a9a7",
 }
 
 # SHA-256 of the iter,bits_up_cum,bits_down_cum columns of the same traces.
@@ -250,12 +279,17 @@ GOLDEN_ITERATES_SHA256 = {
 }
 
 
-def golden_trace(method):
+GOLDEN_SPECS = {"nl1": random_r(2), "nl2": random_r(2),
+                "cnl": bernoulli(random_r(2), 0.5), "dcgd": random_r(3),
+                "diana": random_r(3)}
+
+
+def golden_trace(key):
+    method, _, variant = key.partition("-")
+    opts = RunOptions(option=2, h0="zeros") if variant else None
     p = dense_problem()
-    spec = {"nl2": random_r(2), "dcgd": random_r(3),
-            "cnl": bernoulli(random_r(2), 0.5)}[method]
-    return run_experiment(method, p, spec, Budget(max_iters=12), seed=9,
-                          oracles=reference_optimum(p))
+    return run_experiment(method, p, GOLDEN_SPECS.get(method), Budget(max_iters=12),
+                          seed=9, oracles=reference_optimum(p), opts=opts)
 
 
 def ledger_columns(csv_text):
@@ -274,6 +308,15 @@ def test_short_compressed_traces_match_golden_hashes(method):
     trace = golden_trace(method)
     assert hashlib.sha256(trace.csv_text().encode()).hexdigest() == \
         GOLDEN_TRACE_SHA256[method]
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_TRACE_SHA256))
+def test_every_method_trace_matches_golden_csv_and_json_hashes(key):
+    trace = golden_trace(key)
+    assert hashlib.sha256(trace.csv_text().encode()).hexdigest() == \
+        GOLDEN_TRACE_SHA256[key]
+    assert hashlib.sha256(trace.json_text().encode()).hexdigest() == \
+        GOLDEN_JSON_SHA256[key]
 
 
 @pytest.mark.parametrize("method", ["nl2", "dcgd", "cnl"])
@@ -303,18 +346,9 @@ def compressed_iterates_digest(method, rounds=12):
         return digest.hexdigest()
     spec = bernoulli(random_r(2), 0.5) if method == "cnl" else random_r(2)
     eta = methods.default_eta(spec, p.m)
-    if method == "nl1":
-        state = methods.nl1_init(p, x0, h0)
-    else:
-        state = getattr(methods, f"{method}_init")(p, x0, h0, p.loss.gamma)
+    state = learner_init(p, method, x0, h0)
     for _ in range(rounds):
-        if method == "nl1":
-            out = methods.nl1_round(p, state, spec, 9, eta)
-        elif method == "nl2":
-            out = methods.nl2_round(p, state, spec, 9, eta)
-        else:
-            out = methods.cnl_round(p, state, spec, 9, eta,
-                                    p.constants().hessian_lipschitz)
+        out = methods.learn_round(p, state, spec, 9, eta)
         state = out.state
         digest.update(state.x.tobytes() + state.h.tobytes() + out.h_at_x.tobytes())
     return digest.hexdigest()
