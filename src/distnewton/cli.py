@@ -199,12 +199,18 @@ def oracles_from_json(text: str, p: Problem) -> Oracles:
         raise InputError(
             f"x_star shape {x_star.shape} and h_star shape {h_star.shape} do not "
             f"match the problem's ({p.d},) and ({p.n}, {p.m})")
+    value_star, grad_norm = float(d["value_star"]), float(d["grad_norm"])
+    # json reads NaN and Infinity, which no computed optimum holds
+    for name, value in (("x_star", x_star), ("value_star", value_star),
+                        ("h_star", h_star), ("grad_norm", grad_norm)):
+        if not np.all(np.isfinite(value)):
+            raise InputError(f"{name} holds a non-finite value")
     return Oracles(
         x_star=x_star,
-        value_star=float(d["value_star"]),
+        value_star=value_star,
         h_star=h_star,
         hessian_star=p.data_gram(h_star),
-        grad_norm=float(d["grad_norm"]),
+        grad_norm=grad_norm,
     )
 
 

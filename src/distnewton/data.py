@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,8 @@ class Dataset:
             raise InputError("dataset needs at least one point")
         if self.labels.shape != (self.features.shape[0],):
             raise InputError("labels must align with feature rows")
+        if not np.all(np.isfinite(self.features)):
+            raise InputError("features must be finite")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise InputError("labels must be -1 or +1")
 
@@ -105,6 +108,8 @@ def parse_libsvm(source, d_hint: int | None = None) -> Dataset:
                 val = float(val_text)
             except ValueError:
                 raise ParseError(f"bad feature token {tok!r}", lineno) from None
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite feature value {tok!r}", lineno)
             if idx <= prev:
                 raise ParseError(f"index {idx} not strictly increasing", lineno)
             prev = idx

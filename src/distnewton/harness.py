@@ -34,7 +34,7 @@ import numpy as np
 from . import methods
 from .compressors import CompressorSpec, bit_cost, ceil_log2, omega, SCALAR_BITS
 from .errors import ConfigError, InputError, NumericalError, ReplicaMismatchError
-from .linalg import SymMatrix, smallest_eigenvalue
+from .linalg import smallest_eigenvalue
 from .methods import Oracles
 from .problem import Problem
 
@@ -338,7 +338,6 @@ class _Learner:
             gamma = opts.gamma if opts.gamma is not None else p.loss.gamma
         self.state = methods.learn_init(
             p, x, h0, gamma, p.constants().hessian_lipschitz if cubic else None)
-        self.projection = ("nonneg", 0.0) if gamma is None else ("clamp", gamma)
         self.server_h = self.state.h.copy()
         self.hull_lo: Optional[Array] = None
         self.hull_hi: Optional[Array] = None
@@ -379,7 +378,7 @@ class _Learner:
 
         # server replica mirror, advanced purely from the wire payloads
         self.server_h = methods.apply_coeff_update(
-            self.server_h, out.deltas, run.eta, *self.projection)
+            self.server_h, out.deltas, run.eta, self.state.gamma)
         if not verify_replicas(self.server_h, self.state.h):
             raise ReplicaMismatchError(replica_mismatches(self.server_h, self.state.h))
         extras["replica_ok"] = True        # kept in the trace as the health flag
@@ -407,8 +406,8 @@ class _Learner:
                 # lam * I sits on both sides and cancels; h_at_x are the true
                 # coefficients at the round's iterate, so their gram is the
                 # data Hessian there
-                extras["domination_margin"] = smallest_eigenvalue(SymMatrix(
-                    out.h_est.entries - p.data_gram(out.h_at_x).entries))
+                extras["domination_margin"] = smallest_eigenvalue(
+                    out.h_est - p.data_gram(out.h_at_x))
         extras["rebuild_drift"] = self.state.rebuild_drift
 
         # Option 1 ships the data vector of every changed coefficient

@@ -7,6 +7,14 @@ relative pivot check, solves against the two triangular factors, grams
 shaped for a symmetric rank-k update) rather than anything sparse or
 iterative. Only the LAPACK and BLAS bundled with numpy are used.
 
+A curvature matrix is a plain (d, d) float64 array that is exactly
+(bitwise) symmetric. Sums, scalings, rank-one terms and diagonal shifts of
+such arrays stay exact, so only the two producers whose arithmetic can round
+the two triangles differently symmetrize their result with (A + A.T)/2:
+the mixed-sign branch of ``weighted_gram`` and ``spd_inverse``. Finiteness
+is checked where data enters the program (dataset parsing and construction,
+the oracle cache), not on every matrix.
+
 All operations are pure: inputs are never mutated, results are fresh arrays.
 """
 
@@ -23,48 +31,19 @@ from .errors import InputError, SingularMatrixError
 PD_PIVOT_RTOL = 1e-12
 
 
-class SymMatrix:
-    """Dense symmetric matrix with exact (bitwise) symmetry.
-
-    Construction symmetrizes via (A + A.T)/2, which is exact for inputs that
-    are symmetric up to floating-point noise and makes downstream equality
-    checks on mirrored entries reliable.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: np.ndarray):
-        a = np.asarray(entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise InputError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(a)):
-            raise InputError("matrix entries must be finite")
-        self.entries = 0.5 * (a + a.T)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def add_diagonal(self, value: float) -> "SymMatrix":
-        out = self.entries.copy()
-        out[np.diag_indices_from(out)] += value
-        return SymMatrix(out)
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries, "fro"))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SymMatrix(dim={self.dim})"
+def zeros(dim: int) -> np.ndarray:
+    return np.zeros((dim, dim))
 
 
-def zeros(dim: int) -> SymMatrix:
-    return SymMatrix(np.zeros((dim, dim)))
+def identity(dim: int) -> np.ndarray:
+    return np.eye(dim)
 
 
-def identity(dim: int) -> SymMatrix:
-    return SymMatrix(np.eye(dim))
+def add_diagonal(a: np.ndarray, value: float) -> np.ndarray:
+    """Return A + value * I."""
+    out = a.copy()
+    out[np.diag_indices_from(out)] += value
+    return out
 
 
 @dataclass(frozen=True)
@@ -84,17 +63,17 @@ class EigDecomposition:
         return u.T @ (self.eigenvalues[:, None] * u)
 
 
-def sym_eig(a: SymMatrix) -> EigDecomposition:
+def sym_eig(a: np.ndarray) -> EigDecomposition:
     """Full eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    w, v = np.linalg.eigh(a.entries)
+    w, v = np.linalg.eigh(a)
     return EigDecomposition(eigenvalues=w, eigenvectors=v.T)
 
 
-def smallest_eigenvalue(a: SymMatrix) -> float:
-    return float(np.linalg.eigvalsh(a.entries)[0])
+def smallest_eigenvalue(a: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(a)[0])
 
 
-def cholesky_spd(a: SymMatrix) -> np.ndarray:
+def cholesky_spd(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L.T == A, or SingularMatrixError.
 
     The pivot test is relative to the largest diagonal entry; a pivot at or
@@ -105,15 +84,14 @@ def cholesky_spd(a: SymMatrix) -> np.ndarray:
     the tolerance, and only a failure reruns the elimination in Python to
     name the offending pivot.
     """
-    m = a.entries
-    tol = PD_PIVOT_RTOL * max(float(np.max(np.diagonal(m))), 0.0)
+    tol = PD_PIVOT_RTOL * max(float(np.max(np.diagonal(a))), 0.0)
     try:
-        lower = np.linalg.cholesky(m)
+        lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return _cholesky_pivoted(m, tol)
+        return _cholesky_pivoted(a, tol)
     if np.all(np.diagonal(lower) ** 2 > tol):
         return lower
-    return _cholesky_pivoted(m, tol)
+    return _cholesky_pivoted(a, tol)
 
 
 def _cholesky_pivoted(m: np.ndarray, tol: float) -> np.ndarray:
@@ -137,37 +115,43 @@ def solve_cholesky(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
-def solve_spd(a: SymMatrix, b: np.ndarray) -> np.ndarray:
+def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A."""
     b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != a.dim:
-        raise InputError(f"rhs length {b.shape[0]} does not match dim {a.dim}")
+    if a.shape != (b.shape[0], b.shape[0]):
+        raise InputError(f"matrix shape {a.shape} does not match rhs length {b.shape[0]}")
     if not np.all(np.isfinite(b)):
         raise InputError("rhs entries must be finite")
     return solve_cholesky(cholesky_spd(a), b)
 
 
-def spd_inverse(a: SymMatrix) -> SymMatrix:
-    """Explicit inverse of an SPD matrix (used for quasi-Newton seeding)."""
-    return SymMatrix(solve_cholesky(cholesky_spd(a), np.eye(a.dim)))
+def spd_inverse(a: np.ndarray) -> np.ndarray:
+    """Explicit inverse of an SPD matrix (used for quasi-Newton seeding).
+
+    The column solves round mirrored entries apart, so the result is
+    symmetrized.
+    """
+    inv = solve_cholesky(cholesky_spd(a), np.eye(a.shape[0]))
+    return 0.5 * (inv + inv.T)
 
 
-def rank1_accumulate(a: SymMatrix, c: float, v: np.ndarray) -> SymMatrix:
+def rank1_accumulate(a: np.ndarray, c: float, v: np.ndarray) -> np.ndarray:
     """Return A + c * outer(v, v)."""
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != a.dim:
-        raise InputError(f"vector length {v.shape} does not match dim {a.dim}")
-    return SymMatrix(a.entries + c * np.outer(v, v))
+    if v.ndim != 1 or v.shape[0] != a.shape[0]:
+        raise InputError(f"vector length {v.shape} does not match dim {a.shape[0]}")
+    return a + c * np.outer(v, v)
 
 
-def weighted_gram(rows: np.ndarray, weights: np.ndarray, scale: float = 1.0) -> SymMatrix:
-    """scale * rows.T @ diag(weights) @ rows, as a SymMatrix.
+def weighted_gram(rows: np.ndarray, weights: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale * rows.T @ diag(weights) @ rows, exactly symmetric.
 
     This is the batched form of accumulating one rank-one term per row and
     is how curvature matrices are assembled from data rows. With every
     scaled weight nonnegative it is X.T @ X for X = rows * sqrt(scale * w),
-    which BLAS computes as a symmetric rank-k update at half the flops;
-    mixed signs take the general product.
+    which BLAS computes as a symmetric rank-k update at half the flops
+    and returns exactly symmetric; mixed signs take the general product,
+    whose triangles can round apart, and symmetrize it.
     """
     rows = np.asarray(rows, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -176,5 +160,6 @@ def weighted_gram(rows: np.ndarray, weights: np.ndarray, scale: float = 1.0) -> 
     scaled = scale * weights
     if np.all(scaled >= 0.0):
         x = rows * np.sqrt(scaled)[:, None]
-        return SymMatrix(x.T @ x)
-    return SymMatrix((rows * scaled[:, None]).T @ rows)
+        return x.T @ x
+    g = (rows * scaled[:, None]).T @ rows
+    return 0.5 * (g + g.T)

@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .compressors import CompressedPayload, CompressorSpec, compress_with_info
 from .errors import ConfigError, InputError, NumericalError
-from .linalg import SymMatrix, solve_spd, sym_eig
+from .linalg import add_diagonal, solve_spd, sym_eig
 from .problem import Problem
 from .rngs import RngStream
 
@@ -57,7 +57,7 @@ class Oracles:
     x_star: Array
     value_star: float
     h_star: Optional[Array] = None
-    hessian_star: Optional[SymMatrix] = None
+    hessian_star: Optional[Array] = None
     grad_norm: float = math.nan
 
     def distance(self, x: Array) -> float:
@@ -88,7 +88,7 @@ def ns_step(p: Problem, oracles: Oracles, x: Array) -> Array:
     """Newton-like step with the curvature matrix frozen at the optimum."""
     if oracles.hessian_star is None:
         raise ConfigError("fixed-curvature step needs the optimum Hessian oracle")
-    h_reg = oracles.hessian_star.add_diagonal(p.lam)
+    h_reg = add_diagonal(oracles.hessian_star, p.lam)
     return x - solve_spd(h_reg, p.grad(x))
 
 
@@ -115,7 +115,7 @@ def mn_step(p: Problem, oracles: Oracles, x: Array) -> Array:
     betas = np.max(h_cur / h_star, axis=1)                     # (n,)
     weights = betas[:, None] * h_star                          # (n, m)
     h_est = p.data_gram(weights)
-    return x - solve_spd(h_est.add_diagonal(p.lam), p.grad(x))
+    return x - solve_spd(add_diagonal(h_est, p.lam), p.grad(x))
 
 
 def mn_rate_constant(p: Problem, oracles: Oracles) -> float:
@@ -137,7 +137,7 @@ CUBIC_RHO_RTOL = 1e-12
 _BISECT_MAX = 200
 
 
-def solve_cubic_model(h_reg: SymMatrix, g: Array, m_cubic: float) -> Array:
+def solve_cubic_model(h_reg: Array, g: Array, m_cubic: float) -> Array:
     """Global minimizer of <g,s> + 0.5 s.T H s + (m_cubic/6) ||s||^3.
 
     Diagonalize H, then the stationarity condition reduces to a scalar
@@ -150,7 +150,7 @@ def solve_cubic_model(h_reg: SymMatrix, g: Array, m_cubic: float) -> Array:
     optimality residual to machine level.
     """
     g = np.asarray(g, dtype=np.float64)
-    if g.shape[0] != h_reg.dim:
+    if g.shape[0] != h_reg.shape[0]:
         raise InputError("gradient length does not match matrix dimension")
     if m_cubic < 0:
         raise InputError("cubic coefficient must be nonnegative")
@@ -211,7 +211,7 @@ def solve_cubic_model(h_reg: SymMatrix, g: Array, m_cubic: float) -> Array:
     denom = lam + 0.5 * m_cubic * rho
     s = -(eig.eigenvectors.T @ (w / denom))
     residual = float(np.linalg.norm(
-        g + h_reg.entries @ s + 0.5 * m_cubic * np.linalg.norm(s) * s))
+        g + h_reg @ s + 0.5 * m_cubic * np.linalg.norm(s) * s))
     if residual > CUBIC_RESIDUAL_RTOL * (gnorm + 1.0):
         raise NumericalError(
             f"cubic model solve did not converge: residual {residual:.3e} "
@@ -236,10 +236,10 @@ class LearnState:
 
     x: Array
     h: Array                       # (n, m) learned coefficients
-    h_matrix: SymMatrix
+    h_matrix: Array
     gamma: Optional[float] = None
     cubic_coeff: Optional[float] = None
-    mean_gram: Optional[SymMatrix] = None
+    mean_gram: Optional[Array] = None
     iteration: int = 0
     rebuild_drift: float = 0.0     # relative drift seen at the last rebuild
 
@@ -261,20 +261,22 @@ class LearnRound:
     betas: Optional[Array]         # (n,), None for the nonnegative variant
     changed: Array                 # (n, m) bool
     h_at_x: Array                  # fresh coefficients h(x^k), for diagnostics
-    h_est: SymMatrix               # the data part of the step's curvature
+    h_est: Array                   # the data part of the step's curvature
     beta: Optional[float] = None
     clamped: int = 0
 
 
-def apply_coeff_update(h_old: Array, delta: Array, eta: float, rule: str,
-                       gamma: float = 0.0) -> Array:
-    """Coefficient update shared bit-for-bit by workers and server replicas."""
+def apply_coeff_update(h_old: Array, delta: Array, eta: float,
+                       gamma: Optional[float] = None) -> Array:
+    """Coefficient update shared bit-for-bit by workers and server replicas.
+
+    ``gamma=None`` projects onto the nonnegative cone; a bound gamma clamps
+    to [-gamma, gamma].
+    """
     h_new = h_old + eta * delta
-    if rule == "nonneg":
+    if gamma is None:
         return np.maximum(h_new, 0.0)
-    if rule == "clamp":
-        return np.clip(h_new, -gamma, gamma)
-    return h_new
+    return np.clip(h_new, -gamma, gamma)
 
 
 def default_eta(spec: CompressorSpec, m: int) -> float:
@@ -312,32 +314,29 @@ def learn_init(p: Problem, x0: Array, h0: Array, gamma: Optional[float] = None,
                       mean_gram=p.mean_gram() if bounded else None)
 
 
-def _dominated_estimate(state: LearnState, h_at_x: Array) -> tuple[SymMatrix, float, Array]:
+def _dominated_estimate(state: LearnState, h_at_x: Array) -> tuple[Array, float, Array]:
     """Curvature estimate beta * A - 2*gamma*G and the per-worker ratios."""
     gamma = state.gamma
     ratios = (h_at_x + 2.0 * gamma) / (state.h + 2.0 * gamma)
     betas = np.max(ratios, axis=1)
     beta = float(np.max(betas))
-    h_est = SymMatrix(beta * state.h_matrix.entries
-                      - 2.0 * gamma * state.mean_gram.entries)
+    h_est = beta * state.h_matrix - 2.0 * gamma * state.mean_gram
     return h_est, beta, betas
 
 
-def _advance_gram(p: Problem, state: LearnState, h_new: Array) -> tuple[SymMatrix, float]:
+def _advance_gram(p: Problem, state: LearnState, h_new: Array) -> tuple[Array, float]:
     """Accumulate the coefficient gram incrementally; rebuild periodically."""
     flat_change = (h_new - state.h).reshape(-1)
     idx = np.flatnonzero(flat_change)
-    entries = state.h_matrix.entries
+    gram = state.h_matrix
     if idx.size:
-        entries = entries + linalg.weighted_gram(
-            p.stacked_rows[idx], flat_change[idx], scale=1.0 / (p.n * p.m)).entries
+        gram = gram + linalg.weighted_gram(
+            p.stacked_rows[idx], flat_change[idx], scale=1.0 / (p.n * p.m))
     if (state.iteration + 1) % REBUILD_PERIOD == 0:
         rebuilt = p.data_gram(h_new + (0.0 if state.gamma is None else 2.0 * state.gamma))
-        denom = max(rebuilt.frobenius(), 1e-300)
-        return rebuilt, float(np.linalg.norm(entries - rebuilt.entries, "fro")) / denom
-    if idx.size == 0:
-        return state.h_matrix, state.rebuild_drift
-    return SymMatrix(entries), state.rebuild_drift
+        denom = max(float(np.linalg.norm(rebuilt, "fro")), 1e-300)
+        return rebuilt, float(np.linalg.norm(gram - rebuilt, "fro")) / denom
+    return gram, state.rebuild_drift
 
 
 def learn_round(p: Problem, state: LearnState, spec: CompressorSpec,
@@ -361,8 +360,7 @@ def learn_round(p: Problem, state: LearnState, spec: CompressorSpec,
     payload = compress_with_info(spec, h_at_x - state.h,
                                  RngStream(seed, state.iteration))
     deltas = payload.values
-    rule, bound = ("nonneg", 0.0) if gamma is None else ("clamp", gamma)
-    h_new = apply_coeff_update(state.h, deltas, eta, rule, bound)
+    h_new = apply_coeff_update(state.h, deltas, eta, gamma)
     clamped = int(np.count_nonzero(h_new != state.h + eta * deltas))
 
     if gamma is None:
@@ -370,7 +368,7 @@ def learn_round(p: Problem, state: LearnState, spec: CompressorSpec,
     else:
         h_est, beta, betas = _dominated_estimate(state, h_at_x)
     g = p.grad(state.x)
-    h_reg = h_est.add_diagonal(p.lam)
+    h_reg = add_diagonal(h_est, p.lam)
     if state.cubic_coeff is None:
         x_new = state.x - solve_spd(h_reg, g)
     else:
@@ -448,7 +446,7 @@ class BfgsState:
 
 
 def bfgs_init(p: Problem, x0: Array) -> BfgsState:
-    inv0 = linalg.spd_inverse(p.hessian(x0)).entries
+    inv0 = linalg.spd_inverse(p.hessian(x0))
     return BfgsState(x=x0.copy(), inv_hessian=inv0, grad=p.grad(x0))
 
 

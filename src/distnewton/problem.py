@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, Partition
 from .errors import InputError
-from .linalg import SymMatrix, weighted_gram
+from .linalg import add_diagonal, weighted_gram
 
 Array = np.ndarray
 
@@ -259,18 +259,18 @@ class Problem:
         """All h coefficients at x as a read-only (n, m) array."""
         return self._point(x).h
 
-    def hessian(self, x: Array) -> SymMatrix:
+    def hessian(self, x: Array) -> Array:
         """Full second derivative of P at x (regularizer included)."""
         gram = weighted_gram(self._rows, self._point(x).h.reshape(-1),
                              scale=1.0 / (self.n * self.m))
-        return gram.add_diagonal(self.lam)
+        return add_diagonal(gram, self.lam)
 
-    def data_gram(self, weights: Array) -> SymMatrix:
+    def data_gram(self, weights: Array) -> Array:
         """(1/nm) sum_ij weights_ij a_ij a_ij^T for an (n, m) weight array."""
         return weighted_gram(self._rows, np.asarray(weights).reshape(-1),
                              scale=1.0 / (self.n * self.m))
 
-    def mean_gram(self) -> SymMatrix:
+    def mean_gram(self) -> Array:
         """(1/nm) sum_ij a_ij a_ij^T (unit weights)."""
         return self.data_gram(np.ones(self.n * self.m))
 

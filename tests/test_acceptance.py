@@ -2,7 +2,7 @@
 
 Each criterion prints a PASS/FAIL line (run with ``pytest -s`` to see them
 inline). The benchmark datasets are represented by shape-matched synthetic
-stand-ins (see conftest) because the original files cannot be fetched in
+stand-ins (see stand_ins.py) because the original files cannot be fetched in
 this environment; every criterion is a property of shapes and dynamics, not
 of exact dataset values.
 """
@@ -22,7 +22,7 @@ from distnewton.compressors import (bernoulli, dithering, natural, omega,
 from distnewton.data import save_dataset
 from distnewton.harness import (Budget, RunOptions, bits_to_reach,
                                 run_experiment, tail_ratios, verify_replicas)
-from distnewton.linalg import SymMatrix, smallest_eigenvalue
+from distnewton.linalg import smallest_eigenvalue
 from distnewton.methods import (ns_rate_constant, reference_optimum,
                                 solve_cubic_model)
 from distnewton.problem import make_problem
@@ -161,14 +161,14 @@ def test_criterion_2_cubic_subproblem():
         h = 0.5 * (a + a.T)
         g = rng.standard_normal(d)
         m_cubic = float(rng.uniform(0.2, 8.0))
-        s = solve_cubic_model(SymMatrix(h), g, m_cubic)
+        s = solve_cubic_model(h, g, m_cubic)
         residual = np.linalg.norm(g + h @ s
                                   + 0.5 * m_cubic * np.linalg.norm(s) * s)
         ok &= residual <= 1e-9 * (np.linalg.norm(g) + 1.0)
         ok &= abs(_cubic_value(h, g, m_cubic, s)
                   - _bb_oracle(h, g, m_cubic, seed=trial)) <= 1e-6
 
-    s1 = solve_cubic_model(SymMatrix(np.array([[1.0]])), np.array([1.0]), 6.0)
+    s1 = solve_cubic_model(np.array([[1.0]]), np.array([1.0]), 6.0)
     ok &= abs(s1[0] - (1.0 - math.sqrt(13.0)) / 6.0) <= 1e-12
 
     ok = elapsed_ok("2 (cubic subproblem)", start, 5.0, ok, "200 instances")
@@ -419,7 +419,7 @@ def test_criterion_10_calculus_checks():
             fd_grad[j] = (p.value(x + e) - p.value(x - e)) / (2 * step)
             fd_hess[:, j] = (p.grad(x + e) - p.grad(x - e)) / (2 * step)
         grad = p.grad(x)
-        hess = p.hessian(x).entries
+        hess = p.hessian(x)
         ok &= np.linalg.norm(fd_grad - grad) <= 1e-5 * (1 + np.linalg.norm(grad))
         ok &= np.linalg.norm(0.5 * (fd_hess + fd_hess.T) - hess, "fro") \
             <= 1e-4 * (1 + np.linalg.norm(hess, "fro"))

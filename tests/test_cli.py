@@ -1,11 +1,17 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distnewton import cli
 from distnewton.cli import ExperimentConfig, main, parse_compressor_flag
-from distnewton.data import load_dataset
+from distnewton.compressors import bernoulli, dithering, identity, natural, random_r
+from distnewton.data import load_dataset, synth_artificial
+from distnewton.methods import Oracles
+from distnewton.problem import make_problem
 
 
 def base_config(tmp_path, **over):
@@ -53,6 +59,18 @@ class TestRun:
         rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)])
         assert rc == 4
         assert "nope.libsvm" in capsys.readouterr().err
+
+    def test_non_finite_feature_exits_2_and_names_line(self, tmp_path, capsys):
+        data = tmp_path / "bad.libsvm"
+        data.write_text("+1 1:1 2:1\n-1 1:0.5\n+1 1:nan 2:1\n-1 2:2\n")
+        cfg_path, _ = base_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg.pop("synth")
+        cfg["dataset_path"] = str(data)
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_invalid_method_config_exits_2(self, tmp_path, capsys):
         cfg_path, _ = base_config(tmp_path, method="nl1", lam=0.0,
@@ -202,6 +220,27 @@ class TestOracleCache:
         err = capsys.readouterr().err
         assert cached.name in err and "x_star" in err
 
+    @pytest.mark.parametrize("field, value", [("x_star", float("nan")),
+                                              ("value_star", float("inf")),
+                                              ("h_star", float("nan")),
+                                              ("grad_norm", float("-inf"))])
+    def test_non_finite_cache_value_exits_4(self, tmp_path, capsys, field, value):
+        # json reads NaN and Infinity, so a shape check alone lets them through
+        cfg_path, cached = self.cached_file(tmp_path)
+        d = json.loads(cached.read_text())
+        if field == "x_star":
+            d[field][0] = value
+        elif field == "h_star":
+            d[field][1][0] = value
+        else:
+            d[field] = value
+        cached.write_text(json.dumps(d))
+        capsys.readouterr()
+        rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert cached.name in err and field in err
+
     def test_format_version_is_part_of_the_key(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig.from_dict(base_config(tmp_path)[1])
         key = cli._oracle_cache_key(cfg)
@@ -236,6 +275,53 @@ class TestOracleCache:
         rc = main(["refopt", "--config", str(cfg_path), "--outdir", str(tmp_path)])
         assert rc == 4
         assert list((tmp_path / "oracles").iterdir()) == []
+
+
+ROUNDTRIP_PROBLEM = make_problem(synth_artificial(2, 3, 4, seed=0), n=2, shuffle_seed=0)
+FINITE = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(FINITE, min_size=4, max_size=4), FINITE,
+       st.lists(FINITE, min_size=6, max_size=6), FINITE)
+def test_oracle_cache_roundtrip_is_bitwise(x_star, value_star, h_star, grad_norm):
+    p = ROUNDTRIP_PROBLEM
+    o = Oracles(x_star=np.array(x_star), value_star=value_star,
+                h_star=np.array(h_star).reshape(p.n, p.m), grad_norm=grad_norm)
+    again = cli.oracles_from_json(cli.oracles_to_json(o), p)
+    for name in ("x_star", "value_star", "h_star", "grad_norm"):
+        assert bits(getattr(again, name)) == bits(getattr(o, name)), name
+
+
+def flag_text(spec) -> str:
+    """The --compressor flag that names this spec."""
+    if spec.kind == "random_r":
+        return f"random_r:{spec.r}"
+    if spec.kind == "dithering":
+        return "dithering" if spec.s is None else f"dithering:{spec.s}:{spec.q!r}"
+    if spec.kind == "bernoulli":
+        return f"bernoulli:{spec.p!r}:{flag_text(spec.inner)}"
+    return spec.kind
+
+
+SPECS = st.recursive(
+    st.one_of(st.just(identity()), st.just(natural()), st.just(dithering()),
+              st.builds(random_r, st.integers(1, 10 ** 6)),
+              st.builds(dithering, st.integers(1, 10 ** 6),
+                        st.floats(min_value=1.0, max_value=1e6))),
+    lambda inner: st.builds(bernoulli, inner,
+                            st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+    max_leaves=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SPECS)
+def test_compressor_flag_roundtrip(spec):
+    assert parse_compressor_flag(flag_text(spec)) == spec.to_dict()
 
 
 class TestCompare:

@@ -39,6 +39,17 @@ class TestParse:
             parse_libsvm("+1 1:1\n+1 2:oops\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line(self, value):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(f"+1 1:1\n-1 1:2 2:{value}\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_dataset_rejects_non_finite_features(self, value):
+        with pytest.raises(InputError):
+            Dataset(features=np.array([[1.0, value]]), labels=np.array([1.0]))
+
     def test_non_increasing_index(self):
         with pytest.raises(ParseError):
             parse_libsvm("+1 3:1 2:1\n")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distnewton import methods
+from distnewton import linalg, methods
 from distnewton.compressors import bernoulli, ceil_log2, identity, natural, random_r
 from distnewton.data import Dataset
 from distnewton.errors import ConfigError, InputError, ReplicaMismatchError
@@ -11,7 +11,7 @@ from distnewton.harness import (_METHODS, Budget, RunOptions, WorkerCharge,
                                 bits_to_reach, recompute_ledger_totals,
                                 replica_mismatches, run_experiment, tail_ratios,
                                 verify_replicas)
-from distnewton.linalg import SymMatrix, smallest_eigenvalue
+from distnewton.linalg import smallest_eigenvalue
 from distnewton.methods import reference_optimum
 from distnewton.problem import make_problem
 
@@ -245,8 +245,8 @@ class TestDiagnostics:
         for row in trace.rows[1:]:
             out = methods.learn_round(p, state, random_r(1), 0, eta)
             h_est, _, _ = methods._dominated_estimate(state, out.h_at_x)
-            full = smallest_eigenvalue(SymMatrix(
-                h_est.add_diagonal(p.lam).entries - p.hessian(state.x).entries))
+            full = smallest_eigenvalue(
+                linalg.add_diagonal(h_est, p.lam) - p.hessian(state.x))
             margin = row.extras["domination_margin"]
             assert margin == pytest.approx(full, rel=1e-9, abs=1e-12)
             state = out.state

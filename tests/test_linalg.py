@@ -3,7 +3,7 @@ import pytest
 
 from distnewton import linalg
 from distnewton.errors import InputError, SingularMatrixError
-from distnewton.linalg import (PD_PIVOT_RTOL, SymMatrix, cholesky_spd,
+from distnewton.linalg import (PD_PIVOT_RTOL, cholesky_spd,
                                rank1_accumulate, solve_cholesky, solve_spd,
                                spd_inverse, sym_eig, weighted_gram)
 
@@ -14,65 +14,51 @@ def random_symmetric(seed):
     g = np.random.default_rng(seed)
     d = int(g.integers(2, 51))
     a = g.standard_normal((d, d))
-    return SymMatrix(0.5 * (a + a.T)), g
+    return 0.5 * (a + a.T), g
 
 
 def random_spd(g, d, cond=1e8):
     q, _ = np.linalg.qr(g.standard_normal((d, d)))
     eigs = np.logspace(-np.log10(cond), 0, d)
-    return SymMatrix(q @ np.diag(eigs) @ q.T)
-
-
-class TestSymMatrix:
-    def test_exact_symmetry_enforced(self):
-        a = np.array([[1.0, 2.0 + 1e-13], [2.0, 3.0]])
-        m = SymMatrix(a)
-        assert np.array_equal(m.entries, m.entries.T)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(InputError):
-            SymMatrix(np.zeros((2, 3)))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(InputError):
-            SymMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    a = q @ np.diag(eigs) @ q.T
+    return 0.5 * (a + a.T)
 
 
 class TestSymEig:
     def test_identity(self):
-        e = sym_eig(SymMatrix(np.eye(3)))
+        e = sym_eig(np.eye(3))
         assert np.allclose(e.eigenvalues, [1, 1, 1], atol=1e-14)
 
     def test_two_by_two(self):
         # roots of x^2 - 4x + 3
-        e = sym_eig(SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+        e = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert np.allclose(e.eigenvalues, [1.0, 3.0], atol=1e-12)
 
     def test_diagonal_sorted_ascending(self):
-        e = sym_eig(SymMatrix(np.diag([5.0, -2.0, 0.0])))
+        e = sym_eig(np.diag([5.0, -2.0, 0.0]))
         assert np.allclose(e.eigenvalues, [-2.0, 0.0, 5.0], atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_reconstruction_and_orthonormality(self, seed):
         a, _ = random_symmetric(seed)
         e = sym_eig(a)
-        scale = np.linalg.norm(a.entries, "fro")
-        assert np.linalg.norm(e.reconstruct() - a.entries, "fro") <= 1e-10 * scale
+        scale = np.linalg.norm(a, "fro")
+        assert np.linalg.norm(e.reconstruct() - a, "fro") <= 1e-10 * scale
         u = e.eigenvectors
-        assert np.linalg.norm(u @ u.T - np.eye(a.dim), "fro") <= 1e-10
+        assert np.linalg.norm(u @ u.T - np.eye(a.shape[0]), "fro") <= 1e-10
 
 
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(solve_spd(SymMatrix(np.eye(3)), b), b)
+        assert np.array_equal(solve_spd(np.eye(3), b), b)
 
     def test_diagonal(self):
-        x = solve_spd(SymMatrix(np.diag([4.0, 9.0])), np.array([8.0, 27.0]))
+        x = solve_spd(np.diag([4.0, 9.0]), np.array([8.0, 27.0]))
         assert np.allclose(x, [2.0, 3.0], atol=1e-14)
 
     def test_two_by_two(self):
-        x = solve_spd(SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])),
+        x = solve_spd(np.array([[2.0, 1.0], [1.0, 2.0]]),
                       np.array([3.0, 3.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
@@ -80,8 +66,8 @@ class TestSolveSpd:
     def test_recovery_at_high_condition(self, seed):
         g = np.random.default_rng(seed + 1000)
         a = random_spd(g, int(g.integers(2, 40)), cond=1e8)
-        x = g.standard_normal(a.dim)
-        xh = solve_spd(a, a.entries @ x)
+        x = g.standard_normal(a.shape[0])
+        xh = solve_spd(a, a @ x)
         assert np.linalg.norm(xh - x) <= 1e-8 * np.linalg.norm(x)
 
     def test_residual_bound(self):
@@ -89,25 +75,30 @@ class TestSolveSpd:
         a = random_spd(g, 25, cond=1e6)
         b = g.standard_normal(25)
         x = solve_spd(a, b)
-        res = np.linalg.norm(a.entries @ x - b)
-        assert res <= 1e-8 * (np.linalg.norm(a.entries, "fro") * np.linalg.norm(x)
+        res = np.linalg.norm(a @ x - b)
+        assert res <= 1e-8 * (np.linalg.norm(a, "fro") * np.linalg.norm(x)
                               + np.linalg.norm(b))
 
     def test_non_pd_names_pivot(self):
         with pytest.raises(SingularMatrixError) as exc:
-            cholesky_spd(SymMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+            cholesky_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert exc.value.pivot_index == 1
 
     def test_zero_matrix_fails_at_first_pivot(self):
         with pytest.raises(SingularMatrixError) as exc:
-            cholesky_spd(SymMatrix(np.zeros((3, 3))))
+            cholesky_spd(np.zeros((3, 3)))
         assert exc.value.pivot_index == 0
 
     def test_inverse(self):
         g = np.random.default_rng(3)
         a = random_spd(g, 12, cond=1e4)
         inv = spd_inverse(a)
-        assert np.allclose(inv.entries @ a.entries, np.eye(12), atol=1e-9)
+        assert np.allclose(inv @ a, np.eye(12), atol=1e-9)
+        assert np.array_equal(inv, inv.T)
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(InputError):
+            solve_spd(np.zeros((2, 3)), np.ones(2))
 
     def test_many_rhs_match_one_at_a_time(self):
         g = np.random.default_rng(4)
@@ -122,7 +113,7 @@ class TestSolveSpd:
 
 
 def pivot_tol(a):
-    return PD_PIVOT_RTOL * max(float(np.max(np.diagonal(a.entries))), 0.0)
+    return PD_PIVOT_RTOL * max(float(np.max(np.diagonal(a))), 0.0)
 
 
 class TestCholeskyAgainstLoop:
@@ -136,34 +127,34 @@ class TestCholeskyAgainstLoop:
         g = np.random.default_rng(seed + 500)
         a = random_spd(g, int(g.integers(1, 60)), cond=1e4)
         fast = cholesky_spd(a)
-        loop = linalg._cholesky_pivoted(a.entries, pivot_tol(a))
+        loop = linalg._cholesky_pivoted(a, pivot_tol(a))
         assert np.array_equal(np.tril(fast), fast)
         assert np.linalg.norm(fast - loop) <= self.RTOL * np.linalg.norm(loop)
 
     def test_lapack_success_below_tolerance_names_loop_pivot(self):
         # LAPACK accepts the tiny positive pivot at index 2; the relative
         # tolerance does not, and the loop names it
-        a = SymMatrix(np.array([[4.0, 2.0, 2.0, 0.0],
+        a = np.array([[4.0, 2.0, 2.0, 0.0],
                                 [2.0, 5.0, 1.0, 0.0],
                                 [2.0, 1.0, 1.0 + 1e-13, 0.0],
-                                [0.0, 0.0, 0.0, 3.0]]))
-        assert np.all(np.diagonal(np.linalg.cholesky(a.entries)) > 0)
+                                [0.0, 0.0, 0.0, 3.0]])
+        assert np.all(np.diagonal(np.linalg.cholesky(a)) > 0)
         with pytest.raises(SingularMatrixError) as exc:
             cholesky_spd(a)
         with pytest.raises(SingularMatrixError) as ref:
-            linalg._cholesky_pivoted(a.entries, pivot_tol(a))
+            linalg._cholesky_pivoted(a, pivot_tol(a))
         assert exc.value.pivot_index == ref.value.pivot_index == 2
         assert exc.value.pivot == ref.value.pivot
         assert exc.value.tol == pytest.approx(5.0 * PD_PIVOT_RTOL)
 
     def test_lapack_failure_names_loop_pivot(self):
-        a = SymMatrix(np.array([[2.0, 1.0, 0.0, 0.0, 0.0],
+        a = np.array([[2.0, 1.0, 0.0, 0.0, 0.0],
                                 [1.0, 2.0, 0.0, 0.0, 0.0],
                                 [0.0, 0.0, 1.0, 0.0, 0.0],
                                 [0.0, 0.0, 0.0, 1.0, 3.0],
-                                [0.0, 0.0, 0.0, 3.0, 1.0]]))
+                                [0.0, 0.0, 0.0, 3.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(a.entries)
+            np.linalg.cholesky(a)
         with pytest.raises(SingularMatrixError) as exc:
             cholesky_spd(a)
         assert exc.value.pivot_index == 4
@@ -173,40 +164,40 @@ class TestCholeskyAgainstLoop:
 class TestRank1:
     def test_basis_vector(self):
         e1 = np.array([1.0, 0.0, 0.0])
-        out = rank1_accumulate(SymMatrix(np.zeros((3, 3))), 1.0, e1)
+        out = rank1_accumulate(np.zeros((3, 3)), 1.0, e1)
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0
-        assert np.array_equal(out.entries, expected)
+        assert np.array_equal(out, expected)
 
     def test_negative_coefficient(self):
-        out = rank1_accumulate(SymMatrix(np.eye(2)), -1.0, np.array([1.0, 1.0]))
-        assert np.array_equal(out.entries, np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        out = rank1_accumulate(np.eye(2), -1.0, np.array([1.0, 1.0]))
+        assert np.array_equal(out, np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
     def test_zero_coefficient_is_identity_op(self):
         a, g = random_symmetric(5)
-        out = rank1_accumulate(a, 0.0, g.standard_normal(a.dim))
-        assert np.array_equal(out.entries, a.entries)
+        out = rank1_accumulate(a, 0.0, g.standard_normal(a.shape[0]))
+        assert np.array_equal(out, a)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            rank1_accumulate(SymMatrix(np.eye(2)), 1.0, np.ones(3))
+            rank1_accumulate(np.eye(2), 1.0, np.ones(3))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_preserves_symmetry_exactly(self, seed):
         a, g = random_symmetric(seed)
-        out = rank1_accumulate(a, float(g.standard_normal()), g.standard_normal(a.dim))
-        assert np.array_equal(out.entries, out.entries.T)
+        out = rank1_accumulate(a, float(g.standard_normal()), g.standard_normal(a.shape[0]))
+        assert np.array_equal(out, out.T)
 
 
 def test_weighted_gram_matches_rank1_sum():
     g = np.random.default_rng(11)
     rows = g.standard_normal((6, 4))
     w = g.standard_normal(6)
-    acc = SymMatrix(np.zeros((4, 4)))
+    acc = np.zeros((4, 4))
     for row, c in zip(rows, w):
         acc = rank1_accumulate(acc, 0.5 * c, row)
     batched = weighted_gram(rows, w, scale=0.5)
-    assert np.allclose(acc.entries, batched.entries, atol=1e-12)
+    assert np.allclose(acc, batched, atol=1e-12)
 
 
 def general_gram(rows, w, scale):
@@ -222,10 +213,10 @@ def test_weighted_gram_nonnegative_weights_take_the_symmetric_product(seed):
     gram = weighted_gram(rows, w, scale=1.0 / 200)
     x = rows * np.sqrt((1.0 / 200) * w)[:, None]
     # bitwise equal to X.T @ X: that product is exactly symmetric already
-    assert np.array_equal(gram.entries, x.T @ x)
-    assert np.array_equal(gram.entries, gram.entries.T)
+    assert np.array_equal(gram, x.T @ x)
+    assert np.array_equal(gram, gram.T)
     ref = general_gram(rows, w, 1.0 / 200)
-    assert np.linalg.norm(gram.entries - ref) <= 1e3 * EPS * np.linalg.norm(ref)
+    assert np.linalg.norm(gram - ref) <= 1e3 * EPS * np.linalg.norm(ref)
 
 
 def test_weighted_gram_mixed_signs_take_the_general_product():
@@ -234,4 +225,6 @@ def test_weighted_gram_mixed_signs_take_the_general_product():
     w = g.standard_normal(50)
     assert np.min(w) < 0 < np.max(w)
     gram = weighted_gram(rows, w, scale=0.1)
-    assert np.array_equal(gram.entries, SymMatrix(general_gram(rows, w, 0.1)).entries)
+    ref = general_gram(rows, w, 0.1)
+    assert np.array_equal(gram, 0.5 * (ref + ref.T))
+    assert np.array_equal(gram, gram.T)

@@ -3,7 +3,7 @@ import pytest
 
 from distnewton.compressors import random_r
 from distnewton.data import Dataset
-from distnewton.methods import default_eta, learn_init, learn_round
+from distnewton.methods import REBUILD_PERIOD, default_eta, learn_init, learn_round
 from distnewton.problem import make_problem
 
 
@@ -26,5 +26,19 @@ def test_shifted_gram_matches_rebuild_after_50_rounds(variant):
     for _ in range(50):
         state = learn_round(p, state, spec, seed=4, eta=eta).state
     rebuilt = p.data_gram(state.h + 2.0 * gamma)
-    drift = np.linalg.norm(state.h_matrix.entries - rebuilt.entries, "fro")
-    assert drift <= 1e-8 * rebuilt.frobenius()
+    drift = np.linalg.norm(state.h_matrix - rebuilt, "fro")
+    assert drift <= 1e-8 * np.linalg.norm(rebuilt, "fro")
+
+
+@pytest.mark.parametrize("variant", ["nl1", "nl2"])
+def test_gram_stays_exactly_symmetric_across_a_rebuild(variant):
+    # coefficient changes of both signs take weighted_gram's mixed-sign branch
+    p = small_problem(seed=32)
+    spec = random_r(2)
+    eta = default_eta(spec, p.m)
+    gamma = None if variant == "nl1" else p.loss.gamma
+    state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)), gamma)
+    for _ in range(REBUILD_PERIOD + 2):
+        state = learn_round(p, state, spec, seed=5, eta=eta).state
+        assert np.array_equal(state.h_matrix, state.h_matrix.T)
+    assert state.rebuild_drift > 0.0     # the rebuild ran

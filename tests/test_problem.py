@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from distnewton import linalg
 from distnewton.data import Dataset, partition, synth_artificial
 from distnewton.errors import InputError
 from distnewton.linalg import smallest_eigenvalue
@@ -176,7 +177,7 @@ class TestEvaluationSlot:
     def test_mutating_x_in_place_gives_fresh_results(self):
         p = dense_problem()
         x = start_point(p)
-        before = (p.value(x), p.grad(x), p.h_all(x).copy(), p.hessian(x).entries)
+        before = (p.value(x), p.grad(x), p.h_all(x).copy(), p.hessian(x))
         x *= 2.0
         fresh = dense_problem()
         assert p.value(x) == fresh.value(x) != before[0]
@@ -184,21 +185,21 @@ class TestEvaluationSlot:
         assert not np.array_equal(p.grad(x), before[1])
         assert np.array_equal(p.h_all(x), fresh.h_all(x))
         assert not np.array_equal(p.h_all(x), before[2])
-        assert np.array_equal(p.hessian(x).entries, fresh.hessian(x).entries)
+        assert np.array_equal(p.hessian(x), fresh.hessian(x))
         assert np.array_equal(p.local_grad(slice(None), x),
                               fresh.local_grad(slice(None), x))
 
     def test_changing_lam_gives_fresh_results(self):
         p = dense_problem(lam=1e-2)
         x = start_point(p)
-        value, grad, hess = p.value(x), p.grad(x), p.hessian(x).entries
+        value, grad, hess = p.value(x), p.grad(x), p.hessian(x)
         p.lam = 0.5
         fresh = dense_problem(lam=0.5)
         assert p.value(x) == fresh.value(x) != value
         assert np.array_equal(p.grad(x), fresh.grad(x))
         assert not np.array_equal(p.grad(x), grad)
-        assert np.array_equal(p.hessian(x).entries, fresh.hessian(x).entries)
-        assert not np.array_equal(p.hessian(x).entries, hess)
+        assert np.array_equal(p.hessian(x), fresh.hessian(x))
+        assert not np.array_equal(p.hessian(x), hess)
         assert np.array_equal(p.value_and_grad(x)[1], fresh.grad(x))
 
     def test_returned_arrays_cannot_change_a_later_call(self):
@@ -275,12 +276,12 @@ class TestHessian:
         g = np.random.default_rng(6)
         h1 = p.hessian(g.standard_normal(p.d))
         h2 = p.hessian(g.standard_normal(p.d))
-        assert np.array_equal(h1.entries, h2.entries)
+        assert np.array_equal(h1, h2)
 
     def test_single_point_logistic(self):
         ds = Dataset(features=np.array([[1.0]]), labels=np.array([1.0]))
         p = make_problem(ds, n=1, shuffle_seed=0, loss_kind="logistic", lam=0.0)
-        assert p.hessian(np.zeros(1)).entries[0, 0] == pytest.approx(0.25, abs=1e-15)
+        assert p.hessian(np.zeros(1))[0, 0] == pytest.approx(0.25, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_hessian_matches_finite_differences(self, seed):
@@ -289,13 +290,14 @@ class TestHessian:
         x = g.standard_normal(p.d)
         step = 1e-5 * (1.0 + np.linalg.norm(x))
         fd = fd_hessian(p, x, step)
-        h = p.hessian(x).entries
+        h = p.hessian(x)
+        assert np.array_equal(h, h.T)
         assert np.linalg.norm(fd - h, "fro") <= 1e-4 * (1.0 + np.linalg.norm(h, "fro"))
 
     def test_logistic_data_part_is_psd(self):
         p = tiny_problem("logistic", lam=0.3, seed=8)
         x = np.random.default_rng(9).standard_normal(p.d)
-        data_part = p.hessian(x).add_diagonal(-p.lam)
+        data_part = linalg.add_diagonal(p.hessian(x), -p.lam)
         assert smallest_eigenvalue(data_part) >= -1e-10
 
 
