@@ -31,7 +31,8 @@ from .data import (Dataset, load_dataset, partition as make_partition,
 from .errors import (CacheError, ConfigError, DistNewtonError, InputError,
                      NumericalError, ParseError, ReplicaMismatchError,
                      SingularMatrixError)
-from .harness import Budget, RunOptions, Trace, bits_to_reach, run_experiment
+from .harness import (COMPRESSED_METHODS, METHOD_NAMES, Budget, RunOptions,
+                      Trace, bits_to_reach, run_experiment)
 from .methods import Oracles, reference_optimum
 from .problem import Problem, loss_model
 
@@ -77,6 +78,11 @@ class ExperimentConfig:
             raise ConfigError("seed is mandatory; wall-clock seeding is not supported")
         if (self.dataset_path is None) == (self.synth is None):
             raise ConfigError("exactly one of dataset_path or synth must be given")
+        if self.method not in METHOD_NAMES:
+            raise ConfigError(f"unknown method {self.method!r}; "
+                              f"choose from {', '.join(METHOD_NAMES)}")
+        if self.method in COMPRESSED_METHODS and self.compressor is None:
+            raise ConfigError(f"method {self.method!r} requires a compressor")
         if self.method == "nl1" and self.lam <= 0:
             raise ConfigError("nl1 requires lam > 0")
         if self.option not in (1, 2):
@@ -205,18 +211,23 @@ def oracles_from_json(text: str, p: Problem) -> Oracles:
                         ("h_star", h_star), ("grad_norm", grad_norm)):
         if not np.all(np.isfinite(value)):
             raise InputError(f"{name} holds a non-finite value")
+    hessian_star = p.data_gram(h_star)
+    # one pair serves every config of a compare, so no run may write into it
+    for a in (x_star, h_star, hessian_star):
+        a.setflags(write=False)
     return Oracles(
         x_star=x_star,
         value_star=value_star,
         h_star=h_star,
-        hessian_star=p.data_gram(h_star),
+        hessian_star=hessian_star,
         grad_norm=grad_norm,
     )
 
 
 def load_or_compute_oracles(cfg: ExperimentConfig, p: Problem,
-                            outroot: Path) -> Oracles:
-    path = oracle_path(cfg, outroot)
+                            path: Path) -> Oracles:
+    """The oracles cached at ``path`` (see ``oracle_path``), computed and
+    written there first if the file does not exist."""
     if path.exists():
         try:
             return oracles_from_json(path.read_text(), p)
@@ -246,10 +257,18 @@ def _outroot(args) -> Path:
     return Path(os.environ.get("DISTNEWTON_OUT", "runs"))
 
 
-def execute_config(cfg: ExperimentConfig, outroot: Path) -> Trace:
-    cfg.validate()
+def _prepare(cfg: ExperimentConfig, outroot: Path) -> tuple[Problem, Oracles]:
+    """The config's problem and its oracles, from the cache under outroot."""
     p = cfg.build_problem()
-    oracles = load_or_compute_oracles(cfg, p, outroot)
+    return p, load_or_compute_oracles(cfg, p, oracle_path(cfg, outroot))
+
+
+def execute_config(cfg: ExperimentConfig, outroot: Path,
+                   prepared: Optional[tuple[Problem, Oracles]] = None) -> Trace:
+    """Run one config. ``prepared`` is the ``_prepare`` pair of a config with
+    the same ``problem_key``; without it the problem is built here."""
+    cfg.validate()
+    p, oracles = prepared if prepared is not None else _prepare(cfg, outroot)
     return run_experiment(
         cfg.method, p, cfg.compressor_spec(), cfg.budget(), cfg.seed,
         oracles=oracles, opts=cfg.run_options(), config_echo=cfg.to_dict())
@@ -272,7 +291,7 @@ def cmd_refopt(args) -> int:
     cfg.validate()
     p = cfg.build_problem()
     path = oracle_path(cfg, outroot)
-    o = load_or_compute_oracles(cfg, p, outroot)
+    o = load_or_compute_oracles(cfg, p, path)
     print(f"reference optimum: P*={o.value_star!r} grad_norm={o.grad_norm:.3e} "
           f"-> {path}")
     return EXIT_OK
@@ -283,6 +302,8 @@ def cmd_compare(args) -> int:
                for f in args.configs]
     if not configs:
         raise ConfigError("compare needs at least one config")
+    for cfg in configs:
+        cfg.validate()
     key0 = configs[0].problem_key()
     for cfg in configs[1:]:
         if cfg.problem_key() != key0:
@@ -292,9 +313,11 @@ def cmd_compare(args) -> int:
     outroot = _outroot(args)
     thresholds = args.gap_thresholds or list(GAP_THRESHOLDS)
 
+    # equal problem keys give equal problems and oracles: build them once
+    prepared = _prepare(configs[0], outroot)
     traces = []
     for cfg in configs:
-        trace = execute_config(cfg, outroot)
+        trace = execute_config(cfg, outroot, prepared)
         trace.write(outroot, cfg.stem())
         traces.append((cfg, trace))
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import gzip
 import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,12 +66,18 @@ class Partition:
             raise InputError("shards must be disjoint")
 
 
+_NOT_COLON_OR_SPACE = bytes(c for c in range(256) if c not in b": ")
+
+
 def parse_libsvm(source, d_hint: int | None = None) -> Dataset:
     """Parse LIBSVM text: one "<label> <idx>:<val> ..." record per line.
 
     Indices are 1-based and must be strictly increasing within a line.
     The feature dimension is the largest index seen, or ``d_hint`` if that
-    is larger; absent features are zero.
+    is larger; absent features are zero. Labels are read line by line; the
+    feature tokens of all lines are then converted in one pass each by
+    ``int`` and ``float`` and checked with numpy. Any error names the first
+    offending line in file order.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
@@ -82,49 +87,84 @@ def parse_libsvm(source, d_hint: int | None = None) -> Dataset:
         raw = source.read()
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
 
-    rows: list[tuple[list[int], list[float]]] = []
     labels: list[float] = []
-    max_index = d_hint or 0
+    linenos: list[int] = []
+    counts: list[int] = []          # feature tokens per record
+    toks: list[str] = []
+    label_error = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
         tokens = line.split()
+        if not tokens:
+            continue
         try:
             label = float(tokens[0])
         except ValueError:
-            raise ParseError(f"bad label token {tokens[0]!r}", lineno) from None
+            label_error = ParseError(f"bad label token {tokens[0]!r}", lineno)
+            break
         if label not in (-1.0, 0.0, 1.0):
-            raise ParseError(f"label {tokens[0]!r} outside {{-1, 0, +1}}", lineno)
+            label_error = ParseError(f"label {tokens[0]!r} outside {{-1, 0, +1}}", lineno)
+            break
         labels.append(-1.0 if label <= 0.0 else 1.0)
+        linenos.append(lineno)
+        counts.append(len(tokens) - 1)
+        toks += tokens[1:]
 
-        idxs: list[int] = []
-        vals: list[float] = []
-        prev = 0
-        for tok in tokens[1:]:
-            try:
-                idx_text, val_text = tok.split(":", 1)
-                idx = int(idx_text)
-                val = float(val_text)
-            except ValueError:
-                raise ParseError(f"bad feature token {tok!r}", lineno) from None
-            if not math.isfinite(val):
-                raise ParseError(f"non-finite feature value {tok!r}", lineno)
-            if idx <= prev:
-                raise ParseError(f"index {idx} not strictly increasing", lineno)
-            prev = idx
-            idxs.append(idx)
-            vals.append(val)
-        max_index = max(max_index, prev)
-        rows.append((idxs, vals))
-
-    if not rows:
+    # Every check below cuts ``ok`` to the first token it rejects, so tokens
+    # [0, ok) pass all of them. One colon per token holds for all tokens
+    # exactly when colons and spaces alternate in the space-joined tokens.
+    n_tok = len(toks)
+    spaced = " ".join(toks)
+    if spaced.encode().translate(None, _NOT_COLON_OR_SPACE) == (b": " * n_tok)[:-1]:
+        ok = n_tok
+    else:
+        ok = next(k for k, tok in enumerate(toks) if tok.count(":") != 1)
+        spaced = " ".join(toks[:ok])
+    del toks            # keeps the tokens and the texts split from them from coexisting
+    texts = spaced.replace(" ", ":").split(":") if ok else []
+    idx = _convert(int, texts[0::2], np.int64)
+    val = _convert(float, texts[1::2], np.float64)
+    del texts
+    ok = min(len(idx), len(val))
+    idx, val = idx[:ok], val[:ok]
+    per_record = np.asarray(counts, dtype=np.int64)
+    record = np.repeat(np.arange(len(counts)), per_record)
+    starts = np.cumsum(per_record) - per_record
+    prev = np.zeros(ok, dtype=np.int64)
+    prev[1:] = idx[:-1]
+    prev[starts[starts < ok]] = 0
+    finite = np.isfinite(val)
+    flagged = np.flatnonzero(~finite | (idx <= prev))
+    k = int(flagged[0]) if flagged.size else ok
+    if k < n_tok:
+        lineno = linenos[record[k]]
+        tok = text.splitlines()[lineno - 1].split()[1 + k - starts[record[k]]]
+        if k == ok:
+            raise ParseError(f"bad feature token {tok!r}", lineno)
+        if not finite[k]:
+            raise ParseError(f"non-finite feature value {tok!r}", lineno)
+        raise ParseError(f"index {int(idx[k])} not strictly increasing", lineno)
+    if label_error is not None:
+        raise label_error
+    if not labels:
         raise ParseError("no data points in input")
 
-    features = np.zeros((len(rows), max_index), dtype=np.float64)
-    for k, (idxs, vals) in enumerate(rows):
-        features[k, np.asarray(idxs, dtype=np.int64) - 1] = vals
+    max_index = max(d_hint or 0, int(idx.max()) if ok else 0)
+    features = np.zeros((len(labels), max_index), dtype=np.float64)
+    features[record, idx - 1] = val
     return Dataset(features=features, labels=np.asarray(labels, dtype=np.float64))
+
+
+def _convert(fn, texts: list[str], dtype) -> np.ndarray:
+    """``fn`` of each text, cut before the first text ``fn`` rejects."""
+    try:
+        return np.fromiter(map(fn, texts), dtype, len(texts))
+    except ValueError:
+        for k, t in enumerate(texts):
+            try:
+                fn(t)
+            except ValueError:
+                return np.fromiter(map(fn, texts[:k]), dtype, k)
+        raise
 
 
 def dumps_libsvm(ds: Dataset) -> str:

@@ -75,13 +75,16 @@ def reference_optimum(p: Problem, newton_iters: int = 20) -> Oracles:
     for _ in range(newton_iters):
         x = newton_step(p, x)
     h_star = p.h_all(x)
-    return Oracles(
+    o = Oracles(
         x_star=x,
         value_star=p.value(x),
         h_star=h_star,
         hessian_star=p.data_gram(h_star),
         grad_norm=float(np.linalg.norm(p.grad(x))),
     )
+    for a in (o.x_star, o.h_star, o.hessian_star):
+        a.setflags(write=False)
+    return o
 
 
 def ns_step(p: Problem, oracles: Oracles, x: Array) -> Array:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from distnewton import cli
 from distnewton.cli import ExperimentConfig, main, parse_compressor_flag
 from distnewton.compressors import bernoulli, dithering, identity, natural, random_r
-from distnewton.data import load_dataset, synth_artificial
-from distnewton.methods import Oracles
+from distnewton.data import load_dataset, save_dataset, synth_artificial
+from distnewton.harness import COMPRESSED_METHODS, METHOD_NAMES
+from distnewton.methods import Oracles, reference_optimum
 from distnewton.problem import make_problem
 
 
@@ -78,6 +80,17 @@ class TestRun:
         rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)])
         assert rc == 2
         assert "lam" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, culprit", [(["--method", "nl3"], "nl3"),
+                                                (["--method", "nl2"], "compressor")])
+    def test_invalid_method_exits_2_before_any_work(self, tmp_path, capsys,
+                                                     flags, culprit):
+        cfg_path, _ = base_config(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg_path), "--outdir", str(out), *flags])
+        assert rc == 2
+        assert culprit in capsys.readouterr().err
+        assert not out.exists()          # no oracle cache, no trace
 
     @pytest.mark.parametrize("text", ["{\"method\": ", "[1, 2]"])
     def test_config_file_not_a_json_object_exits_2(self, tmp_path, capsys, text):
@@ -186,6 +199,14 @@ class TestRefopt:
         assert main(["refopt", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 0
         assert cached[0].read_bytes() == before
 
+    def test_dataset_is_hashed_once(self, tmp_path, monkeypatch):
+        keys = []
+        key = cli._oracle_cache_key
+        monkeypatch.setattr(cli, "_oracle_cache_key", lambda cfg: keys.append(1) or key(cfg))
+        cfg_path, _ = base_config(tmp_path)
+        assert main(["refopt", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 0
+        assert len(keys) == 1
+
     def test_cache_distinguishes_lambda(self, tmp_path):
         for lam in (1e-2, 1e-3):
             cfg_path, _ = base_config(tmp_path, lam=lam)
@@ -277,6 +298,22 @@ class TestOracleCache:
         assert list((tmp_path / "oracles").iterdir()) == []
 
 
+def read_only_oracles():
+    """The oracles as computed, and as read back from a cache file."""
+    p = make_problem(synth_artificial(2, 5, 3, seed=1), n=2, shuffle_seed=0, lam=1e-2)
+    computed = reference_optimum(p, newton_iters=3)
+    return computed, cli.oracles_from_json(cli.oracles_to_json(computed), p)
+
+
+@pytest.mark.parametrize("source", [0, 1], ids=["computed", "cached"])
+@pytest.mark.parametrize("name", ["x_star", "h_star", "hessian_star"])
+def test_oracle_arrays_are_read_only(source, name):
+    # a compare hands one Oracles to every config, so a write must not pass
+    a = getattr(read_only_oracles()[source], name)
+    with pytest.raises(ValueError):
+        a[(0,) * a.ndim] = 1.0
+
+
 ROUNDTRIP_PROBLEM = make_problem(synth_artificial(2, 3, 4, seed=0), n=2, shuffle_seed=0)
 FINITE = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
 
@@ -356,6 +393,16 @@ class TestCompare:
         assert rc == 2
         assert "step_size" in capsys.readouterr().err
 
+    def test_invalid_later_config_writes_nothing(self, tmp_path, capsys):
+        a, _ = base_config(tmp_path, method="newton", tag="a")
+        b, _ = base_config(tmp_path, method="nl2", tag="b",
+                           compressor={"kind": "random_r", "r": 0})
+        out = tmp_path / "out"
+        rc = main(["compare", str(a), str(b), "--outdir", str(out)])
+        assert rc == 2
+        assert "r >= 1" in capsys.readouterr().err
+        assert not out.exists()          # neither a's trace nor an oracle cache
+
     def test_mismatched_problems_rejected(self, tmp_path, capsys):
         a, _ = base_config(tmp_path, method="newton", tag="a")
         b, _ = base_config(tmp_path, method="newton", lam=1e-5, tag="b")
@@ -409,3 +456,49 @@ class TestCompressorFlag:
         assert main(["run", "--config", str(cfg_path)]) == 0
         stem = ExperimentConfig.from_dict(cfg).stem()
         assert (tmp_path / "envroot" / f"{stem}.csv").exists()
+
+
+COMPRESSORS = {"dcgd": {"kind": "random_r", "r": 2},
+               "diana": {"kind": "dithering", "s": 3, "q": 2.0},
+               "nl1": {"kind": "random_r", "r": 1},
+               "nl2": {"kind": "natural"},
+               "cnl": {"kind": "bernoulli", "p": 0.5,
+                       "inner": {"kind": "random_r", "r": 1}}}
+
+
+class TestCompareSharesTheProblem:
+    """compare builds one problem and one set of oracles for all its configs."""
+
+    @pytest.fixture
+    def configs(self, tmp_path):
+        data = tmp_path / "toy.libsvm.gz"
+        save_dataset(synth_artificial(3, 8, 5, seed=2, mean=0.0, variance=1.0), data)
+        assert set(COMPRESSORS) == set(COMPRESSED_METHODS)
+        paths = []
+        for method in METHOD_NAMES:
+            cfg = {"method": method, "seed": 11, "lam": 1e-2, "n": 3,
+                   "shuffle_seed": 4, "dataset_path": str(data), "max_iters": 6,
+                   "compressor": COMPRESSORS.get(method)}
+            path = tmp_path / f"{method}.json"
+            path.write_text(json.dumps(cfg))
+            paths.append(str(path))
+        return paths
+
+    def test_traces_equal_runs_on_a_fresh_problem(self, tmp_path, configs):
+        out, alone = tmp_path / "out", tmp_path / "alone"
+        assert main(["compare", *configs, "--outdir", str(out)]) == 0
+        for path in configs:
+            cfg = ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
+            cli.execute_config(cfg, out).write(alone, cfg.stem())
+            for suffix in (".csv", ".json"):
+                name = cfg.stem() + suffix
+                assert (out / name).read_bytes() == (alone / name).read_bytes(), name
+
+    def test_one_parse_per_compare(self, tmp_path, configs, monkeypatch):
+        loads = []
+        load = cli.load_dataset
+        monkeypatch.setattr(cli, "load_dataset",
+                            lambda *a, **kw: loads.append(1) or load(*a, **kw))
+        for calls in (1, 2):
+            assert main(["compare", *configs, "--outdir", str(tmp_path)]) == 0
+            assert len(loads) == calls

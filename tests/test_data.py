@@ -1,4 +1,5 @@
 import gzip
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,63 @@ from hypothesis import strategies as st
 from distnewton.data import (Dataset, dumps_libsvm, load_dataset, parse_libsvm,
                              partition, save_dataset, synth_artificial)
 from distnewton.errors import InputError, ParseError
+
+
+def reference_parse_libsvm(text: str, d_hint: int | None = None) -> Dataset:
+    """The token-by-token parser that ``parse_libsvm`` batches; every outcome,
+    a Dataset or a ParseError with its message, must match it."""
+    rows: list[tuple[list[int], list[float]]] = []
+    labels: list[float] = []
+    max_index = d_hint or 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"bad label token {tokens[0]!r}", lineno) from None
+        if label not in (-1.0, 0.0, 1.0):
+            raise ParseError(f"label {tokens[0]!r} outside {{-1, 0, +1}}", lineno)
+        labels.append(-1.0 if label <= 0.0 else 1.0)
+
+        idxs: list[int] = []
+        vals: list[float] = []
+        prev = 0
+        for tok in tokens[1:]:
+            try:
+                idx_text, val_text = tok.split(":", 1)
+                idx = int(idx_text)
+                val = float(val_text)
+            except ValueError:
+                raise ParseError(f"bad feature token {tok!r}", lineno) from None
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite feature value {tok!r}", lineno)
+            if idx <= prev:
+                raise ParseError(f"index {idx} not strictly increasing", lineno)
+            prev = idx
+            idxs.append(idx)
+            vals.append(val)
+        max_index = max(max_index, prev)
+        rows.append((idxs, vals))
+
+    if not rows:
+        raise ParseError("no data points in input")
+
+    features = np.zeros((len(rows), max_index), dtype=np.float64)
+    for k, (idxs, vals) in enumerate(rows):
+        features[k, np.asarray(idxs, dtype=np.int64) - 1] = vals
+    return Dataset(features=features, labels=np.asarray(labels, dtype=np.float64))
+
+
+def parse_outcome(parse, text: str, d_hint: int | None = None):
+    """What a parser makes of the text: the dataset's bytes, or the error."""
+    try:
+        ds = parse(text, d_hint=d_hint)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.line
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
 
 
 class TestParse:
@@ -65,6 +123,38 @@ class TestParse:
     def test_bytes_input(self):
         ds = parse_libsvm(b"+1 1:1\n")
         assert ds.labels[0] == 1.0
+
+    @pytest.mark.parametrize("text", [
+        "+1 1:2:3\n", "+1 1:2:3 4\n", "+1 4\n", "+1 1:\n", "+1 :5\n",
+        "+1 1:nan\n", "+1 3:1 2:1\n", "+1 1_0:1\n", "2 1:1\n",
+        "+1 1:1\n-1 2:1\n+1 1:x\n\n5 1:1\n",     # bad feature before a bad label
+        "+1 1:1\n-1 2:1 2:nan\n", "+1 2:1 1:nan\n", "-1\n+1 1:1 :\n",
+    ])
+    def test_outcome_matches_the_reference(self, text):
+        outcome = parse_outcome(parse_libsvm, text)
+        assert outcome == parse_outcome(reference_parse_libsvm, text)
+
+
+# one_of picks a branch uniformly, so repeated branches make well-formed
+# tokens common and errors also turn up late in a file
+LABEL_TEXTS = st.one_of(*[st.sampled_from(["+1", "-1", "0", "1", "1.0"]) for _ in range(9)],
+                        st.sampled_from(["2", "x", "-1:1"]))
+FEATURE_TEXTS = st.one_of(
+    *[st.builds("{}:{}".format, st.sampled_from(["1", "2", "3", "7", "1_0", "+4"]),
+                st.sampled_from(["1", "0.5", "-0.0", "1e-3", "1_5"])) for _ in range(20)],
+    st.builds("{}:{}".format, st.sampled_from(["0", "-1", "", "a"]), st.just("1")),
+    st.builds("{}:{}".format, st.just("1"),
+              st.sampled_from(["nan", "-inf", "1e400", "", "x", "2:3"])),
+    st.sampled_from(["4", ":", "::"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(LABEL_TEXTS, st.lists(FEATURE_TEXTS, max_size=5)), max_size=6),
+       st.sampled_from([None, 2, 20]))
+def test_outcome_matches_the_reference_on_any_tokens(records, d_hint):
+    text = "\n".join(" ".join([label, *feats]) for label, feats in records)
+    outcome = parse_outcome(parse_libsvm, text, d_hint)
+    assert outcome == parse_outcome(reference_parse_libsvm, text, d_hint)
 
 
 @settings(max_examples=50, deadline=None)
