@@ -393,7 +393,10 @@ def _add_method_flags(sp):
     sp.add_argument("--bit-budget", type=int)
     sp.add_argument("--target-gap", type=float)
     sp.add_argument("--tag")
-    sp.add_argument("--no-diagnostics", action="store_true")
+    sp.add_argument("--no-diagnostics", action="store_true",
+                    help="skip the per-round eigenvalue diagnostics (min_eig_estimate, "
+                         "domination_margin); hull, neighborhood and replica checks "
+                         "run on every round regardless")
     sp.add_argument("--timing", action="store_true")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,13 +67,20 @@ class Partition:
             raise InputError("shards must be disjoint")
 
 
+# The widest dataset the parser accepts. Features are stored dense and every
+# curvature matrix is d x d, so a wider index is a malformed file, not data
+# this simulator can run; rejecting it keeps the parser from allocating a
+# rows x index matrix.
+MAX_FEATURES = 1 << 16
+
 _NOT_COLON_OR_SPACE = bytes(c for c in range(256) if c not in b": ")
 
 
 def parse_libsvm(source, d_hint: int | None = None) -> Dataset:
     """Parse LIBSVM text: one "<label> <idx>:<val> ..." record per line.
 
-    Indices are 1-based and must be strictly increasing within a line.
+    Indices are 1-based, must be strictly increasing within a line and
+    must not exceed ``MAX_FEATURES``.
     The feature dimension is the largest index seen, or ``d_hint`` if that
     is larger; absent features are zero. Labels are read line by line; the
     feature tokens of all lines are then converted in one pass each by
@@ -133,16 +141,12 @@ def parse_libsvm(source, d_hint: int | None = None) -> Dataset:
     prev[1:] = idx[:-1]
     prev[starts[starts < ok]] = 0
     finite = np.isfinite(val)
-    flagged = np.flatnonzero(~finite | (idx <= prev))
+    flagged = np.flatnonzero(~finite | (idx <= prev) | (idx > MAX_FEATURES))
     k = int(flagged[0]) if flagged.size else ok
     if k < n_tok:
         lineno = linenos[record[k]]
         tok = text.splitlines()[lineno - 1].split()[1 + k - starts[record[k]]]
-        if k == ok:
-            raise ParseError(f"bad feature token {tok!r}", lineno)
-        if not finite[k]:
-            raise ParseError(f"non-finite feature value {tok!r}", lineno)
-        raise ParseError(f"index {int(idx[k])} not strictly increasing", lineno)
+        raise ParseError(_token_error(tok), lineno)
     if label_error is not None:
         raise label_error
     if not labels:
@@ -154,15 +158,35 @@ def parse_libsvm(source, d_hint: int | None = None) -> Dataset:
     return Dataset(features=features, labels=np.asarray(labels, dtype=np.float64))
 
 
+def _token_error(tok: str) -> str:
+    """Why a rejected feature token fails, checked in the order of the
+    token-by-token parse.
+
+    It also names an index that ``int`` reads but int64 cannot hold, which
+    the batched conversion cuts as it cuts a malformed token.
+    """
+    index_text, _, value_text = tok.partition(":")
+    try:
+        index, value = int(index_text), float(value_text)
+    except ValueError:
+        return f"bad feature token {tok!r}"
+    if not math.isfinite(value):
+        return f"non-finite feature value {tok!r}"
+    if index > MAX_FEATURES:
+        return f"feature index {index} exceeds the maximum width {MAX_FEATURES}"
+    return f"index {index} not strictly increasing"
+
+
 def _convert(fn, texts: list[str], dtype) -> np.ndarray:
-    """``fn`` of each text, cut before the first text ``fn`` rejects."""
+    """``fn`` of each text, cut before the first text that ``fn`` rejects or
+    whose value ``dtype`` cannot hold."""
     try:
         return np.fromiter(map(fn, texts), dtype, len(texts))
-    except ValueError:
+    except (ValueError, OverflowError):
         for k, t in enumerate(texts):
             try:
-                fn(t)
-            except ValueError:
+                dtype(fn(t))
+            except (ValueError, OverflowError):
                 return np.fromiter(map(fn, texts[:k]), dtype, k)
         raise
 

@@ -14,6 +14,15 @@ that row. The three learners (nl1, nl2, cnl) share one start function,
 which also mirrors the server's coefficient replicas and records the
 hull, neighborhood and curvature diagnostics.
 
+The learners' eigen diagnostics (``min_eig_estimate`` for nl1,
+``domination_margin`` for nl2 and cnl) never feed back into the iterate,
+so each round's job runs on one background thread, which can use a second
+core, while the next round steps. ``run_experiment`` puts each value in
+its row once the next round's step returns, and waits for the last job
+before it returns or raises. The job runs the same kernels on the same
+arrays, so every trace byte is what computing it inline would give, and
+``wall_ms`` times the round's critical path without the diagnostics.
+
 Traces are deterministic given (config, seed); wall-clock timing is only
 recorded when explicitly enabled, because measured times can never be
 byte-reproducible.
@@ -25,6 +34,7 @@ import json
 import math
 import time
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -34,7 +44,7 @@ import numpy as np
 from . import methods
 from .compressors import CompressorSpec, bit_cost, ceil_log2, omega, SCALAR_BITS
 from .errors import ConfigError, InputError, NumericalError, ReplicaMismatchError
-from .linalg import smallest_eigenvalue
+from .linalg import _weighted_gram, smallest_eigenvalue
 from .methods import Oracles
 from .problem import Problem
 
@@ -241,7 +251,8 @@ class RunOptions:
     h0: str = "h_at_x0"                  # "h_at_x0" | "zeros"
     x0: Optional[Array] = None
     option: int = 1                      # 1: ship data vectors; 2: server has data
-    diagnostics: bool = True             # per-round eig checks, hull tracking
+    diagnostics: bool = True             # per-round eigenvalue diagnostics only; hull,
+                                         # neighborhood and replica checks run regardless
     timing: bool = False                 # measured wall_ms breaks byte-reproducibility
 
 
@@ -319,6 +330,32 @@ def _start_bfgs(run: _Run, x: Array):
         state = methods.bfgs_step(run.p, state)
         return state.x, charges, {"bfgs_skipped": state.skipped}
     return step, _no_phi
+
+
+# The eigen diagnostics' one background thread. The executor starts it on the
+# first submit, so a run with diagnostics off never starts it. A job may take
+# only arrays that are never mutated afterwards, and it must call private
+# kernels: the problem's evaluation slot is not thread-safe, and the
+# benchmark's tracer keeps one span stack.
+_DIAGNOSTICS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="distnewton-diagnostics")
+
+
+def _min_eigenvalue(a: Array) -> float:
+    return float(np.linalg.eigvalsh(a)[0])
+
+
+def _domination_margin(h_est: Array, rows: Array, h_at_x: Array, scale: float) -> float:
+    # lam * I sits on both sides and cancels; h_at_x are the true
+    # coefficients at the round's iterate, so their gram is the data Hessian
+    # there (``Problem.data_gram``'s arithmetic)
+    return _min_eigenvalue(h_est - _weighted_gram(rows, h_at_x.reshape(-1), scale))
+
+
+def _settle(extras: dict) -> None:
+    """Replace each diagnostics future in a round's extras by its value."""
+    for key, value in extras.items():
+        if isinstance(value, Future):
+            extras[key] = value.result()
 
 
 class _Learner:
@@ -401,13 +438,12 @@ class _Learner:
 
         if run.opts.diagnostics:
             if out.betas is None:
-                extras["min_eig_estimate"] = smallest_eigenvalue(self.state.h_matrix)
+                extras["min_eig_estimate"] = _DIAGNOSTICS.submit(
+                    _min_eigenvalue, self.state.h_matrix)
             else:
-                # lam * I sits on both sides and cancels; h_at_x are the true
-                # coefficients at the round's iterate, so their gram is the
-                # data Hessian there
-                extras["domination_margin"] = smallest_eigenvalue(
-                    out.h_est - p.data_gram(out.h_at_x))
+                extras["domination_margin"] = _DIAGNOSTICS.submit(
+                    _domination_margin, out.h_est, p.stacked_rows, out.h_at_x,
+                    1.0 / (p.n * p.m))
         extras["rebuild_drift"] = self.state.rebuild_drift
 
         # Option 1 ships the data vector of every changed coefficient
@@ -555,28 +591,37 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
         )
 
     rows = [metrics(x0, {}, math.nan, 0)]
+    extras: dict = {}
     k = 0
-    while True:
-        if k >= budget.max_iters:
-            break
-        if budget.target_gap is not None and rows[-1].gap <= budget.target_gap:
-            break
-        if budget.bit_budget is not None and ledger.up_cum >= budget.bit_budget:
-            break
-        start = time.perf_counter() if opts.timing else None
-        x, charges, extras = step(k)
-        wall = (time.perf_counter() - start) * 1e3 if opts.timing else math.nan
-        charge_round(ledger, k, charges, broadcast_floats=p.d)
-        k += 1
-        row = metrics(x, extras, wall, k)
-        if rec.monotone:
-            prev = rows[-1].extras["value"]
-            row.extras["decrease_ok"] = row.extras["value"] <= prev + 1e-12
-            if row.extras["value"] > prev + 1e-9 * (1.0 + abs(prev)):
-                raise NumericalError(
-                    f"{method} step increased the objective at round {k}: "
-                    f"{prev!r} -> {row.extras['value']!r}")
-        rows.append(row)
+    try:
+        while True:
+            if k >= budget.max_iters:
+                break
+            if budget.target_gap is not None and rows[-1].gap <= budget.target_gap:
+                break
+            if budget.bit_budget is not None and ledger.up_cum >= budget.bit_budget:
+                break
+            start = time.perf_counter() if opts.timing else None
+            x, charges, extras = step(k)
+            wall = (time.perf_counter() - start) * 1e3 if opts.timing else math.nan
+            # the previous round's diagnostics ran beside this round's step
+            _settle(rows[-1].extras)
+            charge_round(ledger, k, charges, broadcast_floats=p.d)
+            k += 1
+            row = metrics(x, extras, wall, k)
+            if rec.monotone:
+                prev = rows[-1].extras["value"]
+                row.extras["decrease_ok"] = row.extras["value"] <= prev + 1e-12
+                if row.extras["value"] > prev + 1e-9 * (1.0 + abs(prev)):
+                    raise NumericalError(
+                        f"{method} step increased the objective at round {k}: "
+                        f"{prev!r} -> {row.extras['value']!r}")
+            rows.append(row)
+    finally:
+        # no job outlives the run: the last step's extras hold its future
+        # even when the run raised before that round's row was appended
+        _settle(extras)
+        _settle(rows[-1].extras)
 
     return Trace(rows=rows, config=config_echo or {"method": method, "seed": seed},
                  ledger=ledger)

@@ -74,6 +74,14 @@ class TestRun:
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_index_past_int64_exits_2_and_names_line(self, tmp_path, capsys):
+        data = tmp_path / "wide.libsvm"
+        data.write_text("+1 1:1\n-1 100000000000000000000:1\n")
+        rc = main(["run", "--dataset", str(data), "--n", "1", "--method", "gd",
+                   "--seed", "1", "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "line 2: feature index" in capsys.readouterr().err
+
     def test_invalid_method_config_exits_2(self, tmp_path, capsys):
         cfg_path, _ = base_config(tmp_path, method="nl1", lam=0.0,
                                   compressor={"kind": "random_r", "r": 1})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distnewton import data
 from distnewton.data import (Dataset, dumps_libsvm, load_dataset, parse_libsvm,
                              partition, save_dataset, synth_artificial)
 from distnewton.errors import InputError, ParseError
@@ -42,6 +43,9 @@ def reference_parse_libsvm(text: str, d_hint: int | None = None) -> Dataset:
                 raise ParseError(f"bad feature token {tok!r}", lineno) from None
             if not math.isfinite(val):
                 raise ParseError(f"non-finite feature value {tok!r}", lineno)
+            if idx > data.MAX_FEATURES:
+                raise ParseError(f"feature index {idx} exceeds the maximum width "
+                                 f"{data.MAX_FEATURES}", lineno)
             if idx <= prev:
                 raise ParseError(f"index {idx} not strictly increasing", lineno)
             prev = idx
@@ -108,6 +112,19 @@ class TestParse:
         with pytest.raises(InputError):
             Dataset(features=np.array([[1.0, value]]), labels=np.array([1.0]))
 
+    def test_index_past_int64_reports_line(self):
+        with pytest.raises(ParseError, match="exceeds the maximum width") as exc:
+            parse_libsvm("+1 1:1\n-1 100000000000000000000:1\n")
+        assert exc.value.line == 2
+
+    def test_index_past_the_maximum_width_reports_line(self, monkeypatch):
+        monkeypatch.setattr(data, "MAX_FEATURES", 4)
+        assert parse_libsvm("+1 4:1\n").d == 4
+        with pytest.raises(ParseError, match="feature index 5 exceeds the maximum width 4") \
+                as exc:
+            parse_libsvm("+1 4:1\n-1 1:1 5:1\n")
+        assert exc.value.line == 2
+
     def test_non_increasing_index(self):
         with pytest.raises(ParseError):
             parse_libsvm("+1 3:1 2:1\n")
@@ -129,6 +146,8 @@ class TestParse:
         "+1 1:nan\n", "+1 3:1 2:1\n", "+1 1_0:1\n", "2 1:1\n",
         "+1 1:1\n-1 2:1\n+1 1:x\n\n5 1:1\n",     # bad feature before a bad label
         "+1 1:1\n-1 2:1 2:nan\n", "+1 2:1 1:nan\n", "-1\n+1 1:1 :\n",
+        "+1 1:1\n-1 100000000000000000000:1\n", "+1 100000000000000000000:x\n",
+        "+1 100000000000000000000:nan\n", "+1 3:1 70000:1\n", "+1 70000:1 2:1\n",
     ])
     def test_outcome_matches_the_reference(self, text):
         outcome = parse_outcome(parse_libsvm, text)
@@ -140,7 +159,8 @@ class TestParse:
 LABEL_TEXTS = st.one_of(*[st.sampled_from(["+1", "-1", "0", "1", "1.0"]) for _ in range(9)],
                         st.sampled_from(["2", "x", "-1:1"]))
 FEATURE_TEXTS = st.one_of(
-    *[st.builds("{}:{}".format, st.sampled_from(["1", "2", "3", "7", "1_0", "+4"]),
+    *[st.builds("{}:{}".format, st.sampled_from(["1", "2", "3", "7", "1_0", "+4",
+                                                     "70000", "100000000000000000000"]),
                 st.sampled_from(["1", "0.5", "-0.0", "1e-3", "1_5"])) for _ in range(20)],
     st.builds("{}:{}".format, st.sampled_from(["0", "-1", "", "a"]), st.just("1")),
     st.builds("{}:{}".format, st.just("1"),

@@ -1,13 +1,16 @@
 import math
+import sys
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from distnewton import linalg, methods
+from distnewton import harness, linalg, methods
 from distnewton.compressors import bernoulli, ceil_log2, identity, natural, random_r
 from distnewton.data import Dataset
 from distnewton.errors import ConfigError, InputError, ReplicaMismatchError
-from distnewton.harness import (_METHODS, Budget, RunOptions, WorkerCharge,
+from distnewton.harness import (_METHODS, Budget, RunOptions, TraceRow, WorkerCharge,
                                 bits_to_reach, recompute_ledger_totals,
                                 replica_mismatches, run_experiment, tail_ratios,
                                 verify_replicas)
@@ -275,6 +278,139 @@ class TestDiagnostics:
         trace = run_experiment("nl1", p, random_r(1), Budget(max_iters=5), seed=0,
                                oracles=o)
         assert all(math.isfinite(r.phi) for r in trace.rows)
+
+
+class TestBackgroundDiagnostics:
+    """The eigen diagnostics run on a background thread and settle later."""
+
+    @staticmethod
+    def record(monkeypatch, futures, rows):
+        """Record every submitted diagnostics job and every row the run makes."""
+        class RecordingPool:
+            def submit(self, fn, *args):
+                futures.append(pool.submit(fn, *args))
+                return futures[-1]
+
+        class RecordedRow(TraceRow):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                rows.append(self)
+
+        pool = harness._DIAGNOSTICS
+        monkeypatch.setattr(harness, "_DIAGNOSTICS", RecordingPool())
+        monkeypatch.setattr(harness, "TraceRow", RecordedRow)
+
+    @pytest.mark.parametrize("method,spec,rounds", [
+        ("nl1", random_r(1), 30), ("nl2", random_r(1), 30), ("cnl", random_r(1), 30),
+        ("cnl", bernoulli(random_r(1), 0.25), 30),
+        ("nl2", random_r(1), methods.REBUILD_PERIOD + 5),    # across a gram rebuild
+    ], ids=["nl1", "nl2", "cnl", "cnl-bernoulli", "nl2-rebuild"])
+    def test_values_equal_the_synchronous_formula_bitwise(self, monkeypatch, method,
+                                                          spec, rounds):
+        p = small_problem(lam=1e-3, count=60, d=6, seed=4)
+        learn_round = methods.learn_round
+        outs = []
+
+        def recording_round(*args):
+            outs.append(learn_round(*args))
+            return outs[-1]
+
+        monkeypatch.setattr(methods, "learn_round", recording_round)
+        trace = run_experiment(method, p, spec, Budget(max_iters=rounds), seed=3)
+        assert len(outs) == rounds
+        if method == "nl1":
+            got = [r.extras["min_eig_estimate"] for r in trace.rows[1:]]
+            want = [smallest_eigenvalue(out.state.h_matrix) for out in outs]
+        else:
+            got = [r.extras["domination_margin"] for r in trace.rows[1:]]
+            want = [smallest_eigenvalue(out.h_est - p.data_gram(out.h_at_x))
+                    for out in outs]
+        assert [type(v) for v in got] == [float] * rounds
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("method", ["nl1", "nl2"])
+    @pytest.mark.parametrize("failing_call", [1, 4], ids=["mid-run", "last-round"])
+    def test_job_exception_surfaces_with_its_own_type(self, monkeypatch, method,
+                                                      failing_call):
+        class JobFailed(Exception):
+            pass
+
+        calls = []
+        min_eigenvalue = harness._min_eigenvalue
+
+        def failing(a):
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise JobFailed("eigenvalue job failed")
+            return min_eigenvalue(a)
+
+        monkeypatch.setattr(harness, "_min_eigenvalue", failing)
+        with pytest.raises(JobFailed):
+            run_experiment(method, small_problem(), random_r(1), Budget(max_iters=4),
+                           seed=0)
+
+    def test_no_job_outlives_a_run_that_returns(self, monkeypatch):
+        futures, rows = [], []
+        self.record(monkeypatch, futures, rows)
+        trace = run_experiment("nl2", small_problem(), random_r(1), Budget(max_iters=6),
+                               seed=0)
+        assert len(futures) == 6 and all(f.done() for f in futures)
+        assert list(map(id, rows)) == list(map(id, trace.rows))
+        assert not any(isinstance(v, Future) for r in rows for v in r.extras.values())
+
+    def test_no_job_outlives_a_run_that_raises(self, monkeypatch):
+        futures, rows = [], []
+        self.record(monkeypatch, futures, rows)
+        apply = methods.apply_coeff_update
+        calls = []
+
+        def perturbed(h_old, delta, *args):
+            h_new = apply(h_old, delta, *args)
+            calls.append(1)
+            if len(calls) == 6:          # the server's update in round 2
+                h_new[0, 0] = np.nextafter(h_new[0, 0], np.inf)
+            return h_new
+
+        monkeypatch.setattr(methods, "apply_coeff_update", perturbed)
+        with pytest.raises(ReplicaMismatchError):
+            run_experiment("nl2", small_problem(), random_r(1), Budget(max_iters=5),
+                           seed=0)
+        assert len(futures) == 2 and all(f.done() for f in futures)
+        assert len(rows) == 3
+        assert not any(isinstance(v, Future) for r in rows for v in r.extras.values())
+
+    def test_concurrent_runs_share_the_thread_and_keep_their_bytes(self):
+        # more runs than cores, each on its own problem (the evaluation slot
+        # is per problem), with thread switches forced as often as possible
+        names = ["nl1", "nl2", "cnl", "nl2"]
+        serial = [run_experiment(m, small_problem(seed=s), random_r(1),
+                                 Budget(max_iters=15), seed=s).json_text()
+                  for s, m in enumerate(names)]
+        texts = [None] * len(names)
+
+        def run(s, m):
+            texts[s] = run_experiment(m, small_problem(seed=s), random_r(1),
+                                      Budget(max_iters=15), seed=s).json_text()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(s, m))
+                       for s, m in enumerate(names)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert texts == serial
+
+    def test_diagnostics_off_submits_no_job(self, monkeypatch):
+        monkeypatch.setattr(harness, "_DIAGNOSTICS", None)     # any submit would raise
+        trace = run_experiment("nl2", small_problem(), random_r(1), Budget(max_iters=3),
+                               seed=0, opts=RunOptions(diagnostics=False))
+        assert "domination_margin" not in trace.rows[-1].extras
 
 
 class TestTraceOutput:
