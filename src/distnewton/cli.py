@@ -17,11 +17,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -42,6 +43,24 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 GAP_THRESHOLDS = (1e-4, 1e-7, 1e-10)
+
+# The values a config field of each annotated type accepts. A float field
+# takes any real, since JSON may write 1 for 1.0; bool is an int subclass,
+# so ``_check_kind`` turns it away from the numeric kinds.
+_FIELD_KINDS = {int: numbers.Integral, float: numbers.Real, str: str,
+                bool: bool, dict: dict, list: list}
+# synthetic-data keys: (required, kind)
+_SYNTH_KEYS = {"n": (True, int), "m": (True, int), "d": (True, int),
+               "seed": (True, int), "mean": (False, float),
+               "variance": (False, float)}
+
+
+def _check_kind(name: str, value, kind: type) -> None:
+    """ConfigError naming ``name`` unless ``value`` is of the field kind."""
+    if (not isinstance(value, _FIELD_KINDS[kind])
+            or (kind is not bool and isinstance(value, bool))):
+        raise ConfigError(f"config field {name} must be {kind.__name__}, "
+                          f"not {value!r}")
 
 
 @dataclass
@@ -76,8 +95,28 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.seed is None:
             raise ConfigError("seed is mandatory; wall-clock seeding is not supported")
+        for name, (kind, optional) in _CONFIG_KINDS.items():
+            value = getattr(self, name)
+            if not (value is None and optional):
+                _check_kind(name, value, kind)
         if (self.dataset_path is None) == (self.synth is None):
             raise ConfigError("exactly one of dataset_path or synth must be given")
+        if self.synth is not None:
+            unknown = sorted(set(self.synth) - set(_SYNTH_KEYS))
+            if unknown:
+                raise ConfigError(f"unknown synth key(s): {', '.join(unknown)}")
+            for key, (required, kind) in _SYNTH_KEYS.items():
+                if key in self.synth:
+                    _check_kind(f"synth.{key}", self.synth[key], kind)
+                elif required:
+                    raise ConfigError(f"synth needs the key {key!r}")
+        # Philox keys are nonnegative integers
+        seeds = {"seed": self.seed, "shuffle_seed": self.shuffle_seed}
+        if self.synth is not None:
+            seeds["synth.seed"] = self.synth["seed"]
+        for name, value in seeds.items():
+            if value < 0:
+                raise ConfigError(f"config field {name} must be nonnegative, not {value}")
         if self.method not in METHOD_NAMES:
             raise ConfigError(f"unknown method {self.method!r}; "
                               f"choose from {', '.join(METHOD_NAMES)}")
@@ -159,6 +198,12 @@ class ExperimentConfig:
             "shuffle_seed": self.shuffle_seed, "loss": self.loss,
             "lam": self.lam, "newton_ref_iters": self.newton_ref_iters,
         }
+
+
+# field name -> (kind, whether None is allowed), read from the annotations:
+# Optional[X] has the arguments (X, NoneType)
+_CONFIG_KINDS = {name: ((get_args(hint) or (hint,))[0], type(None) in get_args(hint))
+                 for name, hint in get_type_hints(ExperimentConfig).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ regardless of the 64-bit arithmetic used internally.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +48,17 @@ class CompressorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown compressor kind {self.kind!r}")
+        # a JSON config can put any type here, and bool is an int subclass;
+        # only q has no unset value
+        for name, kind, what in (("r", numbers.Integral, "an integer"),
+                                 ("s", numbers.Integral, "an integer"),
+                                 ("p", numbers.Real, "a number"),
+                                 ("q", numbers.Real, "a number")):
+            value = getattr(self, name)
+            if value is None and name != "q":
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise InputError(f"compressor {name} must be {what}, not {value!r}")
         if self.kind == "random_r" and (self.r is None or self.r < 1):
             raise InputError("random_r needs r >= 1")
         if self.kind == "dithering" and self.s is not None and self.s < 1:
@@ -69,9 +81,11 @@ class CompressorSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "CompressorSpec":
+        if not isinstance(d, dict) or "kind" not in d:
+            raise InputError(f"a compressor must be an object with a kind, not {d!r}")
         kind = d["kind"]
         if kind == "bernoulli":
-            return bernoulli(CompressorSpec.from_dict(d["inner"]), d["p"])
+            return bernoulli(CompressorSpec.from_dict(d.get("inner")), d.get("p"))
         return CompressorSpec(kind=kind, r=d.get("r"), s=d.get("s"),
                               q=d.get("q", 2.0))
 

@@ -87,6 +87,9 @@ def parse_libsvm(source, d_hint: int | None = None) -> Dataset:
     ``int`` and ``float`` and checked with numpy. Any error names the first
     offending line in file order.
     """
+    # checked first: the feature matrix is allocated rows x d_hint wide
+    if d_hint is not None and d_hint > MAX_FEATURES:
+        raise InputError(f"d_hint {d_hint} exceeds the maximum width {MAX_FEATURES}")
     if isinstance(source, bytes):
         text = source.decode("utf-8")
     elif isinstance(source, str):

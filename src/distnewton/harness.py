@@ -4,7 +4,10 @@ One global round = every worker produces its messages, then the server
 aggregates in fixed worker order, steps the iterate, and broadcasts it.
 The ledger charges each payload with the closed-form bit costs (32-bit
 scalars by convention) and keeps the full payload log so cumulative totals
-can be re-derived independently.
+can be re-derived independently. A run builds each distinct payload
+descriptor once and hands every round references to it, so the ledger
+prices a descriptor once, on the first round that charges it, and looks the
+price up by identity on every later charge.
 
 Every method is one row of the private table ``_METHODS``: whether it needs
 a compressor spec or oracles, its default stepsize, shift rate and learning
@@ -16,12 +19,15 @@ hull, neighborhood and curvature diagnostics.
 
 The learners' eigen diagnostics (``min_eig_estimate`` for nl1,
 ``domination_margin`` for nl2 and cnl) never feed back into the iterate,
-so each round's job runs on one background thread, which can use a second
-core, while the next round steps. ``run_experiment`` puts each value in
-its row once the next round's step returns, and waits for the last job
-before it returns or raises. The job runs the same kernels on the same
-arrays, so every trace byte is what computing it inline would give, and
-``wall_ms`` times the round's critical path without the diagnostics.
+so each round's job runs on one background thread while the next round
+steps. Only the job's gram product can use a second core: numpy's
+``eigvalsh`` holds the interpreter lock for its whole call (numpy 2.4.6),
+so it stalls the round's Python while it runs, and nl1's job is nothing
+else. ``run_experiment`` puts each value in its row once the next round's
+step returns, and waits for the last job before it returns or raises. The
+job runs the same kernels on the same arrays, so every trace byte is what
+computing it inline would give, and ``wall_ms`` times the round's critical
+path without the diagnostics.
 
 Traces are deterministic given (config, seed); wall-clock timing is only
 recorded when explicitly enabled, because measured times can never be
@@ -99,12 +105,21 @@ class CommLedger:
     rounds: list = field(default_factory=list)
     up_cum: int = 0
     down_cum: int = 0
+    # bits() of every descriptor charged so far, keyed by id(): ``rounds``
+    # holds each charged descriptor, so no key outlives its object
+    priced: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def charge_round(ledger: CommLedger, iteration: int,
                  charges: list[WorkerCharge], broadcast_floats: int) -> RoundCharge:
-    per_worker = tuple(c.bits() for c in charges)
-    rec = RoundCharge(iteration=iteration, per_worker_bits=per_worker,
+    priced = ledger.priced
+    per_worker = []
+    for c in charges:
+        bits = priced.get(id(c))
+        if bits is None:
+            bits = priced[id(c)] = c.bits()
+        per_worker.append(bits)
+    rec = RoundCharge(iteration=iteration, per_worker_bits=tuple(per_worker),
                       down_bits=SCALAR_BITS * broadcast_floats,
                       charges=tuple(charges))
     ledger.rounds.append(rec)
@@ -275,7 +290,9 @@ class _Run(NamedTuple):
 
 # A method's start function takes (run, x0) and returns (step, phi): step(k)
 # runs round k and returns (x^{k+1}, one WorkerCharge per worker, trace
-# extras); phi() is the Lyapunov function at the current state.
+# extras); phi() is the Lyapunov function at the current state. Equal
+# payloads within a run are one WorkerCharge object, which ``charge_round``
+# prices once.
 
 def _no_phi() -> float:
     return math.nan
@@ -298,26 +315,49 @@ def _stateless(update, charge):
     return start
 
 
-def _compressed_charges(run: _Run, fired: Array) -> list[WorkerCharge]:
-    return [WorkerCharge(compressed=(run.spec, run.p.d, f)) for f in fired.tolist()]
+class _Charges:
+    """A run's payload descriptors: one WorkerCharge per distinct key, made
+    by ``make(key)`` the first time the key appears."""
+
+    def __init__(self, make: Callable[..., WorkerCharge]):
+        self.make = make
+        self.made: dict = {}
+
+    def __call__(self, keys) -> list[WorkerCharge]:
+        """The descriptor of each worker's key, in worker order."""
+        made, out = self.made, []
+        for key in keys:
+            c = made.get(key)
+            if c is None:
+                c = made[key] = self.make(key)
+            out.append(c)
+        return out
+
+
+def _compressed_charges(run: _Run) -> _Charges:
+    """A compressed gradient's descriptors, keyed by whether it fired."""
+    return _Charges(lambda fired: WorkerCharge(compressed=(run.spec, run.p.d, fired)))
 
 
 def _start_dcgd(run: _Run, x: Array):
+    charges = _compressed_charges(run)
+
     def step(k):
         nonlocal x
         x, payload = methods.dcgd_round(run.p, x, run.spec, run.seed, k, run.stepsize)
-        return x, _compressed_charges(run, payload.fired), {}
+        return x, charges(payload.fired.tolist()), {}
     return step, _no_phi
 
 
 def _start_diana(run: _Run, x: Array):
     state = methods.diana_init(run.p, x)
+    charges = _compressed_charges(run)
 
     def step(k):
         nonlocal state
         state, payload = methods.diana_round(run.p, state, run.spec, run.seed,
                                              run.stepsize, run.theta)
-        return state.x, _compressed_charges(run, payload.fired), {}
+        return state.x, charges(payload.fired.tolist()), {}
     return step, _no_phi
 
 
@@ -379,6 +419,13 @@ class _Learner:
         self.hull_lo: Optional[Array] = None
         self.hull_hi: Optional[Array] = None
         self.neighborhood = self._neighborhood_radius_sq()
+        # keyed by (fired, data vectors shipped); the bounded variants also
+        # send their curvature ratio
+        index_bits = ceil_log2(p.n * p.m)
+        self.charges = _Charges(lambda key: WorkerCharge(
+            grad_floats=p.d, compressed=(run.spec, p.m, key[0]),
+            beta_scalars=int(bounded), data_vectors=key[1], vector_floats=p.d,
+            index_bits=index_bits))
 
     def _neighborhood_radius_sq(self) -> float:
         """Squared radius of the local-convergence region claimed by the theory."""
@@ -449,13 +496,7 @@ class _Learner:
         # Option 1 ships the data vector of every changed coefficient
         vectors = (out.changed.sum(axis=1).tolist() if run.opts.option == 1
                    else [0] * p.n)
-        betas = 0 if out.betas is None else 1
-        index_bits = ceil_log2(p.n * p.m)
-        charges = [WorkerCharge(grad_floats=p.d, compressed=(run.spec, p.m, fired),
-                                beta_scalars=betas, data_vectors=v,
-                                vector_floats=p.d, index_bits=index_bits)
-                   for fired, v in zip(out.fired.tolist(), vectors)]
-        return self.state.x, charges, extras
+        return self.state.x, self.charges(zip(out.fired.tolist(), vectors)), extras
 
 
 def _learner(bounded: bool, cubic: bool):

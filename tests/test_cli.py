@@ -100,6 +100,51 @@ class TestRun:
         assert culprit in capsys.readouterr().err
         assert not out.exists()          # no oracle cache, no trace
 
+    @pytest.mark.parametrize("over, culprit", [
+        ({"n": "2"}, "n"),
+        ({"n": True}, "n"),
+        ({"max_iters": "2"}, "max_iters"),
+        ({"lam": "0.1"}, "lam"),
+        ({"target_gap": "1e-3"}, "target_gap"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"shuffle_seed": -1}, "shuffle_seed"),
+        ({"diagnostics": 1}, "diagnostics"),
+        ({"synth": {"n": 2, "m": 10, "seed": 5}}, "'d'"),
+        ({"synth": {"n": 2, "m": 10, "d": "4", "seed": 5}}, "synth.d"),
+        ({"synth": {"n": 2, "m": 10, "d": 4, "seed": 5, "spread": 1}}, "spread"),
+        ({"synth": {"n": 2, "m": 10, "d": 4, "seed": -5}}, "synth.seed"),
+        ({"method": "nl2", "compressor": {"kind": "random_r", "r": "1"}}, "r must"),
+        ({"method": "nl2", "compressor": {"kind": "random_r", "r": True}}, "r must"),
+        ({"method": "nl2", "compressor": {"kind": "dithering", "s": 1.0}}, "s must"),
+        ({"method": "nl2", "compressor": {"kind": "dithering", "q": "2"}}, "q must"),
+        ({"method": "nl2", "compressor": {"kind": "bernoulli", "p": "0.5",
+                                          "inner": {"kind": "natural"}}}, "p must"),
+        ({"method": "nl2", "compressor": {"kind": "bernoulli", "p": 0.5,
+                                          "inner": "natural"}}, "'natural'"),
+        ({"method": "nl2", "compressor": {"r": 1}}, "kind"),
+    ])
+    def test_bad_field_value_exits_2_and_names_it(self, tmp_path, capsys,
+                                                  over, culprit):
+        cfg_path, _ = base_config(tmp_path, **over)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg_path), "--outdir", str(out)])
+        assert rc == 2
+        assert culprit in capsys.readouterr().err
+        assert not out.exists()          # no oracle cache, no trace
+
+    def test_d_hint_past_the_width_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("distnewton.data.MAX_FEATURES", 4)
+        data = tmp_path / "narrow.libsvm"
+        data.write_text("+1 1:1\n-1 2:1\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--dataset", str(data), "--d-hint", "5", "--n", "1",
+                   "--method", "gd", "--seed", "1", "--outdir", str(out)])
+        assert rc == 2
+        assert "d_hint 5 exceeds the maximum width 4" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["{\"method\": ", "[1, 2]"])
     def test_config_file_not_a_json_object_exits_2(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "bad.json"

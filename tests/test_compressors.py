@@ -43,6 +43,23 @@ class TestOmega:
             omega(random_r(5), 4)
 
 
+class TestSpecFieldTypes:
+    def test_numpy_scalars_are_accepted(self):
+        assert bit_cost(random_r(np.int64(2)), 8) == bit_cost(random_r(2), 8)
+        assert omega(bernoulli(dithering(np.int32(3), np.float64(2.0)), np.float64(0.5)),
+                     8) == omega(bernoulli(dithering(3, 2.0), 0.5), 8)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: random_r(True), "r"), (lambda: random_r("1"), "r"),
+        (lambda: random_r(1.0), "r"), (lambda: dithering(s=False), "s"),
+        (lambda: dithering(q=None), "q"), (lambda: bernoulli(natural(), "0.5"), "p"),
+        (lambda: CompressorSpec.from_dict({"kind": "bernoulli", "p": 0.5}), "kind"),
+    ])
+    def test_wrong_type_is_rejected_by_name(self, make, field):
+        with pytest.raises(InputError, match=field):
+            make()
+
+
 class TestRandomR:
     def test_full_support_is_identity(self):
         x = gen().standard_normal(6)

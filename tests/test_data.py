@@ -96,6 +96,12 @@ class TestParse:
         ds = parse_libsvm("+1 4:1\n", d_hint=2)
         assert ds.d == 4
 
+    def test_d_hint_past_the_maximum_width_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(data, "MAX_FEATURES", 4)
+        assert parse_libsvm("+1 1:1\n", d_hint=4).d == 4
+        with pytest.raises(InputError, match="d_hint 5 exceeds the maximum width 4"):
+            parse_libsvm("+1 1:1\n", d_hint=5)
+
     def test_malformed_token_reports_line(self):
         with pytest.raises(ParseError) as exc:
             parse_libsvm("+1 1:1\n+1 2:oops\n")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from distnewton import harness, linalg, methods
-from distnewton.compressors import bernoulli, ceil_log2, identity, natural, random_r
+from distnewton.compressors import (bernoulli, bit_cost, ceil_log2, identity, natural,
+                                    random_r)
 from distnewton.data import Dataset
 from distnewton.errors import ConfigError, InputError, ReplicaMismatchError
 from distnewton.harness import (_METHODS, Budget, RunOptions, TraceRow, WorkerCharge,
@@ -178,6 +179,60 @@ class TestLedger:
         up, down = recompute_ledger_totals(trace.ledger)
         assert up == trace.ledger.up_cum == trace.final().bits_up_cum
         assert down == trace.ledger.down_cum == trace.final().bits_down_cum
+
+    # one payload of each kind: bernoulli wrappers that fire or not, Option 1
+    # data vectors and Option 2, with and without the curvature ratio
+    DESCRIPTOR_RUNS = [("dcgd", bernoulli(random_r(2), 0.5), 1),
+                       ("diana", bernoulli(natural(), 0.5), 1),
+                       ("nl1", random_r(1), 1),
+                       ("nl2", bernoulli(random_r(1), 0.5), 1),
+                       ("cnl", random_r(2), 1),
+                       ("nl1", bernoulli(random_r(1), 0.5), 2)]
+
+    @staticmethod
+    def _descriptor_run(method, spec, option, seed=5):
+        p = small_problem(lam=1e-2, count=60, n=6)
+        return run_experiment(method, p, spec, Budget(max_iters=12), seed=seed,
+                              opts=RunOptions(option=option, diagnostics=False))
+
+    @pytest.mark.parametrize("method, spec, option", DESCRIPTOR_RUNS)
+    def test_equal_payloads_are_one_object(self, method, spec, option):
+        trace = self._descriptor_run(method, spec, option)
+        first: dict = {}
+        charges = [c for rec in trace.ledger.rounds for c in rec.charges]
+        for c in charges:
+            assert first.setdefault(c, c) is c
+        assert len({id(c) for c in charges}) == len(first)
+        if isinstance(spec.p, float):
+            assert {c.compressed[2] for c in first} == {False, True}
+
+    @pytest.mark.parametrize("method, spec, option", DESCRIPTOR_RUNS)
+    def test_bit_cost_runs_once_per_distinct_payload_per_ledger(
+            self, method, spec, option, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bit_cost(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "bit_cost", counted)
+        for seed in (5, 6):
+            before = len(calls)
+            trace = self._descriptor_run(method, spec, option, seed)
+            distinct = {c for rec in trace.ledger.rounds for c in rec.charges}
+            assert len(calls) - before == len(distinct)
+
+    @pytest.mark.parametrize("method, spec, option", DESCRIPTOR_RUNS)
+    def test_ledger_equals_a_per_worker_recomputation(self, method, spec, option):
+        trace = self._descriptor_run(method, spec, option)
+        up = 0
+        for rec in trace.ledger.rounds:
+            assert rec.per_worker_bits == tuple(c.bits() for c in rec.charges)
+            assert len(rec.per_worker_bits) == 6
+            up += sum(c.bits() for c in rec.charges)
+        assert up == trace.ledger.up_cum == trace.final().bits_up_cum
+        assert recompute_ledger_totals(trace.ledger) == (
+            trace.ledger.up_cum, trace.ledger.down_cum)
 
     def test_worker_charge_formula(self):
         spec = random_r(1)
