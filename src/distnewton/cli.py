@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -27,15 +28,15 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from .compressors import CompressorSpec
-from .data import (Dataset, load_dataset, partition as make_partition,
-                   save_dataset, synth_artificial)
+from .data import Dataset, load_dataset, save_dataset, synth_artificial
 from .errors import (CacheError, ConfigError, DistNewtonError, InputError,
                      NumericalError, ParseError, ReplicaMismatchError,
                      SingularMatrixError)
-from .harness import (COMPRESSED_METHODS, METHOD_NAMES, Budget, RunOptions,
-                      Trace, bits_to_reach, run_experiment)
+from .harness import (_H0_POLICIES, _OPTIONS, COMPRESSED_METHODS, METHOD_NAMES,
+                      Budget, RunOptions, Trace, _check_spec_fits, bits_to_reach,
+                      run_experiment)
 from .methods import Oracles, reference_optimum
-from .problem import Problem, loss_model
+from .problem import _LOSSES, Problem, make_problem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,21 +47,34 @@ GAP_THRESHOLDS = (1e-4, 1e-7, 1e-10)
 
 # The values a config field of each annotated type accepts. A float field
 # takes any real, since JSON may write 1 for 1.0; bool is an int subclass,
-# so ``_check_kind`` turns it away from the numeric kinds.
+# so ``_check_field`` turns it away from the numeric kinds.
 _FIELD_KINDS = {int: numbers.Integral, float: numbers.Real, str: str,
                 bool: bool, dict: dict, list: list}
 # synthetic-data keys: (required, kind)
 _SYNTH_KEYS = {"n": (True, int), "m": (True, int), "d": (True, int),
                "seed": (True, int), "mean": (False, float),
                "variance": (False, float)}
+# The range of a field: a float field is finite (json reads NaN and
+# Infinity), an int field nonnegative, and these fields positive.
+_POSITIVE = ("eta", "gamma", "stepsize", "theta", "newton_ref_iters")
+# fields whose value is one of the values its owner dispatches on; the
+# flags of these fields take the same choices
+_CHOICES = {"loss": tuple(_LOSSES), "h0": _H0_POLICIES, "option": _OPTIONS}
 
 
-def _check_kind(name: str, value, kind: type) -> None:
-    """ConfigError naming ``name`` unless ``value`` is of the field kind."""
+def _check_field(name: str, value, kind: type) -> None:
+    """ConfigError naming ``name`` unless ``value`` is of the field kind and
+    in the field's range."""
     if (not isinstance(value, _FIELD_KINDS[kind])
             or (kind is not bool and isinstance(value, bool))):
         raise ConfigError(f"config field {name} must be {kind.__name__}, "
                           f"not {value!r}")
+    if kind is float and not -math.inf < value < math.inf:
+        raise ConfigError(f"config field {name} must be finite, not {value!r}")
+    if name in _POSITIVE and not value > 0:
+        raise ConfigError(f"config field {name} must be positive, not {value!r}")
+    if kind is int and value < 0:
+        raise ConfigError(f"config field {name} must be nonnegative, not {value!r}")
 
 
 @dataclass
@@ -98,7 +112,7 @@ class ExperimentConfig:
         for name, (kind, optional) in _CONFIG_KINDS.items():
             value = getattr(self, name)
             if not (value is None and optional):
-                _check_kind(name, value, kind)
+                _check_field(name, value, kind)
         if (self.dataset_path is None) == (self.synth is None):
             raise ConfigError("exactly one of dataset_path or synth must be given")
         if self.synth is not None:
@@ -107,26 +121,21 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown synth key(s): {', '.join(unknown)}")
             for key, (required, kind) in _SYNTH_KEYS.items():
                 if key in self.synth:
-                    _check_kind(f"synth.{key}", self.synth[key], kind)
+                    _check_field(f"synth.{key}", self.synth[key], kind)
                 elif required:
                     raise ConfigError(f"synth needs the key {key!r}")
-        # Philox keys are nonnegative integers
-        seeds = {"seed": self.seed, "shuffle_seed": self.shuffle_seed}
-        if self.synth is not None:
-            seeds["synth.seed"] = self.synth["seed"]
-        for name, value in seeds.items():
-            if value < 0:
-                raise ConfigError(f"config field {name} must be nonnegative, not {value}")
         if self.method not in METHOD_NAMES:
             raise ConfigError(f"unknown method {self.method!r}; "
                               f"choose from {', '.join(METHOD_NAMES)}")
+        for name, allowed in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"config field {name} must be one of "
+                                  f"{', '.join(map(repr, allowed))}, not {value!r}")
         if self.method in COMPRESSED_METHODS and self.compressor is None:
             raise ConfigError(f"method {self.method!r} requires a compressor")
         if self.method == "nl1" and self.lam <= 0:
             raise ConfigError("nl1 requires lam > 0")
-        if self.option not in (1, 2):
-            raise ConfigError("option must be 1 or 2")
-        loss_model(self.loss)
         if self.compressor is not None:
             CompressorSpec.from_dict(self.compressor)
 
@@ -163,28 +172,21 @@ class ExperimentConfig:
                                 variance=s.get("variance", 10.0))
 
     def build_problem(self) -> Problem:
-        ds = self.load_data()
-        part = make_partition(ds, self.n, self.shuffle_seed)
-        return Problem(dataset=ds, part=part,
-                       loss=loss_model(self.loss), lam=self.lam)
+        return make_problem(self.load_data(), self.n, self.shuffle_seed,
+                            self.loss, self.lam)
 
     def compressor_spec(self) -> Optional[CompressorSpec]:
         if self.compressor is None:
             return None
         return CompressorSpec.from_dict(self.compressor)
 
+    # RunOptions and Budget name their fields as the config does
+
     def run_options(self) -> RunOptions:
-        return RunOptions(
-            eta=self.eta, gamma=self.gamma, stepsize=self.stepsize,
-            theta=self.theta, h0=self.h0,
-            x0=self.x0,
-            option=self.option, diagnostics=self.diagnostics,
-            timing=self.timing,
-        )
+        return RunOptions(**{f.name: getattr(self, f.name) for f in fields(RunOptions)})
 
     def budget(self) -> Budget:
-        return Budget(max_iters=self.max_iters, bit_budget=self.bit_budget,
-                      target_gap=self.target_gap)
+        return Budget(**{f.name: getattr(self, f.name) for f in fields(Budget)})
 
     def stem(self) -> str:
         tag = f"_{self.tag}" if self.tag else ""
@@ -302,18 +304,24 @@ def _outroot(args) -> Path:
     return Path(os.environ.get("DISTNEWTON_OUT", "runs"))
 
 
-def _prepare(cfg: ExperimentConfig, outroot: Path) -> tuple[Problem, Oracles]:
-    """The config's problem and its oracles, from the cache under outroot."""
-    p = cfg.build_problem()
-    return p, load_or_compute_oracles(cfg, p, oracle_path(cfg, outroot))
+def _prepare(cfgs: list[ExperimentConfig],
+             outroot: Path) -> tuple[Problem, Oracles, Path]:
+    """The problem that configs of one ``problem_key`` share, its oracles and
+    their cache file under outroot. Every config's compressor is checked
+    against the problem before the oracles are read or computed."""
+    p = cfgs[0].build_problem()
+    for cfg in cfgs:
+        _check_spec_fits(cfg.method, p, cfg.compressor_spec())
+    path = oracle_path(cfgs[0], outroot)
+    return p, load_or_compute_oracles(cfgs[0], p, path), path
 
 
 def execute_config(cfg: ExperimentConfig, outroot: Path,
-                   prepared: Optional[tuple[Problem, Oracles]] = None) -> Trace:
-    """Run one config. ``prepared`` is the ``_prepare`` pair of a config with
-    the same ``problem_key``; without it the problem is built here."""
+                   prepared: Optional[tuple[Problem, Oracles, Path]] = None) -> Trace:
+    """Run one config. ``prepared`` is the ``_prepare`` result for a list of
+    configs holding this one; without it the problem is built here."""
     cfg.validate()
-    p, oracles = prepared if prepared is not None else _prepare(cfg, outroot)
+    p, oracles, _ = prepared if prepared is not None else _prepare([cfg], outroot)
     return run_experiment(
         cfg.method, p, cfg.compressor_spec(), cfg.budget(), cfg.seed,
         oracles=oracles, opts=cfg.run_options(), config_echo=cfg.to_dict())
@@ -332,11 +340,8 @@ def cmd_run(args) -> int:
 
 def cmd_refopt(args) -> int:
     cfg = _config_from_args(args, method_optional=True)
-    outroot = _outroot(args)
     cfg.validate()
-    p = cfg.build_problem()
-    path = oracle_path(cfg, outroot)
-    o = load_or_compute_oracles(cfg, p, path)
+    _, o, path = _prepare([cfg], _outroot(args))
     print(f"reference optimum: P*={o.value_star!r} grad_norm={o.grad_norm:.3e} "
           f"-> {path}")
     return EXIT_OK
@@ -359,16 +364,15 @@ def cmd_compare(args) -> int:
     thresholds = args.gap_thresholds or list(GAP_THRESHOLDS)
 
     # equal problem keys give equal problems and oracles: build them once
-    prepared = _prepare(configs[0], outroot)
+    prepared = _prepare(configs, outroot)
     traces = []
     for cfg in configs:
         trace = execute_config(cfg, outroot, prepared)
         trace.write(outroot, cfg.stem())
-        traces.append((cfg, trace))
+        traces.append((f"{cfg.method}{('_' + cfg.tag) if cfg.tag else ''}", trace))
 
     combined = ["method,iter,bits_up_cum,gap"]
-    for cfg, trace in traces:
-        label = f"{cfg.method}{('_' + cfg.tag) if cfg.tag else ''}"
+    for label, trace in traces:
         for r in trace.rows:
             combined.append(f"{label},{r.iteration},{r.bits_up_cum},{r.gap!r}")
     combined_path = outroot / f"compare_{configs[0].dataset_name()}" \
@@ -380,8 +384,7 @@ def cmd_compare(args) -> int:
                                           for t in thresholds)
     print(header)
     table = []
-    for cfg, trace in traces:
-        label = f"{cfg.method}{('_' + cfg.tag) if cfg.tag else ''}"
+    for label, trace in traces:
         cells = [bits_to_reach(trace, t) for t in thresholds]
         table.append((label, cells))
         print(label.ljust(18) + "".join(
@@ -408,41 +411,39 @@ def cmd_gen_data(args) -> int:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
+def _add_field_flags(sp, names) -> None:
+    """A flag per config field, named after it (``--d-hint`` sets d_hint),
+    of the field's kind and choices."""
+    for name in names:
+        sp.add_argument("--" + name.replace("_", "-"), type=_CONFIG_KINDS[name][0],
+                        choices=_CHOICES.get(name))
+
+
 def _add_problem_flags(sp):
     sp.add_argument("--config", help="JSON config file; flags override its fields")
-    sp.add_argument("--dataset", help="LIBSVM file (plain or .gz)")
+    sp.add_argument("--dataset", dest="dataset_path", metavar="DATASET",
+                    help="LIBSVM file (plain or .gz)")
     sp.add_argument("--synth", help="synthetic spec n,m,d (e.g. 100,10,200)")
     sp.add_argument("--synth-seed", type=int, default=0)
-    sp.add_argument("--d-hint", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--loss", choices=["logistic", "squared"])
-    sp.add_argument("--shuffle-seed", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--newton-ref-iters", type=int)
+    _add_field_flags(sp, ("d_hint", "n", "lam", "loss", "shuffle_seed", "seed",
+                          "newton_ref_iters"))
     sp.add_argument("--outdir")
 
 
 def _add_method_flags(sp):
-    sp.add_argument("--method")
+    _add_field_flags(sp, ("method",))
     sp.add_argument("--compressor",
                     help='e.g. identity | random_r:1 | dithering:11 | natural '
                          '| bernoulli:0.05:random_r:1')
-    sp.add_argument("--eta", type=float)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--stepsize", type=float)
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--h0", choices=["h_at_x0", "zeros"])
-    sp.add_argument("--option", type=int, choices=[1, 2])
-    sp.add_argument("--max-iters", type=int)
-    sp.add_argument("--bit-budget", type=int)
-    sp.add_argument("--target-gap", type=float)
-    sp.add_argument("--tag")
-    sp.add_argument("--no-diagnostics", action="store_true",
+    _add_field_flags(sp, ("eta", "gamma", "stepsize", "theta", "h0", "option",
+                          "max_iters", "bit_budget", "target_gap", "tag"))
+    # None unless given, like every field flag, so a config file's value stands
+    sp.add_argument("--no-diagnostics", dest="diagnostics", action="store_false",
+                    default=None,
                     help="skip the per-round eigenvalue diagnostics (min_eig_estimate, "
                          "domination_margin); hull, neighborhood and replica checks "
                          "run on every round regardless")
-    sp.add_argument("--timing", action="store_true")
+    sp.add_argument("--timing", action="store_true", default=None)
 
 
 def parse_compressor_flag(text: str) -> dict:
@@ -488,12 +489,12 @@ def _config_from_args(args, method_optional: bool = False) -> ExperimentConfig:
     base: dict = {}
     if args.config:
         base = _read_config_file(args.config)
-
-    def override(key, value):
-        if value is not None:
-            base[key] = value
-
-    override("dataset_path", args.dataset)
+    # a flag the verb has and the command line gives sets the field of its
+    # name; --synth and --compressor take texts that are parsed below
+    for name in _CONFIG_KINDS:
+        value = getattr(args, name, None)
+        if value is not None and name not in ("synth", "compressor"):
+            base[name] = value
     if args.synth:
         try:
             n, m, d = (int(v) for v in args.synth.split(","))
@@ -501,25 +502,8 @@ def _config_from_args(args, method_optional: bool = False) -> ExperimentConfig:
             raise ConfigError(f"--synth expects three integers n,m,d, "
                               f"got {args.synth!r}") from None
         base["synth"] = {"n": n, "m": m, "d": d, "seed": args.synth_seed}
-    override("d_hint", args.d_hint)
-    override("n", args.n)
-    override("lam", args.lam)
-    override("loss", args.loss)
-    override("shuffle_seed", args.shuffle_seed)
-    override("seed", args.seed)
-    override("newton_ref_iters", args.newton_ref_iters)
-    if hasattr(args, "method"):
-        override("method", args.method)
-        if args.compressor:
-            base["compressor"] = parse_compressor_flag(args.compressor)
-        for key in ("eta", "gamma", "stepsize", "theta", "h0", "option",
-                    "bit_budget", "target_gap", "tag"):
-            override(key, getattr(args, key))
-        override("max_iters", args.max_iters)
-        if args.no_diagnostics:
-            base["diagnostics"] = False
-        if args.timing:
-            base["timing"] = True
+    if getattr(args, "compressor", None):
+        base["compressor"] = parse_compressor_flag(args.compressor)
     if method_optional:
         base.setdefault("method", "newton")
     if "method" not in base:

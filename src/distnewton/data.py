@@ -13,6 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -79,30 +80,73 @@ _NOT_COLON_OR_SPACE = bytes(c for c in range(256) if c not in b": ")
 def parse_libsvm(source, d_hint: int | None = None) -> Dataset:
     """Parse LIBSVM text: one "<label> <idx>:<val> ..." record per line.
 
-    Indices are 1-based, must be strictly increasing within a line and
-    must not exceed ``MAX_FEATURES``.
-    The feature dimension is the largest index seen, or ``d_hint`` if that
-    is larger; absent features are zero. Labels are read line by line; the
-    feature tokens of all lines are then converted in one pass each by
-    ``int`` and ``float`` and checked with numpy. Any error names the first
-    offending line in file order.
+    Labels are -1, 0 or +1 (0 reads as -1). Indices are 1-based integers,
+    strictly increasing within a line and at most ``MAX_FEATURES``; values
+    are finite floats. The feature dimension is the largest index seen, or
+    ``d_hint`` if that is larger; absent features are zero.
+
+    Valid text is read in one batched pass: the lines are split into
+    tokens, and the labels, indices and values are each converted by
+    ``float`` or ``int`` in one call and checked with numpy. Only text that
+    this pass rejects is scanned line by line, to raise the ParseError of
+    the first bad line in file order.
     """
     # checked first: the feature matrix is allocated rows x d_hint wide
     if d_hint is not None and d_hint > MAX_FEATURES:
         raise InputError(f"d_hint {d_hint} exceeds the maximum width {MAX_FEATURES}")
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    raw = source if isinstance(source, (bytes, str)) else source.read()
+    try:
+        text = raw if isinstance(raw, str) else raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 text",
+                         raw.count(b"\n", 0, exc.start) + 1) from None
 
-    labels: list[float] = []
-    linenos: list[int] = []
+    label_texts: list[str] = []
     counts: list[int] = []          # feature tokens per record
     toks: list[str] = []
-    label_error = None
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens:
+            label_texts.append(tokens[0])
+            counts.append(len(tokens) - 1)
+            toks += tokens[1:]
+    n_tok = len(toks)
+    spaced = " ".join(toks)
+    del toks            # keeps the tokens and the texts split from them from coexisting
+    # one colon per token holds for all tokens exactly when colons and
+    # spaces alternate in the space-joined tokens
+    if spaced.encode().translate(None, _NOT_COLON_OR_SPACE) != (b": " * n_tok)[:-1]:
+        _raise_first_fault(text)
+    texts = spaced.replace(" ", ":").split(":") if n_tok else []
+    del spaced
+    try:
+        labels = np.fromiter(map(float, label_texts), np.float64, len(label_texts))
+        idx = np.fromiter(map(int, texts[0::2]), np.int64, n_tok)
+        val = np.fromiter(map(float, texts[1::2]), np.float64, n_tok)
+    except (ValueError, OverflowError):     # OverflowError: an index past int64
+        _raise_first_fault(text)
+    del texts
+    per_record = np.asarray(counts, dtype=np.int64)
+    record = np.repeat(np.arange(len(counts)), per_record)
+    starts = np.cumsum(per_record) - per_record
+    prev = np.zeros(n_tok, dtype=np.int64)      # the index before, 0 at a line's start
+    prev[1:] = idx[:-1]
+    prev[starts[starts < n_tok]] = 0
+    if not (np.isin(labels, (-1.0, 0.0, 1.0)).all() and np.isfinite(val).all()
+            and (idx > prev).all() and (idx <= MAX_FEATURES).all()):
+        _raise_first_fault(text)
+    if not label_texts:
+        raise ParseError("no data points in input")
+
+    max_index = max(d_hint or 0, int(idx.max()) if n_tok else 0)
+    features = np.zeros((len(label_texts), max_index), dtype=np.float64)
+    features[record, idx - 1] = val
+    return Dataset(features=features, labels=np.where(labels <= 0.0, -1.0, 1.0))
+
+
+def _raise_first_fault(text: str) -> NoReturn:
+    """Raise the ParseError of the first bad line, checking token by token
+    what ``parse_libsvm`` checks in bulk."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
@@ -110,88 +154,25 @@ def parse_libsvm(source, d_hint: int | None = None) -> Dataset:
         try:
             label = float(tokens[0])
         except ValueError:
-            label_error = ParseError(f"bad label token {tokens[0]!r}", lineno)
-            break
+            raise ParseError(f"bad label token {tokens[0]!r}", lineno) from None
         if label not in (-1.0, 0.0, 1.0):
-            label_error = ParseError(f"label {tokens[0]!r} outside {{-1, 0, +1}}", lineno)
-            break
-        labels.append(-1.0 if label <= 0.0 else 1.0)
-        linenos.append(lineno)
-        counts.append(len(tokens) - 1)
-        toks += tokens[1:]
-
-    # Every check below cuts ``ok`` to the first token it rejects, so tokens
-    # [0, ok) pass all of them. One colon per token holds for all tokens
-    # exactly when colons and spaces alternate in the space-joined tokens.
-    n_tok = len(toks)
-    spaced = " ".join(toks)
-    if spaced.encode().translate(None, _NOT_COLON_OR_SPACE) == (b": " * n_tok)[:-1]:
-        ok = n_tok
-    else:
-        ok = next(k for k, tok in enumerate(toks) if tok.count(":") != 1)
-        spaced = " ".join(toks[:ok])
-    del toks            # keeps the tokens and the texts split from them from coexisting
-    texts = spaced.replace(" ", ":").split(":") if ok else []
-    idx = _convert(int, texts[0::2], np.int64)
-    val = _convert(float, texts[1::2], np.float64)
-    del texts
-    ok = min(len(idx), len(val))
-    idx, val = idx[:ok], val[:ok]
-    per_record = np.asarray(counts, dtype=np.int64)
-    record = np.repeat(np.arange(len(counts)), per_record)
-    starts = np.cumsum(per_record) - per_record
-    prev = np.zeros(ok, dtype=np.int64)
-    prev[1:] = idx[:-1]
-    prev[starts[starts < ok]] = 0
-    finite = np.isfinite(val)
-    flagged = np.flatnonzero(~finite | (idx <= prev) | (idx > MAX_FEATURES))
-    k = int(flagged[0]) if flagged.size else ok
-    if k < n_tok:
-        lineno = linenos[record[k]]
-        tok = text.splitlines()[lineno - 1].split()[1 + k - starts[record[k]]]
-        raise ParseError(_token_error(tok), lineno)
-    if label_error is not None:
-        raise label_error
-    if not labels:
-        raise ParseError("no data points in input")
-
-    max_index = max(d_hint or 0, int(idx.max()) if ok else 0)
-    features = np.zeros((len(labels), max_index), dtype=np.float64)
-    features[record, idx - 1] = val
-    return Dataset(features=features, labels=np.asarray(labels, dtype=np.float64))
-
-
-def _token_error(tok: str) -> str:
-    """Why a rejected feature token fails, checked in the order of the
-    token-by-token parse.
-
-    It also names an index that ``int`` reads but int64 cannot hold, which
-    the batched conversion cuts as it cuts a malformed token.
-    """
-    index_text, _, value_text = tok.partition(":")
-    try:
-        index, value = int(index_text), float(value_text)
-    except ValueError:
-        return f"bad feature token {tok!r}"
-    if not math.isfinite(value):
-        return f"non-finite feature value {tok!r}"
-    if index > MAX_FEATURES:
-        return f"feature index {index} exceeds the maximum width {MAX_FEATURES}"
-    return f"index {index} not strictly increasing"
-
-
-def _convert(fn, texts: list[str], dtype) -> np.ndarray:
-    """``fn`` of each text, cut before the first text that ``fn`` rejects or
-    whose value ``dtype`` cannot hold."""
-    try:
-        return np.fromiter(map(fn, texts), dtype, len(texts))
-    except (ValueError, OverflowError):
-        for k, t in enumerate(texts):
+            raise ParseError(f"label {tokens[0]!r} outside {{-1, 0, +1}}", lineno)
+        prev = 0
+        for tok in tokens[1:]:
+            index_text, _, value_text = tok.partition(":")
             try:
-                dtype(fn(t))
-            except (ValueError, OverflowError):
-                return np.fromiter(map(fn, texts[:k]), dtype, k)
-        raise
+                index, value = int(index_text), float(value_text)
+            except ValueError:
+                raise ParseError(f"bad feature token {tok!r}", lineno) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite feature value {tok!r}", lineno)
+            if index > MAX_FEATURES:
+                raise ParseError(f"feature index {index} exceeds the maximum width "
+                                 f"{MAX_FEATURES}", lineno)
+            if index <= prev:
+                raise ParseError(f"index {index} not strictly increasing", lineno)
+            prev = index
+    raise AssertionError("the batched checks rejected text that every line passes")
 
 
 def dumps_libsvm(ds: Dataset) -> str:

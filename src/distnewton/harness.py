@@ -257,13 +257,19 @@ class Budget:
     target_gap: Optional[float] = None
 
 
+# the values RunOptions.h0 and RunOptions.option take, which configs are
+# checked against before any work
+_H0_POLICIES = ("h_at_x0", "zeros")
+_OPTIONS = (1, 2)
+
+
 @dataclass
 class RunOptions:
     eta: Optional[float] = None          # learning rate; default 1/(omega+1)
     gamma: Optional[float] = None        # clamp bound; default loss gamma
     stepsize: Optional[float] = None     # first-order stepsize
     theta: Optional[float] = None        # shift learning rate (diana)
-    h0: str = "h_at_x0"                  # "h_at_x0" | "zeros"
+    h0: str = "h_at_x0"                  # coefficients h(x0), or zeros
     x0: Optional[Array] = None
     option: int = 1                      # 1: ship data vectors; 2: server has data
     diagnostics: bool = True             # per-round eigenvalue diagnostics only; hull,
@@ -404,12 +410,9 @@ class _Learner:
     def __init__(self, run: _Run, x: Array, bounded: bool, cubic: bool):
         p, opts = run.p, run.opts
         self.run = run
-        if opts.h0 == "h_at_x0":
-            h0 = p.h_all(x)
-        elif opts.h0 == "zeros":
-            h0 = np.zeros((p.n, p.m))
-        else:
+        if opts.h0 not in _H0_POLICIES:
             raise ConfigError(f"unknown h0 policy {opts.h0!r}")
+        h0 = p.h_all(x) if opts.h0 == "h_at_x0" else np.zeros((p.n, p.m))
         gamma = None
         if bounded:
             gamma = opts.gamma if opts.gamma is not None else p.loss.gamma
@@ -565,6 +568,14 @@ METHOD_NAMES = tuple(_METHODS)
 COMPRESSED_METHODS = tuple(name for name, rec in _METHODS.items() if rec.needs_spec)
 
 
+def _check_spec_fits(method: str, p: Problem, spec: Optional[CompressorSpec]) -> None:
+    """InputError unless a compressed method's spec fits the vectors it
+    compresses: a learner's m coefficients, a first-order method's gradient."""
+    rec = _METHODS[method]
+    if rec.needs_spec:
+        omega(spec, p.m if rec.eta is not None else p.d)    # raises on r > length
+
+
 def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
                    budget: Budget, seed: int,
                    oracles: Optional[Oracles] = None,
@@ -586,7 +597,7 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
         raise ConfigError("a target gap budget requires oracles for gap reporting")
     if rec.needs_spec and spec is None:
         raise ConfigError(f"method {method!r} requires a compressor spec")
-    if opts.option not in (1, 2):
+    if opts.option not in _OPTIONS:
         raise ConfigError(f"option must be 1 or 2, not {opts.option!r}")
     try:
         x0 = np.zeros(p.d) if opts.x0 is None else np.array(opts.x0, dtype=np.float64)

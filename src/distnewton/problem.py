@@ -101,9 +101,12 @@ _SQUARED = LossModel(
 )
 
 
+_LOSSES = {"logistic": _LOGISTIC, "squared": _SQUARED}
+
+
 def loss_model(kind: str) -> LossModel:
     try:
-        return {"logistic": _LOGISTIC, "squared": _SQUARED}[kind]
+        return _LOSSES[kind]
     except KeyError:
         raise InputError(f"unknown loss kind {kind!r}") from None
 

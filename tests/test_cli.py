@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,26 @@ class TestRun:
         ({"method": "nl2", "compressor": {"kind": "bernoulli", "p": 0.5,
                                           "inner": "natural"}}, "'natural'"),
         ({"method": "nl2", "compressor": {"r": 1}}, "kind"),
+        ({"newton_ref_iters": -3}, "newton_ref_iters"),
+        ({"newton_ref_iters": 0}, "newton_ref_iters"),
+        ({"method": "gd", "stepsize": float("inf")}, "stepsize"),
+        ({"method": "gd", "stepsize": 0.0}, "stepsize"),
+        ({"target_gap": float("nan")}, "target_gap"),
+        ({"lam": float("-inf")}, "lam"),
+        ({"method": "nl1", "compressor": {"kind": "random_r", "r": 1}, "eta": -0.5},
+         "eta"),
+        ({"method": "nl2", "compressor": {"kind": "random_r", "r": 1}, "gamma": -1.0},
+         "gamma"),
+        ({"method": "diana", "compressor": {"kind": "random_r", "r": 1}, "theta": 0},
+         "theta"),
+        ({"max_iters": -1}, "max_iters"),
+        ({"bit_budget": -1}, "bit_budget"),
+        ({"d_hint": -1}, "d_hint"),
+        ({"synth": {"n": 2, "m": 10, "d": 4, "seed": 5, "mean": float("nan")}},
+         "synth.mean"),
+        ({"loss": "hinge"}, "loss"),
+        ({"h0": "bogus"}, "h0"),
+        ({"option": 3}, "option"),
     ])
     def test_bad_field_value_exits_2_and_names_it(self, tmp_path, capsys,
                                                   over, culprit):
@@ -231,6 +252,38 @@ class TestRun:
                          "--outdir", str(outdir)]) == 0
             blobs.append((outdir / f"{stem}.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+# fields a config file sets but no flag of their own name does
+FLAGLESS_FIELDS = {"dataset_path", "synth", "compressor", "x0", "diagnostics", "timing"}
+
+
+def flag_value(name: str):
+    """A valid value of the field's kind, other than its default."""
+    if name in cli._CHOICES:
+        return cli._CHOICES[name][-1]
+    kind = cli._CONFIG_KINDS[name][0]
+    return {int: 3, float: 0.5, str: "gd" if name == "method" else "t"}[kind]
+
+
+class TestFlags:
+    def test_every_field_has_a_run_flag_that_reaches_the_config(self):
+        names = [f.name for f in fields(ExperimentConfig) if f.name not in FLAGLESS_FIELDS]
+        argv = ["run", "--synth", "2,10,4"]
+        for name in names:
+            argv += ["--" + name.replace("_", "-"), str(flag_value(name))]
+        cfg = cli._config_from_args(cli.build_parser().parse_args(argv))
+        for name in names:
+            assert getattr(cfg, name) == flag_value(name), name
+
+    def test_switches_leave_the_config_file_value_unless_given(self, tmp_path):
+        cfg_path, _ = base_config(tmp_path, diagnostics=False, timing=True)
+        parse = cli.build_parser().parse_args
+        cfg = cli._config_from_args(parse(["run", "--config", str(cfg_path)]))
+        assert (cfg.diagnostics, cfg.timing) == (False, True)
+        cfg = cli._config_from_args(parse(["run", "--synth", "2,10,4", "--method", "gd",
+                                           "--seed", "1", "--no-diagnostics", "--timing"]))
+        assert (cfg.diagnostics, cfg.timing) == (False, True)
 
 
 class TestRefopt:
@@ -455,6 +508,30 @@ class TestCompare:
         assert rc == 2
         assert "r >= 1" in capsys.readouterr().err
         assert not out.exists()          # neither a's trace nor an oracle cache
+
+    @pytest.mark.parametrize("method, over, culprit", [
+        ("nl1", {"h0": "bogus"}, "h0"),
+        ("nl2", {"gamma": -1.0}, "gamma"),
+        ("nl2", {"compressor": {"kind": "random_r", "r": 99}}, "r=99"),
+        ("dcgd", {"compressor": {"kind": "random_r", "r": 5}}, "r=5"),
+    ])
+    def test_later_config_out_of_range_writes_nothing(self, tmp_path, capsys,
+                                                       method, over, culprit):
+        a, _ = base_config(tmp_path, method="gd", tag="a")
+        over = {"compressor": {"kind": "random_r", "r": 1}, **over}
+        b, _ = base_config(tmp_path, method=method, tag="b", **over)
+        out = tmp_path / "out"
+        rc = main(["compare", str(a), str(b), "--outdir", str(out)])
+        assert rc == 2
+        assert culprit in capsys.readouterr().err
+        assert not out.exists()          # neither a's trace nor an oracle cache
+
+    @pytest.mark.parametrize("method, r", [("nl2", 10), ("dcgd", 4)])
+    def test_r_up_to_the_compressed_length_runs(self, tmp_path, method, r):
+        # the learners compress m = 10 coefficients, dcgd the d = 4 gradient
+        a, _ = base_config(tmp_path, method=method, max_iters=2,
+                           compressor={"kind": "random_r", "r": r})
+        assert main(["compare", str(a), "--outdir", str(tmp_path / "out")]) == 0
 
     def test_mismatched_problems_rejected(self, tmp_path, capsys):
         a, _ = base_config(tmp_path, method="newton", tag="a")

@@ -10,6 +10,7 @@ from distnewton import data
 from distnewton.data import (Dataset, dumps_libsvm, load_dataset, parse_libsvm,
                              partition, save_dataset, synth_artificial)
 from distnewton.errors import InputError, ParseError
+from stand_ins import sparse_binary_dataset
 
 
 def reference_parse_libsvm(text: str, d_hint: int | None = None) -> Dataset:
@@ -147,6 +148,11 @@ class TestParse:
         ds = parse_libsvm(b"+1 1:1\n")
         assert ds.labels[0] == 1.0
 
+    def test_bytes_that_are_not_utf8_report_line(self):
+        with pytest.raises(ParseError, match="line 2: byte 0xff is not UTF-8") as exc:
+            parse_libsvm(b"+1 1:1\n-1 1:\xff\n")
+        assert exc.value.line == 2
+
     @pytest.mark.parametrize("text", [
         "+1 1:2:3\n", "+1 1:2:3 4\n", "+1 4\n", "+1 1:\n", "+1 :5\n",
         "+1 1:nan\n", "+1 3:1 2:1\n", "+1 1_0:1\n", "2 1:1\n",
@@ -158,6 +164,19 @@ class TestParse:
     def test_outcome_matches_the_reference(self, text):
         outcome = parse_outcome(parse_libsvm, text)
         assert outcome == parse_outcome(reference_parse_libsvm, text)
+
+
+def test_valid_text_never_enters_the_line_scan(monkeypatch):
+    def scan(text):
+        raise AssertionError("line scan entered")
+
+    monkeypatch.setattr(data, "_raise_first_fault", scan)
+    ds = sparse_binary_dataset(count=2265, d=123, nnz=14, seed=20240601)
+    again = parse_libsvm(dumps_libsvm(ds).replace("\n-1 ", "\n0 ").encode(), d_hint=123)
+    assert np.array_equal(again.features, ds.features)
+    assert np.array_equal(again.labels, ds.labels)
+    with pytest.raises(AssertionError, match="line scan entered"):
+        parse_libsvm("+1 2:1 1:1\n")
 
 
 # one_of picks a branch uniformly, so repeated branches make well-formed
