@@ -20,10 +20,11 @@ hull, neighborhood and curvature diagnostics.
 The learners' eigen diagnostics (``min_eig_estimate`` for nl1,
 ``domination_margin`` for nl2 and cnl) never feed back into the iterate,
 so each round's job runs on one background thread while the next round
-steps. Only the job's gram product can use a second core: numpy's
-``eigvalsh`` holds the interpreter lock for its whole call (numpy 2.4.6),
-so it stalls the round's Python while it runs, and nl1's job is nothing
-else. ``run_experiment`` puts each value in its row once the next round's
+steps. Both parts of a job release the interpreter lock while they run:
+the gram product in BLAS, and the eigenvalues in ``linalg``'s ctypes
+binding of LAPACK ``dsyevd`` (numpy's own ``eigvalsh`` holds the lock for
+its whole call, and is what a job falls back to without the binding).
+``run_experiment`` puts each value in its row once the next round's
 step returns, and waits for the last job before it returns or raises. The
 job runs the same kernels on the same arrays, so every trace byte is what
 computing it inline would give, and ``wall_ms`` times the round's critical
@@ -50,7 +51,7 @@ import numpy as np
 from . import methods
 from .compressors import CompressorSpec, bit_cost, ceil_log2, omega, SCALAR_BITS
 from .errors import ConfigError, InputError, NumericalError, ReplicaMismatchError
-from .linalg import _weighted_gram, smallest_eigenvalue
+from .linalg import _smallest_eigenvalue, _weighted_gram, smallest_eigenvalue
 from .methods import Oracles
 from .problem import Problem
 
@@ -386,15 +387,11 @@ def _start_bfgs(run: _Run, x: Array):
 _DIAGNOSTICS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="distnewton-diagnostics")
 
 
-def _min_eigenvalue(a: Array) -> float:
-    return float(np.linalg.eigvalsh(a)[0])
-
-
 def _domination_margin(h_est: Array, rows: Array, h_at_x: Array, scale: float) -> float:
     # lam * I sits on both sides and cancels; h_at_x are the true
     # coefficients at the round's iterate, so their gram is the data Hessian
     # there (``Problem.data_gram``'s arithmetic)
-    return _min_eigenvalue(h_est - _weighted_gram(rows, h_at_x.reshape(-1), scale))
+    return _smallest_eigenvalue(h_est - _weighted_gram(rows, h_at_x.reshape(-1), scale))
 
 
 def _settle(extras: dict) -> None:
@@ -489,7 +486,7 @@ class _Learner:
         if run.opts.diagnostics:
             if out.betas is None:
                 extras["min_eig_estimate"] = _DIAGNOSTICS.submit(
-                    _min_eigenvalue, self.state.h_matrix)
+                    _smallest_eigenvalue, self.state.h_matrix)
             else:
                 extras["domination_margin"] = _DIAGNOSTICS.submit(
                     _domination_margin, out.h_est, p.stacked_rows, out.h_at_x,
@@ -576,6 +573,20 @@ def _check_spec_fits(method: str, p: Problem, spec: Optional[CompressorSpec]) ->
         omega(spec, p.m if rec.eta is not None else p.d)    # raises on r > length
 
 
+def _start_point(x0, p: Problem) -> Array:
+    """The run's first iterate: zeros, or x0 as a finite float array of
+    shape (d,); InputError otherwise."""
+    try:
+        x = np.zeros(p.d) if x0 is None else np.array(x0, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InputError(f"x0 is not an array of numbers: {x0!r}") from None
+    if x.shape != (p.d,):
+        raise InputError(f"x0 has shape {x.shape}, but the problem has d={p.d}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("x0 has non-finite entries")
+    return x
+
+
 def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
                    budget: Budget, seed: int,
                    oracles: Optional[Oracles] = None,
@@ -599,14 +610,7 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
         raise ConfigError(f"method {method!r} requires a compressor spec")
     if opts.option not in _OPTIONS:
         raise ConfigError(f"option must be 1 or 2, not {opts.option!r}")
-    try:
-        x0 = np.zeros(p.d) if opts.x0 is None else np.array(opts.x0, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InputError(f"x0 is not an array of numbers: {opts.x0!r}") from None
-    if x0.shape != (p.d,):
-        raise InputError(f"x0 has shape {x0.shape}, but the problem has d={p.d}")
-    if not np.all(np.isfinite(x0)):
-        raise InputError("x0 has non-finite entries")
+    x0 = _start_point(opts.x0, p)
 
     def default(value, rule):
         return rule(p, spec) if value is None and rule is not None else value

@@ -7,6 +7,16 @@ relative pivot check, solves against the two triangular factors, grams
 shaped for a symmetric rank-k update) rather than anything sparse or
 iterative. Only the LAPACK and BLAS bundled with numpy are used.
 
+Two kernels call that LAPACK directly, through ``ctypes``, which releases
+the interpreter lock for the length of each call: the eigenvalues of
+``smallest_eigenvalue`` (``dsyevd`` with the arguments and the workspace
+numpy's ``eigvalsh`` passes, so every value is numpy's bit for bit) and
+the two triangular solves of ``solve_cholesky`` (``dpotrs``, O(d^2) per
+right-hand side). The library is found through numpy's own linalg
+extension and bound once, at import, only if its ``dsyevd`` reproduces
+``np.linalg.eigvalsh`` bit for bit on a probe matrix; otherwise, as on
+numpy builds without a bundled OpenBLAS, both kernels call numpy.
+
 A curvature matrix is a plain (d, d) float64 array that is exactly
 (bitwise) symmetric. Sums, scalings, rank-one terms and diagonal shifts of
 such arrays stay exact, so only the two producers whose arithmetic can round
@@ -20,8 +30,10 @@ All operations are pure: inputs are never mutated, results are fresh arrays.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -70,7 +82,25 @@ def sym_eig(a: np.ndarray) -> EigDecomposition:
 
 
 def smallest_eigenvalue(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(a)[0])
+    return _smallest_eigenvalue(a)
+
+
+def _smallest_eigenvalue(a: np.ndarray) -> float:
+    """The body of ``smallest_eigenvalue``, for callers off the main thread
+    (see ``_weighted_gram``)."""
+    return float(_eigvalsh(a)[0])
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)``, bit for bit, without holding the
+    interpreter lock while LAPACK runs when the binding is there."""
+    a = np.asarray(a)
+    if (_LAPACK is not None and a.dtype == np.float64 and a.ndim == 2
+            and a.shape[0] == a.shape[1] > 0):
+        w = _LAPACK.eigvalsh(a)
+        if w is not None:
+            return w
+    return np.linalg.eigvalsh(a)
 
 
 def cholesky_spd(a: np.ndarray) -> np.ndarray:
@@ -172,3 +202,78 @@ def _weighted_gram(rows: np.ndarray, weights: np.ndarray, scale: float) -> np.nd
         return x.T @ x
     g = (rows * scaled[:, None]).T @ rows
     return 0.5 * (g + g.T)
+
+
+class _Lapack:
+    """``dsyevd`` of the LAPACK numpy loaded, called through ctypes.
+
+    ``fint`` is the library's Fortran integer: ILP64 symbols (suffix
+    ``64_``) take 64-bit integers. Character arguments are followed by their
+    hidden lengths, as gfortran passes them.
+    """
+
+    def __init__(self, lib, name, fint):
+        self.fint = fint
+        self.ints = np.dtype(fint)
+        self.syevd = getattr(lib, name.format("dsyevd"))
+        ref, ptr = ctypes.POINTER(fint), ctypes.c_void_p
+        self.syevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ref, ptr, ref, ptr,
+                               ptr, ref, ptr, ref, ref, ctypes.c_size_t, ctypes.c_size_t]
+        self.syevd.restype = None
+        self.workspace: dict[int, tuple[int, int]] = {}    # d -> (lwork, liwork)
+
+    def _dsyevd(self, a, w, work, iwork, lwork, liwork) -> int:
+        f, info = self.fint, self.fint(0)
+        n = f(w.shape[0])
+        self.syevd(b"N", b"L", n, a.ctypes.data, n, w.ctypes.data, work.ctypes.data,
+                   f(lwork), iwork.ctypes.data, f(liwork), info, 1, 1)
+        return info.value
+
+    def eigvalsh(self, a: np.ndarray) -> Optional[np.ndarray]:
+        """Ascending eigenvalues of a square float64 array as numpy's
+        ``eigvalsh`` computes them: jobz='N' and uplo='L' on a column-major
+        copy, with the workspace a size query returns (the reduction to
+        tridiagonal form blocks by it). None if LAPACK reports a failure."""
+        d = a.shape[0]
+        m, w = np.array(a, order="F"), np.empty(d)     # dsyevd overwrites m
+        sizes = self.workspace.get(d)
+        if sizes is None:
+            work, iwork = np.empty(1), np.empty(1, self.ints)
+            if self._dsyevd(m, w, work, iwork, -1, -1) != 0:
+                return None
+            sizes = self.workspace[d] = (int(work[0]), int(iwork[0]))
+        lwork, liwork = sizes
+        info = self._dsyevd(m, w, np.empty(lwork), np.empty(liwork, self.ints),
+                            lwork, liwork)
+        return w if info == 0 else None
+
+
+# symbol pattern and Fortran integer of the LAPACK builds numpy ships with
+_LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
+                   ("scipy_{}_", ctypes.c_int32))
+
+
+def _bind_lapack() -> Optional[_Lapack]:
+    """The binding, or None unless its eigenvalues of a fixed indefinite
+    probe matrix with a repeated eigenvalue equal numpy's bit for bit."""
+    try:
+        from numpy.linalg import _umath_linalg
+        # dlsym on the extension's handle also searches the libraries it loaded
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    r = np.arange(40.0)
+    probe = np.cos(np.add.outer(r, r)) + np.diag(r % 3.0)
+    for name, fint in _LAPACK_SYMBOLS:
+        try:
+            lapack = _Lapack(lib, name, fint)
+        except AttributeError:
+            continue
+        w = lapack.eigvalsh(probe)
+        if w is not None and np.array_equal(w, np.linalg.eigvalsh(probe)):
+            return lapack
+        return None
+    return None
+
+
+_LAPACK = _bind_lapack()

@@ -514,6 +514,9 @@ class TestCompare:
         ("nl2", {"gamma": -1.0}, "gamma"),
         ("nl2", {"compressor": {"kind": "random_r", "r": 99}}, "r=99"),
         ("dcgd", {"compressor": {"kind": "random_r", "r": 5}}, "r=5"),
+        ("nl1", {"x0": [0.1, 0.2]}, "x0 has shape (2,)"),
+        ("dcgd", {"x0": [0.0, float("nan"), 0.0, 0.0]}, "x0 has non-finite"),
+        ("nl2", {"x0": ["a", 0.0, 0.0, 0.0]}, "x0"),
     ])
     def test_later_config_out_of_range_writes_nothing(self, tmp_path, capsys,
                                                        method, over, culprit):

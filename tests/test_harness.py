@@ -391,7 +391,7 @@ class TestBackgroundDiagnostics:
             pass
 
         calls = []
-        min_eigenvalue = harness._min_eigenvalue
+        min_eigenvalue = harness._smallest_eigenvalue
 
         def failing(a):
             calls.append(1)
@@ -399,7 +399,7 @@ class TestBackgroundDiagnostics:
                 raise JobFailed("eigenvalue job failed")
             return min_eigenvalue(a)
 
-        monkeypatch.setattr(harness, "_min_eigenvalue", failing)
+        monkeypatch.setattr(harness, "_smallest_eigenvalue", failing)
         with pytest.raises(JobFailed):
             run_experiment(method, small_problem(), random_r(1), Budget(max_iters=4),
                            seed=0)
@@ -460,6 +460,22 @@ class TestBackgroundDiagnostics:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert texts == serial
+
+    @pytest.mark.parametrize("method", ["nl1", "nl2", "cnl"])
+    def test_margins_without_the_lapack_binding_equal_the_binding_bitwise(
+            self, monkeypatch, method):
+        # numpy's eigvalsh is the fallback where numpy ships no OpenBLAS
+        key = "min_eig_estimate" if method == "nl1" else "domination_margin"
+        p = small_problem(lam=1e-3, count=60, d=6, seed=4)
+
+        def margins():
+            trace = run_experiment(method, p, random_r(1), Budget(max_iters=20), seed=3)
+            assert trace.final().iteration == 20
+            return np.array([r.extras[key] for r in trace.rows[1:]])
+
+        fast = margins()
+        monkeypatch.setattr(linalg, "_LAPACK", None)
+        assert margins().tobytes() == fast.tobytes()
 
     def test_diagnostics_off_submits_no_job(self, monkeypatch):
         monkeypatch.setattr(harness, "_DIAGNOSTICS", None)     # any submit would raise

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,62 @@ class TestSolveSpd:
         for k in range(3):
             assert np.allclose(x[:, k], solve_cholesky(lower, b[:, k]),
                                rtol=0, atol=1e-12 * np.linalg.norm(x[:, k]))
+
+
+requires_binding = pytest.mark.skipif(
+    linalg._LAPACK is None, reason="numpy's LAPACK could not be bound")
+
+
+def probe_matrices(d):
+    """Indefinite symmetric matrices of order d, one with every eigenvalue
+    repeated, one exactly singular."""
+    g = np.random.default_rng(d)
+    a = g.standard_normal((d, d))
+    q, _ = np.linalg.qr(g.standard_normal((d, d)))
+    repeated = np.repeat([-2.0, 0.5, 3.0], d)[:d]
+    yield a + a.T
+    yield 0.5 * ((q * repeated) @ q.T + ((q * repeated) @ q.T).T)
+    yield np.outer(a[0], a[0]) - np.outer(a[-1], a[-1])
+    yield np.diag(np.arange(d) % 2.0)
+
+
+@requires_binding
+class TestLapackBinding:
+    """The ctypes kernels against numpy's own calls."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 17, 68, 123, 160])
+    def test_eigenvalues_equal_numpy_eigvalsh_bitwise(self, d):
+        for a in probe_matrices(d):
+            want = np.linalg.eigvalsh(a)
+            assert linalg._LAPACK.eigvalsh(a).tobytes() == want.tobytes()
+            assert linalg._eigvalsh(a).tobytes() == want.tobytes()
+            assert linalg.smallest_eigenvalue(a) == want[0]
+            assert np.array_equal(linalg._eigvalsh(np.ascontiguousarray(a.T)), want)
+
+    def test_calls_release_the_interpreter_lock(self):
+        # ctypes holds the lock only for functions of a PyDLL
+        assert not linalg._LAPACK.syevd._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+    def test_input_is_left_alone(self):
+        a = next(probe_matrices(9))
+        kept = a.copy()
+        linalg._eigvalsh(a)
+        assert np.array_equal(a, kept)
+
+    def test_probe_mismatch_keeps_numpy(self, monkeypatch):
+        # a numpy whose eigenvalues differ from the library's in one ulp
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: np.nextafter(eigvalsh(a), np.inf))
+        assert linalg._bind_lapack() is None
+        monkeypatch.undo()
+        assert isinstance(linalg._bind_lapack(), linalg._Lapack)
+
+    def test_non_float64_and_non_square_take_numpy(self):
+        a = np.eye(3, dtype=np.float32)
+        assert linalg._eigvalsh(a).dtype == np.float32
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._eigvalsh(np.ones((2, 3)))
 
 
 def pivot_tol(a):
