@@ -140,8 +140,17 @@ def _cholesky_pivoted(m: np.ndarray, tol: float) -> np.ndarray:
 
 
 def solve_cholesky(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L @ L.T) x = b for one RHS vector or a matrix of columns."""
+    """Solve (L @ L.T) x = b for one RHS vector or a matrix of columns.
+
+    LAPACK ``dpotrs`` does the two triangular solves; without the binding
+    (or for shapes it does not take) two general LU solves do.
+    """
     b = np.asarray(b, dtype=np.float64)
+    if _LAPACK is not None and lower.ndim == 2 and b.ndim in (1, 2) \
+            and lower.shape == (b.shape[0], b.shape[0]) and b.shape[0] > 0:
+        x = _LAPACK.cho_solve(np.ascontiguousarray(lower, dtype=np.float64), b)
+        if x is not None:
+            return np.ascontiguousarray(x)
     return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
@@ -205,7 +214,8 @@ def _weighted_gram(rows: np.ndarray, weights: np.ndarray, scale: float) -> np.nd
 
 
 class _Lapack:
-    """``dsyevd`` of the LAPACK numpy loaded, called through ctypes.
+    """``dsyevd`` and ``dpotrs`` of the LAPACK numpy loaded, called through
+    ctypes.
 
     ``fint`` is the library's Fortran integer: ILP64 symbols (suffix
     ``64_``) take 64-bit integers. Character arguments are followed by their
@@ -220,6 +230,10 @@ class _Lapack:
         self.syevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ref, ptr, ref, ptr,
                                ptr, ref, ptr, ref, ref, ctypes.c_size_t, ctypes.c_size_t]
         self.syevd.restype = None
+        self.potrs = getattr(lib, name.format("dpotrs"))
+        self.potrs.argtypes = [ctypes.c_char_p, ref, ref, ptr, ref, ptr, ref, ref,
+                               ctypes.c_size_t]
+        self.potrs.restype = None
         self.workspace: dict[int, tuple[int, int]] = {}    # d -> (lwork, liwork)
 
     def _dsyevd(self, a, w, work, iwork, lwork, liwork) -> int:
@@ -246,6 +260,18 @@ class _Lapack:
         info = self._dsyevd(m, w, np.empty(lwork), np.empty(liwork, self.ints),
                             lwork, liwork)
         return w if info == 0 else None
+
+
+    def cho_solve(self, lower: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+        """Solve (L @ L.T) x = b for a C-ordered lower factor L, which
+        column-major LAPACK reads as the upper factor L.T. None if LAPACK
+        reports a failure."""
+        f, info = self.fint, self.fint(0)
+        n = f(lower.shape[0])
+        x = np.array(b, order="F")                     # dpotrs overwrites x
+        self.potrs(b"U", n, f(1 if x.ndim == 1 else x.shape[1]), lower.ctypes.data, n,
+                   x.ctypes.data, n, info, 1)
+        return x if info.value == 0 else None
 
 
 # symbol pattern and Fortran integer of the LAPACK builds numpy ships with

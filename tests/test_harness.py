@@ -462,20 +462,32 @@ class TestBackgroundDiagnostics:
         assert texts == serial
 
     @pytest.mark.parametrize("method", ["nl1", "nl2", "cnl"])
-    def test_margins_without_the_lapack_binding_equal_the_binding_bitwise(
+    def test_runs_without_the_lapack_binding_keep_the_margins_bitwise(
             self, monkeypatch, method):
-        # numpy's eigvalsh is the fallback where numpy ships no OpenBLAS
-        key = "min_eig_estimate" if method == "nl1" else "domination_margin"
+        # numpy's own eigvalsh and LU solves are the fallback where numpy
+        # ships no OpenBLAS; the solves move the iterates in their last bits,
+        # so the margins are compared on the matrices of the fallback run
         p = small_problem(lam=1e-3, count=60, d=6, seed=4)
+        learn_round = methods.learn_round
+        outs = []
 
-        def margins():
+        def recording_round(*args):
+            outs.append(learn_round(*args))
+            return outs[-1]
+
+        monkeypatch.setattr(methods, "learn_round", recording_round)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_LAPACK", None)
             trace = run_experiment(method, p, random_r(1), Budget(max_iters=20), seed=3)
-            assert trace.final().iteration == 20
-            return np.array([r.extras[key] for r in trace.rows[1:]])
-
-        fast = margins()
-        monkeypatch.setattr(linalg, "_LAPACK", None)
-        assert margins().tobytes() == fast.tobytes()
+        assert trace.final().iteration == 20 and len(outs) == 20
+        if method == "nl1":
+            got = [r.extras["min_eig_estimate"] for r in trace.rows[1:]]
+            matrices = [out.state.h_matrix for out in outs]
+        else:
+            got = [r.extras["domination_margin"] for r in trace.rows[1:]]
+            matrices = [out.h_est - p.data_gram(out.h_at_x) for out in outs]
+        fast = [linalg._smallest_eigenvalue(a) for a in matrices]
+        assert np.array(got).tobytes() == np.array(fast).tobytes()
 
     def test_diagnostics_off_submits_no_job(self, monkeypatch):
         monkeypatch.setattr(harness, "_DIAGNOSTICS", None)     # any submit would raise

@@ -163,6 +163,30 @@ class TestLapackBinding:
         monkeypatch.undo()
         assert isinstance(linalg._bind_lapack(), linalg._Lapack)
 
+    @pytest.mark.parametrize("d", [1, 2, 9, 68, 123])
+    def test_solve_agrees_with_the_two_lu_form(self, monkeypatch, d):
+        g = np.random.default_rng(d + 700)
+        lower = cholesky_spd(random_spd(g, d, cond=1e3))
+        for b in (g.standard_normal(d), g.standard_normal((d, 4))):
+            fast = solve_cholesky(lower, b)
+            lu = np.linalg.solve(lower.T, np.linalg.solve(lower, b))
+            assert fast.shape == b.shape and fast.flags.c_contiguous
+            assert np.linalg.norm(fast - lu) <= 1e-12 * np.linalg.norm(lu)
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "_LAPACK", None)
+                assert np.array_equal(solve_cholesky(lower, b), lu)
+
+    @pytest.mark.parametrize("d", [2, 17, 123])
+    def test_inverse_stays_exactly_symmetric(self, d):
+        g = np.random.default_rng(d + 800)
+        inv = spd_inverse(random_spd(g, d, cond=1e4))
+        assert np.array_equal(inv, inv.T)
+
+    def test_solve_shape_mismatch_still_raises(self):
+        lower = cholesky_spd(np.eye(3))
+        with pytest.raises(ValueError):
+            solve_cholesky(lower, np.ones(4))
+
     def test_non_float64_and_non_square_take_numpy(self):
         a = np.eye(3, dtype=np.float32)
         assert linalg._eigvalsh(a).dtype == np.float32

@@ -214,10 +214,12 @@ def test_diana_round_equals_per_worker_loop(a2a_1e3):
 
 # SHA-256 of each trace's CSV under the one-evaluation contract: every
 # margin comes from the stacked per-worker pass. The last key is an nl1 run
-# with option=2 and h0="zeros". The eight pins beside nl2, dcgd and cnl, and
-# every JSON pin, were taken before the method table replaced one class per
-# method, a change that kept every byte. Under the round stream
-# contract with whole-matrix products for value/grad the three read
+# with option=2 and h0="zeros". Every CSV and JSON pin was re-taken when
+# ``solve_cholesky`` moved from two LU solves to LAPACK dpotrs, which moves
+# the last bits of Newton-type iterates and of the reference optimum behind
+# every gap column (tests/golden_diff.py prints old -> new). Earlier, under
+# the round stream contract with whole-matrix products for value/grad, the
+# three read
 #   nl2  4dddb1d5e8c3d7ed57ec9e295c9a767c4aeb6272a5e20f0299df0b730b306747
 #   dcgd 986d737d42e0e18ab000472de3c7ead43daaa5e777afb4378a7cbf870f2b719b
 #   cnl  e0a4fea48a2f255a3767decfc3832323cedcbc9e91364c0b6700ba89f669df15
@@ -225,35 +227,35 @@ def test_diana_round_equals_per_worker_loop(a2a_1e3):
 # 45cb065421041745f15ad8611fe4ad2fde3d4466f871cf959edd1cf2bd7c129b under the
 # earlier per-worker streams keyed by (seed, worker, iteration).
 GOLDEN_TRACE_SHA256 = {
-    "gd": "c05a96f51a40b89ace134e524d87d46013efe1ef0ba1fd733170e8f431d07e35",
-    "dcgd": "a5ed19ec15de20afb5f7d0c18e9762bafb30248807e1bf5dc3b7530823ea1a80",
-    "diana": "d324602651ccb77c5d94d8c78ff7d88e9b22c6357d60f0970cdaf5363b089285",
-    "bfgs": "3ce3e4007e6b7319e1959276dc29625348b2682071e69a2679ba168ee92ae8e0",
-    "newton": "ac4cee33a1218a04cee74a7233e0639ebbce30698f80b5c52d6ad6efeae5dbe2",
-    "newton_coeff": "94a8ac6e2f026e9b76eb4f591f16f35dc06ee72538f6328293e3d359db4cac96",
-    "ns": "96a53a00e15d94600ff1d78ed08f075c17b76dd294131a25344ce51d26c28213",
-    "mn": "b9d058977bab96065b521ded180bd57bedaf2d8faf18d06520b4533c46c22519",
-    "nl1": "ee728002327226db0d4c469f137e2116ace4e34f9339da115142bab17186b21c",
-    "nl2": "c4d713688002211d73c51fb92574f760cd346bff8e567bb0ecdb8ebcae5f164d",
-    "cnl": "70096d473543909764924d9b15caf983ff79b52b4fca09c973214ca20d4623ae",
-    "nl1-option2-zeros": "7dee0d431c45c50d3dc646011c6f9cda4b1b03c6b0db2815fd32376cd486d8fb",
+    "gd": "9eef1502c156a9971182504593137b8902901fb859f48310e3c8b8847ed9bcd9",
+    "dcgd": "c97218ad5d7a72abdd5f3891d82ccc0274ed2dda3422d78f988ede89c6121574",
+    "diana": "2feb265198597d701dd30bcc35eec733b0bfca47ae1b5cef0d4e8e58a00b6c8a",
+    "bfgs": "4a0599004b53929d7220421b25e730caa40a853c1c10ac585c3fa7c8e1b8dbed",
+    "newton": "65b5e2b9efce3ca36f0633abae8ef60ee3eedb37a55bb4796ba2ccb8c21d836c",
+    "newton_coeff": "c345e705d753eeb8d6463fe95ec3504c3ffe9ff780e87db9199cada25350b679",
+    "ns": "13255e93e1078bc14c9849f6a6a7f0c8f1eede2dcba338d3e128d4351847e963",
+    "mn": "57c05c6d37e90609b361ec5462f3deb6a47ed2cf8e954d08a2e5c7813084b7ae",
+    "nl1": "de828a8f406c6999422920fc54496b959d7a3604934be7306da226400ec0febc",
+    "nl2": "8454614a446dd5c98d1b7cc19f54f2b661eba81f084a674bdfcd988b9d2f8125",
+    "cnl": "3bca709d89c20561fbb3291b7eae418454ba1865d80b9f24f6bf8cb2fa298f01",
+    "nl1-option2-zeros": "274c22203a1cbabfb21dcf5e821d96d252661d57d6b4daf32f83df8860fc83c6",
 }
 
 # SHA-256 of the JSON text of the same traces: it also carries the
 # extras (decrease_ok, bfgs_skipped, replica_ok, the margins, ...).
 GOLDEN_JSON_SHA256 = {
-    "gd": "cfeaeac8ebc3191a18bcb2b5a41a5d39efeadab76c0739447c8b82ef1c2d9ec1",
-    "dcgd": "c6e8fc353c293bdef28dfdec4586f119adea06eb59f6703caf7972c102b4c07e",
-    "diana": "f1b9d3681410afe62ff6c0b0532e214bfee7823bf6a701b4b499a02fee883097",
-    "bfgs": "c5e2afd9fd674b4eb77d9913ba383e3a0828bc75f739ede8f91009b1d078ffaa",
-    "newton": "f14dbc90a68bf9a70a96aa78544f487c6ec777c621e16e4f7fef3fbca28cc579",
-    "newton_coeff": "510b8e6f51039153f40e216f432d4bcfa0df14c3fad621ccaa4a13e26398e51f",
-    "ns": "296d9b6aa7c124547ed6b8e8f9d69cedd8ba103d88946e0d448639c1b9c2f109",
-    "mn": "5333c5ac976d4eff6fe1a1919e8dfed6fdc261df17158dd0b2d8a4b746d134f7",
-    "nl1": "dbfbda86cf7b92c1d41bc7cd82eef685e59004cd1fde370dfa96b706af80fb76",
-    "nl2": "fe06265902a1881c688b3515414d4a236573ab15be9b2f1471b383cd35dc25bf",
-    "cnl": "2730a0ee7077d5e8895a000f3e9d1b7ba1be3e0134daa30e5783fd4dbd8622ef",
-    "nl1-option2-zeros": "d74a68d238110559232301bacf0b9421bca51a37d06e58a6d4bacbfbc026a9a7",
+    "gd": "e95903dec499fc3313ad5343815baab27054d774cf2240e278fc28d59289f2a5",
+    "dcgd": "b2f18cde9c7b3f36b41fc830ea63e65bd9ab3da6bcc0961dc8f7c6a4a398f29b",
+    "diana": "2060a98f86688371b2d338256fcf0378172afdf160ffd412c76ce05a888ad832",
+    "bfgs": "57402540d0567cd2efba058449e165d81ab40906212580cd5eb688078c076d9c",
+    "newton": "ed44584d2bcee224269cc36624d00b0b98388280a43ef79a31ac4d41d34e6848",
+    "newton_coeff": "617f8dd234b1075b1385d085f475ece10e9553ebd7f1eada117d78d2bfcde823",
+    "ns": "54c78dada22eb47e85fa2e0469cd376af55d0271c6727f9922551ce2ae096ba5",
+    "mn": "1b35345cde5de3c059160318a5a5f1ef94955b453b3958761976e22d5efebfe4",
+    "nl1": "d36be17e0f81667b41d2a213adc1590236e6dc060998cd693b2ccd3d949e4e8a",
+    "nl2": "3c920c7f8b97878bce166725f7719be6318b61d44d367e0cab062e5a206f49ba",
+    "cnl": "ccf9fc26a3336767935a885b22fb97db93c2ee924fbd8791b77b38246bda7574",
+    "nl1-option2-zeros": "644701f55e80579ec08c66f103fd0a442924c3936410206337849bbf52913fa4",
 }
 
 # SHA-256 of the iter,bits_up_cum,bits_down_cum columns of the same traces.
@@ -268,9 +270,11 @@ GOLDEN_LEDGER_SHA256 = {
 # SHA-256 over 12 rounds of the compressed methods' iterates (and learned
 # coefficients, h(x^k) or shifts), also taken before the one-evaluation
 # change: their workers always read the stacked pass, so nothing moved.
+# nl1 and nl2 were re-taken with the dpotrs solve; cnl's step solves by
+# eigendecomposition and the first-order methods solve nothing.
 GOLDEN_ITERATES_SHA256 = {
-    "nl1": "599d85cc1e4b1c596dd8b95d67ef6a8c0c45cb04ac417d253ed28738d3646391",
-    "nl2": "a2c321c3764412827e0ab628a23b03c16a7bde13536c19c09aaaf43f262729da",
+    "nl1": "5c7c92112ef5d4d7db6f5b03ac32791ee1738566258223400a19540169ba6ca3",
+    "nl2": "c97efee8801abbe189ca325fc6c1ed8e1ec1e6868ce8ac831357beec9e06e7e3",
     "cnl": "cc5f30e92375fb2ac0a1f31f4e91b1d531fdeb848525ab1094b1cb830f8ecaca",
     "dcgd": "95e02e7f8d759714df5237c2bedb004997afa0edb70df563b5fca9d521f938c3",
     "diana": "b08f581375266a33ae596f6516f1187bf224a2b0d39a58aa7f1c6444da0455e0",
