@@ -146,8 +146,8 @@ def solve_cholesky(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     (or for shapes it does not take) two general LU solves do.
     """
     b = np.asarray(b, dtype=np.float64)
-    if _LAPACK is not None and lower.ndim == 2 and b.ndim in (1, 2) \
-            and lower.shape == (b.shape[0], b.shape[0]) and b.shape[0] > 0:
+    if (_LAPACK is not None and lower.ndim == 2 and b.ndim in (1, 2)
+            and lower.shape == (b.shape[0], b.shape[0]) and b.shape[0] > 0):
         x = _LAPACK.cho_solve(np.ascontiguousarray(lower, dtype=np.float64), b)
         if x is not None:
             return np.ascontiguousarray(x)
@@ -234,7 +234,6 @@ class _Lapack:
         self.potrs.argtypes = [ctypes.c_char_p, ref, ref, ptr, ref, ptr, ref, ref,
                                ctypes.c_size_t]
         self.potrs.restype = None
-        self.workspace: dict[int, tuple[int, int]] = {}    # d -> (lwork, liwork)
 
     def _dsyevd(self, a, w, work, iwork, lwork, liwork) -> int:
         f, info = self.fint, self.fint(0)
@@ -248,19 +247,14 @@ class _Lapack:
         ``eigvalsh`` computes them: jobz='N' and uplo='L' on a column-major
         copy, with the workspace a size query returns (the reduction to
         tridiagonal form blocks by it). None if LAPACK reports a failure."""
-        d = a.shape[0]
-        m, w = np.array(a, order="F"), np.empty(d)     # dsyevd overwrites m
-        sizes = self.workspace.get(d)
-        if sizes is None:
-            work, iwork = np.empty(1), np.empty(1, self.ints)
-            if self._dsyevd(m, w, work, iwork, -1, -1) != 0:
-                return None
-            sizes = self.workspace[d] = (int(work[0]), int(iwork[0]))
-        lwork, liwork = sizes
+        m, w = np.array(a, order="F"), np.empty(a.shape[0])   # dsyevd overwrites m
+        work, iwork = np.empty(1), np.empty(1, self.ints)
+        if self._dsyevd(m, w, work, iwork, -1, -1) != 0:
+            return None
+        lwork, liwork = int(work[0]), int(iwork[0])
         info = self._dsyevd(m, w, np.empty(lwork), np.empty(liwork, self.ints),
                             lwork, liwork)
         return w if info == 0 else None
-
 
     def cho_solve(self, lower: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         """Solve (L @ L.T) x = b for a C-ordered lower factor L, which
