@@ -124,9 +124,9 @@ def probe_matrices(d):
     g = np.random.default_rng(d)
     a = g.standard_normal((d, d))
     q, _ = np.linalg.qr(g.standard_normal((d, d)))
-    repeated = np.repeat([-2.0, 0.5, 3.0], d)[:d]
+    b = (q * np.repeat([-2.0, 0.5, 3.0], d)[:d]) @ q.T
     yield a + a.T
-    yield 0.5 * ((q * repeated) @ q.T + ((q * repeated) @ q.T).T)
+    yield 0.5 * (b + b.T)
     yield np.outer(a[0], a[0]) - np.outer(a[-1], a[-1])
     yield np.diag(np.arange(d) % 2.0)
 
