@@ -441,9 +441,8 @@ def _add_method_flags(sp):
     # None unless given, like every field flag, so a config file's value stands
     sp.add_argument("--no-diagnostics", dest="diagnostics", action="store_false",
                     default=None,
-                    help="skip the per-round eigenvalue diagnostics (min_eig_estimate, "
-                         "domination_margin); hull, neighborhood and replica checks "
-                         "run on every round regardless")
+                    help="skip the learners' per-round curvature_certificate; hull, "
+                         "neighborhood and replica checks run on every round regardless")
     sp.add_argument("--timing", action="store_true", default=None)
 
 

@@ -7,9 +7,8 @@ relative pivot check, solves against the two triangular factors, grams
 shaped for a symmetric rank-k update) rather than anything sparse or
 iterative. Only the LAPACK and BLAS bundled with numpy are used.
 
-Two kernels call that LAPACK directly, through ``ctypes``, which releases
-the interpreter lock for the length of each call: the eigenvalues of
-``smallest_eigenvalue`` (``dsyevd`` with the arguments and the workspace
+Two kernels call that LAPACK directly, through ``ctypes``: the eigenvalues
+of ``smallest_eigenvalue`` (``dsyevd`` with the arguments and the workspace
 numpy's ``eigvalsh`` passes, so every value is numpy's bit for bit) and
 the two triangular solves of ``solve_cholesky`` (``dpotrs``, O(d^2) per
 right-hand side). The library is found through numpy's own linalg
@@ -82,18 +81,12 @@ def sym_eig(a: np.ndarray) -> EigDecomposition:
 
 
 def smallest_eigenvalue(a: np.ndarray) -> float:
-    return _smallest_eigenvalue(a)
-
-
-def _smallest_eigenvalue(a: np.ndarray) -> float:
-    """The body of ``smallest_eigenvalue``, for callers off the main thread
-    (see ``_weighted_gram``)."""
     return float(_eigvalsh(a)[0])
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(a)``, bit for bit, without holding the
-    interpreter lock while LAPACK runs when the binding is there."""
+    """``np.linalg.eigvalsh(a)``, bit for bit, through the binding when it
+    is there."""
     a = np.asarray(a)
     if (_LAPACK is not None and a.dtype == np.float64 and a.ndim == 2
             and a.shape[0] == a.shape[1] > 0):
@@ -191,15 +184,6 @@ def weighted_gram(rows: np.ndarray, weights: np.ndarray, scale: float = 1.0) -> 
     which BLAS computes as a symmetric rank-k update at half the flops
     and returns exactly symmetric; mixed signs take the general product,
     whose triangles can round apart, and symmetrize it.
-    """
-    return _weighted_gram(rows, weights, scale)
-
-
-def _weighted_gram(rows: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
-    """The body of ``weighted_gram``, for callers off the main thread.
-
-    The benchmark's tracer wraps public names only and keeps one span stack,
-    so a background thread calls this private name to stay out of it.
     """
     rows = np.asarray(rows, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)

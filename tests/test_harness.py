@@ -1,7 +1,10 @@
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
-from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from distnewton.compressors import (bernoulli, bit_cost, ceil_log2, identity, na
                                     random_r)
 from distnewton.data import Dataset
 from distnewton.errors import ConfigError, InputError, ReplicaMismatchError
-from distnewton.harness import (_METHODS, Budget, RunOptions, TraceRow, WorkerCharge,
+from distnewton.harness import (_METHODS, Budget, RunOptions, WorkerCharge,
                                 bits_to_reach, recompute_ledger_totals,
                                 replica_mismatches, run_experiment, tail_ratios,
                                 verify_replicas)
@@ -284,12 +287,44 @@ class TestReplicas:
         assert "(worker 2, index 1)" in str(info.value)
 
 
+def recorded_rounds(monkeypatch) -> list:
+    """Make ``methods.learn_round`` keep (state in, round out) of every call."""
+    learn_round = methods.learn_round
+    calls = []
+
+    def recording_round(p, state, *args):
+        calls.append((state, learn_round(p, state, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(methods, "learn_round", recording_round)
+    return calls
+
+
+def oracle_margin(p, out) -> float:
+    """The eigen margin the certificate stands for: the smallest eigenvalue
+    of the step's estimate minus the data Hessian at its iterate (nl2, cnl),
+    or of the next estimate (nl1); lam * I cancels or only adds."""
+    if out.beta is None:
+        return smallest_eigenvalue(out.state.h_matrix)
+    return smallest_eigenvalue(out.h_est - p.data_gram(out.h_at_x))
+
+
+def certificate_formula(state, out) -> float:
+    """min w for the round that ``state`` entered, in the harness's arithmetic."""
+    gamma = state.gamma
+    if gamma is None:
+        return float(np.min(out.state.h))
+    return float(np.min(out.beta * (state.h + 2.0 * gamma) - 2.0 * gamma - out.h_at_x))
+
+
 class TestDiagnostics:
-    def test_nl2_domination_margin_recorded(self):
+    def test_nl2_domination_margin_recorded(self, monkeypatch):
         p = small_problem(lam=1e-2)
+        calls = recorded_rounds(monkeypatch)
         trace = run_experiment("nl2", p, random_r(1), Budget(max_iters=10), seed=0)
-        margins = [r.extras["domination_margin"] for r in trace.rows[1:]]
-        assert all(m >= -1e-8 for m in margins)
+        margins = [oracle_margin(p, out) for _, out in calls]
+        assert len(margins) == 10 and all(m >= -1e-8 for m in margins)
+        assert all(r.extras["curvature_certificate"] >= -1e-12 for r in trace.rows[1:])
 
     @pytest.mark.parametrize("variant", ["nl2", "cnl"])
     def test_domination_margin_matches_full_hessian_form(self, variant):
@@ -305,16 +340,20 @@ class TestDiagnostics:
             h_est, _, _ = methods._dominated_estimate(state, out.h_at_x)
             full = smallest_eigenvalue(
                 linalg.add_diagonal(h_est, p.lam) - p.hessian(state.x))
-            margin = row.extras["domination_margin"]
+            margin = oracle_margin(p, out)
             assert margin == pytest.approx(full, rel=1e-9, abs=1e-12)
+            certificate = row.extras["curvature_certificate"]
+            assert certificate == certificate_formula(state, out) and certificate >= -1e-12
             state = out.state
             assert row.extras["value"] == p.value(state.x)   # the run's own iterate
 
-    def test_nl1_psd_margin_recorded(self):
+    def test_nl1_psd_margin_recorded(self, monkeypatch):
         p = small_problem(lam=1e-2)
+        calls = recorded_rounds(monkeypatch)
         trace = run_experiment("nl1", p, random_r(1), Budget(max_iters=10), seed=0)
-        eigs = [r.extras["min_eig_estimate"] for r in trace.rows[1:]]
-        assert all(e >= -1e-10 for e in eigs)
+        eigs = [oracle_margin(p, out) for _, out in calls]
+        assert len(eigs) == 10 and all(e >= -1e-10 for e in eigs)
+        assert all(r.extras["curvature_certificate"] >= -1e-12 for r in trace.rows[1:])
 
     def test_hull_tracking_with_theory_settings(self):
         p = small_problem(lam=1e-2, seed=6)
@@ -336,24 +375,8 @@ class TestDiagnostics:
 
 
 class TestBackgroundDiagnostics:
-    """The eigen diagnostics run on a background thread and settle later."""
-
-    @staticmethod
-    def record(monkeypatch, futures, rows):
-        """Record every submitted diagnostics job and every row the run makes."""
-        class RecordingPool:
-            def submit(self, fn, *args):
-                futures.append(pool.submit(fn, *args))
-                return futures[-1]
-
-        class RecordedRow(TraceRow):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                rows.append(self)
-
-        pool = harness._DIAGNOSTICS
-        monkeypatch.setattr(harness, "_DIAGNOSTICS", RecordingPool())
-        monkeypatch.setattr(harness, "TraceRow", RecordedRow)
+    """The curvature certificate: its closed form, computed inline on the
+    calling thread, and a check that fails when domination does."""
 
     @pytest.mark.parametrize("method,spec,rounds", [
         ("nl1", random_r(1), 30), ("nl2", random_r(1), 30), ("cnl", random_r(1), 30),
@@ -363,78 +386,69 @@ class TestBackgroundDiagnostics:
     def test_values_equal_the_synchronous_formula_bitwise(self, monkeypatch, method,
                                                           spec, rounds):
         p = small_problem(lam=1e-3, count=60, d=6, seed=4)
-        learn_round = methods.learn_round
-        outs = []
-
-        def recording_round(*args):
-            outs.append(learn_round(*args))
-            return outs[-1]
-
-        monkeypatch.setattr(methods, "learn_round", recording_round)
+        calls = recorded_rounds(monkeypatch)
         trace = run_experiment(method, p, spec, Budget(max_iters=rounds), seed=3)
-        assert len(outs) == rounds
-        if method == "nl1":
-            got = [r.extras["min_eig_estimate"] for r in trace.rows[1:]]
-            want = [smallest_eigenvalue(out.state.h_matrix) for out in outs]
-        else:
-            got = [r.extras["domination_margin"] for r in trace.rows[1:]]
-            want = [smallest_eigenvalue(out.h_est - p.data_gram(out.h_at_x))
-                    for out in outs]
+        assert len(calls) == rounds
+        got = [r.extras["curvature_certificate"] for r in trace.rows[1:]]
+        want = [certificate_formula(state, out) for state, out in calls]
         assert [type(v) for v in got] == [float] * rounds
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
-    @pytest.mark.parametrize("method", ["nl1", "nl2"])
-    @pytest.mark.parametrize("failing_call", [1, 4], ids=["mid-run", "last-round"])
-    def test_job_exception_surfaces_with_its_own_type(self, monkeypatch, method,
-                                                      failing_call):
-        class JobFailed(Exception):
-            pass
+    @pytest.mark.parametrize("method", ["nl2", "cnl"])
+    def test_a_shrunk_beta_fails_the_certificate_and_the_margin(self, monkeypatch,
+                                                                 method):
+        # nm = 8 rows in d = 10 are linearly independent, so the gram of w has
+        # a negative eigenvalue exactly when some weight w is negative
+        p = small_problem(lam=1e-3, count=8, d=10, n=4, seed=5)
 
-        calls = []
-        min_eigenvalue = harness._smallest_eigenvalue
+        def run():
+            calls = recorded_rounds(monkeypatch)
+            trace = run_experiment(method, p, random_r(1), Budget(max_iters=5), seed=0)
+            certificates = [r.extras["curvature_certificate"] for r in trace.rows[1:]]
+            return certificates, [oracle_margin(p, out) for _, out in calls]
 
-        def failing(a):
-            calls.append(1)
-            if len(calls) == failing_call:
-                raise JobFailed("eigenvalue job failed")
-            return min_eigenvalue(a)
+        certificates, margins = run()
+        assert min(certificates) >= -1e-12 and min(margins) >= -1e-8
+        dominated = methods._dominated_estimate
 
-        monkeypatch.setattr(harness, "_smallest_eigenvalue", failing)
-        with pytest.raises(JobFailed):
-            run_experiment(method, small_problem(), random_r(1), Budget(max_iters=4),
-                           seed=0)
+        def shrunk(state, h_at_x):
+            _, beta, betas = dominated(state, h_at_x)
+            beta *= 1.0 - 1e-6
+            return beta * state.h_matrix - 2.0 * state.gamma * state.mean_gram, beta, betas
 
-    def test_no_job_outlives_a_run_that_returns(self, monkeypatch):
-        futures, rows = [], []
-        self.record(monkeypatch, futures, rows)
-        trace = run_experiment("nl2", small_problem(), random_r(1), Budget(max_iters=6),
-                               seed=0)
-        assert len(futures) == 6 and all(f.done() for f in futures)
-        assert list(map(id, rows)) == list(map(id, trace.rows))
-        assert not any(isinstance(v, Future) for r in rows for v in r.extras.values())
+        monkeypatch.setattr(methods, "_dominated_estimate", shrunk)
+        certificates, margins = run()
+        assert len(certificates) == len(margins) == 5
+        assert max(certificates) < -1e-12 and max(margins) < -1e-8
 
-    def test_no_job_outlives_a_run_that_raises(self, monkeypatch):
-        futures, rows = [], []
-        self.record(monkeypatch, futures, rows)
-        apply = methods.apply_coeff_update
-        calls = []
+    def test_a_run_with_diagnostics_starts_no_thread(self):
+        # a fresh interpreter, so no thread an earlier test left running can
+        # stand in for one the run starts
+        code = textwrap.dedent("""
+            import threading
+            import numpy as np
+            from distnewton.compressors import random_r
+            from distnewton.data import Dataset
+            from distnewton.harness import Budget, run_experiment
+            from distnewton.problem import make_problem
 
-        def perturbed(h_old, delta, *args):
-            h_new = apply(h_old, delta, *args)
-            calls.append(1)
-            if len(calls) == 6:          # the server's update in round 2
-                h_new[0, 0] = np.nextafter(h_new[0, 0], np.inf)
-            return h_new
+            g = np.random.default_rng(0)
+            ds = Dataset(features=g.standard_normal((40, 5)),
+                         labels=np.where(g.random(40) < 0.5, -1.0, 1.0))
+            p = make_problem(ds, n=4, shuffle_seed=0, loss_kind="logistic", lam=1e-2)
+            before = threading.enumerate()
+            for method in ("nl1", "nl2", "cnl"):
+                trace = run_experiment(method, p, random_r(1), Budget(max_iters=5), seed=0)
+                assert "curvature_certificate" in trace.rows[-1].extras
+            print(threading.enumerate() == before)
+        """)
+        src = str(Path(harness.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True\n"
 
-        monkeypatch.setattr(methods, "apply_coeff_update", perturbed)
-        with pytest.raises(ReplicaMismatchError):
-            run_experiment("nl2", small_problem(), random_r(1), Budget(max_iters=5),
-                           seed=0)
-        assert len(futures) == 2 and all(f.done() for f in futures)
-        assert len(rows) == 3
-        assert not any(isinstance(v, Future) for r in rows for v in r.extras.values())
-
-    def test_concurrent_runs_share_the_thread_and_keep_their_bytes(self):
+    def test_concurrent_runs_keep_their_bytes(self):
         # more runs than cores, each on its own problem (the evaluation slot
         # is per problem), with thread switches forced as often as possible
         names = ["nl1", "nl2", "cnl", "nl2"]
@@ -468,32 +482,27 @@ class TestBackgroundDiagnostics:
         # ships no OpenBLAS; the solves move the iterates in their last bits,
         # so the margins are compared on the matrices of the fallback run
         p = small_problem(lam=1e-3, count=60, d=6, seed=4)
-        learn_round = methods.learn_round
-        outs = []
-
-        def recording_round(*args):
-            outs.append(learn_round(*args))
-            return outs[-1]
-
-        monkeypatch.setattr(methods, "learn_round", recording_round)
+        calls = recorded_rounds(monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(linalg, "_LAPACK", None)
             trace = run_experiment(method, p, random_r(1), Budget(max_iters=20), seed=3)
-        assert trace.final().iteration == 20 and len(outs) == 20
-        if method == "nl1":
-            got = [r.extras["min_eig_estimate"] for r in trace.rows[1:]]
-            matrices = [out.state.h_matrix for out in outs]
-        else:
-            got = [r.extras["domination_margin"] for r in trace.rows[1:]]
-            matrices = [out.h_est - p.data_gram(out.h_at_x) for out in outs]
-        fast = [linalg._smallest_eigenvalue(a) for a in matrices]
-        assert np.array(got).tobytes() == np.array(fast).tobytes()
+            slow = [oracle_margin(p, out) for _, out in calls]
+        assert trace.final().iteration == 20 and len(calls) == 20
+        fast = [oracle_margin(p, out) for _, out in calls]
+        assert np.array(slow).tobytes() == np.array(fast).tobytes()
+        got = [r.extras["curvature_certificate"] for r in trace.rows[1:]]
+        assert got == [certificate_formula(state, out) for state, out in calls]
 
-    def test_diagnostics_off_submits_no_job(self, monkeypatch):
-        monkeypatch.setattr(harness, "_DIAGNOSTICS", None)     # any submit would raise
-        trace = run_experiment("nl2", small_problem(), random_r(1), Budget(max_iters=3),
-                               seed=0, opts=RunOptions(diagnostics=False))
-        assert "domination_margin" not in trace.rows[-1].extras
+    def test_diagnostics_off_records_no_certificate(self):
+        # and the certificate never touches the CSV bytes
+        for method in ("nl1", "nl2", "cnl"):
+            p = small_problem()
+            on = run_experiment(method, p, random_r(1), Budget(max_iters=3), seed=0)
+            off = run_experiment(method, p, random_r(1), Budget(max_iters=3), seed=0,
+                                 opts=RunOptions(diagnostics=False))
+            assert all("curvature_certificate" in r.extras for r in on.rows[1:])
+            assert not any("curvature_certificate" in r.extras for r in off.rows)
+            assert off.csv_text() == on.csv_text()
 
 
 class TestTraceOutput:

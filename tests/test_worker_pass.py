@@ -242,7 +242,7 @@ GOLDEN_TRACE_SHA256 = {
 }
 
 # SHA-256 of the JSON text of the same traces: it also carries the
-# extras (decrease_ok, bfgs_skipped, replica_ok, the margins, ...).
+# extras (decrease_ok, bfgs_skipped, replica_ok, curvature_certificate, ...).
 GOLDEN_JSON_SHA256 = {
     "gd": "e95903dec499fc3313ad5343815baab27054d774cf2240e278fc28d59289f2a5",
     "dcgd": "b2f18cde9c7b3f36b41fc830ea63e65bd9ab3da6bcc0961dc8f7c6a4a398f29b",
@@ -252,10 +252,10 @@ GOLDEN_JSON_SHA256 = {
     "newton_coeff": "617f8dd234b1075b1385d085f475ece10e9553ebd7f1eada117d78d2bfcde823",
     "ns": "54c78dada22eb47e85fa2e0469cd376af55d0271c6727f9922551ce2ae096ba5",
     "mn": "1b35345cde5de3c059160318a5a5f1ef94955b453b3958761976e22d5efebfe4",
-    "nl1": "d36be17e0f81667b41d2a213adc1590236e6dc060998cd693b2ccd3d949e4e8a",
-    "nl2": "3c920c7f8b97878bce166725f7719be6318b61d44d367e0cab062e5a206f49ba",
-    "cnl": "ccf9fc26a3336767935a885b22fb97db93c2ee924fbd8791b77b38246bda7574",
-    "nl1-option2-zeros": "644701f55e80579ec08c66f103fd0a442924c3936410206337849bbf52913fa4",
+    "nl1": "1229b366c47e593c010b2719e8a8c294348d0d4f84ae5f1b791698c670da7558",
+    "nl2": "d4bc64d7e9910be8645198c9b3a407e9d9cea4f37e26feab3336721db00eb32f",
+    "cnl": "9d616689a21d033ca1d7a5157547447b8bf41f3b0ff62e7085d992b6b1579fdb",
+    "nl1-option2-zeros": "3c39a7d406ce9979b5825423e552ad1344a53b8fa3603342fc3fad70606b0868",
 }
 
 # SHA-256 of the iter,bits_up_cum,bits_down_cum columns of the same traces.
