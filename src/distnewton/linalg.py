@@ -7,14 +7,12 @@ relative pivot check, solves against the two triangular factors, grams
 shaped for a symmetric rank-k update) rather than anything sparse or
 iterative. Only the LAPACK and BLAS bundled with numpy are used.
 
-Two kernels call that LAPACK directly, through ``ctypes``: the eigenvalues
-of ``smallest_eigenvalue`` (``dsyevd`` with the arguments and the workspace
-numpy's ``eigvalsh`` passes, so every value is numpy's bit for bit) and
-the two triangular solves of ``solve_cholesky`` (``dpotrs``, O(d^2) per
-right-hand side). The library is found through numpy's own linalg
-extension and bound once, at import, only if its ``dsyevd`` reproduces
-``np.linalg.eigvalsh`` bit for bit on a probe matrix; otherwise, as on
-numpy builds without a bundled OpenBLAS, both kernels call numpy.
+One kernel calls that LAPACK directly, through ``ctypes``: the two
+triangular solves of ``solve_cholesky`` (``dpotrs``, O(d^2) per right-hand
+side). The library is found through numpy's own linalg extension and bound
+once, at import, only if its ``dpotrs`` solves a small integer system
+exactly; otherwise, as on numpy builds without a bundled OpenBLAS, two
+general LU solves of numpy's do the work.
 
 A curvature matrix is a plain (d, d) float64 array that is exactly
 (bitwise) symmetric. Sums, scalings, rank-one terms and diagonal shifts of
@@ -81,19 +79,7 @@ def sym_eig(a: np.ndarray) -> EigDecomposition:
 
 
 def smallest_eigenvalue(a: np.ndarray) -> float:
-    return float(_eigvalsh(a)[0])
-
-
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(a)``, bit for bit, through the binding when it
-    is there."""
-    a = np.asarray(a)
-    if (_LAPACK is not None and a.dtype == np.float64 and a.ndim == 2
-            and a.shape[0] == a.shape[1] > 0):
-        w = _LAPACK.eigvalsh(a)
-        if w is not None:
-            return w
-    return np.linalg.eigvalsh(a)
+    return float(np.linalg.eigvalsh(a)[0])
 
 
 def cholesky_spd(a: np.ndarray) -> np.ndarray:
@@ -198,47 +184,20 @@ def weighted_gram(rows: np.ndarray, weights: np.ndarray, scale: float = 1.0) -> 
 
 
 class _Lapack:
-    """``dsyevd`` and ``dpotrs`` of the LAPACK numpy loaded, called through
-    ctypes.
+    """``dpotrs`` of the LAPACK numpy loaded, called through ctypes.
 
     ``fint`` is the library's Fortran integer: ILP64 symbols (suffix
-    ``64_``) take 64-bit integers. Character arguments are followed by their
-    hidden lengths, as gfortran passes them.
+    ``64_``) take 64-bit integers. The character argument is followed by
+    its hidden length, as gfortran passes it.
     """
 
     def __init__(self, lib, name, fint):
         self.fint = fint
-        self.ints = np.dtype(fint)
-        self.syevd = getattr(lib, name.format("dsyevd"))
-        ref, ptr = ctypes.POINTER(fint), ctypes.c_void_p
-        self.syevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ref, ptr, ref, ptr,
-                               ptr, ref, ptr, ref, ref, ctypes.c_size_t, ctypes.c_size_t]
-        self.syevd.restype = None
         self.potrs = getattr(lib, name.format("dpotrs"))
+        ref, ptr = ctypes.POINTER(fint), ctypes.c_void_p
         self.potrs.argtypes = [ctypes.c_char_p, ref, ref, ptr, ref, ptr, ref, ref,
                                ctypes.c_size_t]
         self.potrs.restype = None
-
-    def _dsyevd(self, a, w, work, iwork, lwork, liwork) -> int:
-        f, info = self.fint, self.fint(0)
-        n = f(w.shape[0])
-        self.syevd(b"N", b"L", n, a.ctypes.data, n, w.ctypes.data, work.ctypes.data,
-                   f(lwork), iwork.ctypes.data, f(liwork), info, 1, 1)
-        return info.value
-
-    def eigvalsh(self, a: np.ndarray) -> Optional[np.ndarray]:
-        """Ascending eigenvalues of a square float64 array as numpy's
-        ``eigvalsh`` computes them: jobz='N' and uplo='L' on a column-major
-        copy, with the workspace a size query returns (the reduction to
-        tridiagonal form blocks by it). None if LAPACK reports a failure."""
-        m, w = np.array(a, order="F"), np.empty(a.shape[0])   # dsyevd overwrites m
-        work, iwork = np.empty(1), np.empty(1, self.ints)
-        if self._dsyevd(m, w, work, iwork, -1, -1) != 0:
-            return None
-        lwork, liwork = int(work[0]), int(iwork[0])
-        info = self._dsyevd(m, w, np.empty(lwork), np.empty(liwork, self.ints),
-                            lwork, liwork)
-        return w if info == 0 else None
 
     def cho_solve(self, lower: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         """Solve (L @ L.T) x = b for a C-ordered lower factor L, which
@@ -256,27 +215,37 @@ class _Lapack:
 _LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
                    ("scipy_{}_", ctypes.c_int32))
 
+# The probe system (L @ L.T) x = L @ (L.T @ x): every value a triangular solve
+# passes through is an integer, or one over a power of two where it multiplies
+# by reciprocal diagonals, so a correct solve returns x bit for bit. Each
+# diagonal entry of L dominates its column, so the two LU solves of the
+# fallback pivot nowhere and are exact too.
+_PROBE_LOWER = np.array([[4.0, 0.0, 0.0, 0.0, 0.0],
+                         [-3.0, 2.0, 0.0, 0.0, 0.0],
+                         [1.0, 1.0, 8.0, 0.0, 0.0],
+                         [2.0, -1.0, -5.0, 4.0, 0.0],
+                         [-1.0, 0.0, 3.0, -2.0, 1.0]])
+_PROBE_X = np.arange(-7.0, 8.0).reshape(5, 3)
+
 
 def _bind_lapack() -> Optional[_Lapack]:
-    """The binding, or None unless its eigenvalues of a fixed indefinite
-    probe matrix with a repeated eigenvalue equal numpy's bit for bit."""
+    """The binding, or None unless its ``cho_solve`` returns the probe
+    solution bit for bit, for a vector and for a matrix right-hand side."""
     try:
         from numpy.linalg import _umath_linalg
         # dlsym on the extension's handle also searches the libraries it loaded
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, AttributeError, OSError):
         return None
-    r = np.arange(40.0)
-    probe = np.cos(np.add.outer(r, r)) + np.diag(r % 3.0)
     for name, fint in _LAPACK_SYMBOLS:
         try:
             lapack = _Lapack(lib, name, fint)
         except AttributeError:
             continue
-        w = lapack.eigvalsh(probe)
-        if w is not None and np.array_equal(w, np.linalg.eigvalsh(probe)):
-            return lapack
-        return None
+        low = _PROBE_LOWER
+        exact = all(np.array_equal(lapack.cho_solve(low, low @ (low.T @ x)), x)
+                    for x in (_PROBE_X[:, 0], _PROBE_X))
+        return lapack if exact else None
     return None
 
 

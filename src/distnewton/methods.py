@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .compressors import CompressedPayload, CompressorSpec, compress_with_info
+from .compressors import CompressedPayload, CompressorSpec, compress_with_info, omega
 from .errors import ConfigError, InputError, NumericalError
 from .linalg import add_diagonal, solve_spd, sym_eig
 from .problem import Problem
@@ -284,8 +284,6 @@ def apply_coeff_update(h_old: Array, delta: Array, eta: float,
 
 def default_eta(spec: CompressorSpec, m: int) -> float:
     """Largest learning rate admitted by the theory: 1/(omega+1)."""
-    from .compressors import omega
-
     return 1.0 / (omega(spec, m) + 1.0)
 
 
@@ -396,8 +394,6 @@ def gd_step(p: Problem, x: Array, stepsize: float) -> Array:
 
 def default_first_order_stepsize(p: Problem, spec: CompressorSpec) -> float:
     """Conventional 1/((1 + 2*omega/n) * L_hat) compressed-gradient stepsize."""
-    from .compressors import omega
-
     w = omega(spec, p.d)
     return 1.0 / ((1.0 + 2.0 * w / p.n) * p.grad_lipschitz_bound())
 

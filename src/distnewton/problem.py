@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .data import Dataset, Partition
+from .data import Dataset, Partition, partition
 from .errors import InputError
 from .linalg import add_diagonal, weighted_gram
 
@@ -290,7 +290,5 @@ class Problem:
 def make_problem(dataset: Dataset, n: int, shuffle_seed: int,
                  loss_kind: str = "logistic", lam: float = 0.0) -> Problem:
     """Convenience constructor: partition the dataset and wrap everything up."""
-    from .data import partition as _partition
-
-    part = _partition(dataset, n, shuffle_seed)
+    part = partition(dataset, n, shuffle_seed)
     return Problem(dataset=dataset, part=part, loss=loss_model(loss_kind), lam=lam)
