@@ -33,8 +33,8 @@ from .errors import (CacheError, ConfigError, DistNewtonError, InputError,
                      NumericalError, ParseError, ReplicaMismatchError,
                      SingularMatrixError)
 from .harness import (_H0_POLICIES, _OPTIONS, COMPRESSED_METHODS, METHOD_NAMES,
-                      Budget, RunOptions, Trace, _check_spec_fits, _start_point,
-                      bits_to_reach, run_experiment)
+                      Budget, RunOptions, Trace, _check_start, bits_to_reach,
+                      run_experiment)
 from .methods import Oracles, reference_optimum
 from .problem import _LOSSES, Problem, make_problem
 
@@ -307,12 +307,11 @@ def _outroot(args) -> Path:
 def _prepare(cfgs: list[ExperimentConfig],
              outroot: Path) -> tuple[Problem, Oracles, Path]:
     """The problem that configs of one ``problem_key`` share, its oracles and
-    their cache file under outroot. Every config's compressor and x0 are
-    checked against the problem before the oracles are read or computed."""
+    their cache file under outroot. Every config's start is checked against
+    the problem before the oracles are read or computed."""
     p = cfgs[0].build_problem()
     for cfg in cfgs:
-        _check_spec_fits(cfg.method, p, cfg.compressor_spec())
-        _start_point(cfg.x0, p)
+        _check_start(cfg.method, p, cfg.compressor_spec(), cfg.run_options())
     path = oracle_path(cfgs[0], outroot)
     return p, load_or_compute_oracles(cfgs[0], p, path), path
 

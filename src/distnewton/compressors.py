@@ -63,6 +63,9 @@ class CompressorSpec:
             raise InputError("random_r needs r >= 1")
         if self.kind == "dithering" and self.s is not None and self.s < 1:
             raise InputError("dithering needs s >= 1")
+        # (sum |x|^q)^(1/q) is a norm, and omega's closed form holds, for q >= 1
+        if self.kind == "dithering" and not 1 <= self.q < math.inf:
+            raise InputError(f"dithering needs a finite q >= 1, not {self.q!r}")
         if self.kind == "bernoulli":
             if self.inner is None or self.p is None or not 0 < self.p <= 1:
                 raise InputError("bernoulli needs an inner spec and p in (0, 1]")

@@ -33,6 +33,7 @@ byte-reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -317,28 +318,11 @@ def _stateless(update, charge):
     return start
 
 
-class _Charges:
-    """A run's payload descriptors: one WorkerCharge per distinct key, made
-    by ``make(key)`` the first time the key appears."""
-
-    def __init__(self, make: Callable[..., WorkerCharge]):
-        self.make = make
-        self.made: dict = {}
-
-    def __call__(self, keys) -> list[WorkerCharge]:
-        """The descriptor of each worker's key, in worker order."""
-        made, out = self.made, []
-        for key in keys:
-            c = made.get(key)
-            if c is None:
-                c = made[key] = self.make(key)
-            out.append(c)
-        return out
-
-
-def _compressed_charges(run: _Run) -> _Charges:
-    """A compressed gradient's descriptors, keyed by whether it fired."""
-    return _Charges(lambda fired: WorkerCharge(compressed=(run.spec, run.p.d, fired)))
+def _compressed_charges(run: _Run) -> Callable[[bool], WorkerCharge]:
+    """A compressed gradient's descriptor, made once per run for each value
+    of whether it fired."""
+    return functools.cache(
+        lambda fired: WorkerCharge(compressed=(run.spec, run.p.d, fired)))
 
 
 def _start_dcgd(run: _Run, x: Array):
@@ -347,7 +331,7 @@ def _start_dcgd(run: _Run, x: Array):
     def step(k):
         nonlocal x
         x, payload = methods.dcgd_round(run.p, x, run.spec, run.seed, k, run.stepsize)
-        return x, charges(payload.fired.tolist()), {}
+        return x, list(map(charges, payload.fired.tolist())), {}
     return step, _no_phi
 
 
@@ -359,7 +343,7 @@ def _start_diana(run: _Run, x: Array):
         nonlocal state
         state, payload = methods.diana_round(run.p, state, run.spec, run.seed,
                                              run.stepsize, run.theta)
-        return state.x, charges(payload.fired.tolist()), {}
+        return state.x, list(map(charges, payload.fired.tolist())), {}
     return step, _no_phi
 
 
@@ -374,18 +358,30 @@ def _start_bfgs(run: _Run, x: Array):
     return step, _no_phi
 
 
+def _learner_start(p: Problem, opts: RunOptions, x: Array,
+                   bounded: bool) -> tuple[Array, Optional[float]]:
+    """A learner's first coefficients h0 at x, by the h0 policy, and its
+    bound gamma (None unless bounded); ConfigError unless |h0| <= gamma."""
+    if opts.h0 not in _H0_POLICIES:
+        raise ConfigError(f"unknown h0 policy {opts.h0!r}")
+    h0 = p.h_all(x) if opts.h0 == "h_at_x0" else np.zeros((p.n, p.m))
+    if not bounded:
+        return h0, None
+    gamma = opts.gamma if opts.gamma is not None else p.loss.gamma
+    worst = float(np.max(np.abs(h0)))
+    if worst > gamma:
+        raise ConfigError(f"initial coefficients must satisfy |h| <= gamma, but "
+                          f"max |h0| = {worst!r} exceeds gamma = {gamma!r}")
+    return h0, gamma
+
+
 class _Learner:
     """One curvature-learning run plus all its runtime diagnostics."""
 
     def __init__(self, run: _Run, x: Array, bounded: bool, cubic: bool):
-        p, opts = run.p, run.opts
+        p = run.p
         self.run = run
-        if opts.h0 not in _H0_POLICIES:
-            raise ConfigError(f"unknown h0 policy {opts.h0!r}")
-        h0 = p.h_all(x) if opts.h0 == "h_at_x0" else np.zeros((p.n, p.m))
-        gamma = None
-        if bounded:
-            gamma = opts.gamma if opts.gamma is not None else p.loss.gamma
+        h0, gamma = _learner_start(p, run.opts, x, bounded)
         self.state = methods.learn_init(
             p, x, h0, gamma, p.constants().hessian_lipschitz if cubic else None)
         self.server_h = self.state.h.copy()
@@ -395,9 +391,9 @@ class _Learner:
         # keyed by (fired, data vectors shipped); the bounded variants also
         # send their curvature ratio
         index_bits = ceil_log2(p.n * p.m)
-        self.charges = _Charges(lambda key: WorkerCharge(
-            grad_floats=p.d, compressed=(run.spec, p.m, key[0]),
-            beta_scalars=int(bounded), data_vectors=key[1], vector_floats=p.d,
+        self.charges = functools.cache(lambda fired, vectors: WorkerCharge(
+            grad_floats=p.d, compressed=(run.spec, p.m, fired),
+            beta_scalars=int(bounded), data_vectors=vectors, vector_floats=p.d,
             index_bits=index_bits))
 
     def _neighborhood_radius_sq(self) -> float:
@@ -469,14 +465,7 @@ class _Learner:
         # Option 1 ships the data vector of every changed coefficient
         vectors = (out.changed.sum(axis=1).tolist() if run.opts.option == 1
                    else [0] * p.n)
-        return self.state.x, self.charges(zip(out.fired.tolist(), vectors)), extras
-
-
-def _learner(bounded: bool, cubic: bool):
-    def start(run: _Run, x: Array):
-        learner = _Learner(run, x, bounded, cubic)
-        return learner.step, learner.phi
-    return start
+        return self.state.x, list(map(self.charges, out.fired.tolist(), vectors)), extras
 
 
 @dataclass(frozen=True)
@@ -486,6 +475,7 @@ class _Method:
     ``stepsize``, ``theta`` and ``eta`` give a default, as f(p, spec), for
     the RunOptions field of that name; ``eta`` also marks a method that
     learns coefficients, warned when its rate exceeds that theory default.
+    A ``bounded`` learner clamps its coefficients to [-gamma, gamma].
     ``monotone`` methods must not increase the objective.
     """
 
@@ -495,6 +485,7 @@ class _Method:
     stepsize: Optional[Callable] = None
     theta: Optional[Callable] = None
     eta: Optional[Callable] = None
+    bounded: bool = False
     monotone: bool = False
 
 
@@ -506,6 +497,15 @@ def _first_order_stepsize(p, spec):
 
 def _theory_eta(p, spec):
     return methods.default_eta(spec, p.m)
+
+
+def _learner(bounded: bool, cubic: bool) -> _Method:
+    """A curvature learner's row; the cubic step never increases P."""
+    def start(run: _Run, x: Array):
+        learner = _Learner(run, x, bounded, cubic)
+        return learner.step, learner.phi
+    return _Method(start, needs_spec=True, eta=_theory_eta, bounded=bounded,
+                   monotone=cubic)
 
 
 _METHODS = {
@@ -527,23 +527,27 @@ _METHODS = {
     "mn": _Method(_stateless(lambda run, x: methods.mn_step(run.p, run.oracles, x),
                              lambda p: WorkerCharge(grad_floats=p.d, beta_scalars=1)),
                   needs_oracles=True),
-    "nl1": _Method(_learner(bounded=False, cubic=False), needs_spec=True,
-                   eta=_theory_eta),
-    "nl2": _Method(_learner(bounded=True, cubic=False), needs_spec=True,
-                   eta=_theory_eta),
-    "cnl": _Method(_learner(bounded=True, cubic=True), needs_spec=True,
-                   eta=_theory_eta, monotone=True),
+    "nl1": _learner(bounded=False, cubic=False),
+    "nl2": _learner(bounded=True, cubic=False),
+    "cnl": _learner(bounded=True, cubic=True),
 }
 METHOD_NAMES = tuple(_METHODS)
 COMPRESSED_METHODS = tuple(name for name, rec in _METHODS.items() if rec.needs_spec)
 
 
-def _check_spec_fits(method: str, p: Problem, spec: Optional[CompressorSpec]) -> None:
-    """InputError unless a compressed method's spec fits the vectors it
-    compresses: a learner's m coefficients, a first-order method's gradient."""
+def _check_start(method: str, p: Problem, spec: Optional[CompressorSpec],
+                 opts: RunOptions) -> None:
+    """Raise, before anything is written, what starting this run on p would
+    raise: InputError for a spec wider than the vectors it compresses (a
+    learner's m coefficients, a first-order method's gradient) or a bad x0,
+    and ConfigError for a bounded learner whose h0 exceeds gamma. Only that
+    last check evaluates the data, at x0, through the evaluation slot."""
     rec = _METHODS[method]
     if rec.needs_spec:
         omega(spec, p.m if rec.eta is not None else p.d)    # raises on r > length
+    x = _start_point(opts.x0, p)
+    if rec.bounded:
+        _learner_start(p, opts, x, bounded=True)
 
 
 def _start_point(x0, p: Problem) -> Array:

@@ -297,7 +297,8 @@ def learn_init(p: Problem, x0: Array, h0: Array, gamma: Optional[float] = None,
     are clamped to [-gamma, gamma] and the estimate is scaled to dominate
     the true curvature, so lam = 0 is allowed. ``cubic_coeff`` (cnl, with a
     bound) replaces the Newton step by the cubically regularized model
-    step; only the Newton-step variants need h0 >= 0.
+    step; only the Newton-step variants need h0 >= 0. A bound needs
+    |h0| <= gamma, which the harness checks before a run starts.
     """
     h0 = np.asarray(h0, dtype=np.float64)
     bounded = gamma is not None
@@ -305,8 +306,6 @@ def learn_init(p: Problem, x0: Array, h0: Array, gamma: Optional[float] = None,
         raise ConfigError("nonnegative curvature learning requires lam > 0")
     if bounded and gamma <= 0:
         raise ConfigError("curvature bound gamma must be positive")
-    if bounded and np.max(np.abs(h0)) > gamma:
-        raise ConfigError("initial coefficients must satisfy |h| <= gamma")
     if cubic_coeff is None and np.min(h0) < 0:
         raise ConfigError("initial coefficients must be nonnegative")
     return LearnState(x=x0.copy(), h=h0.copy(),
@@ -413,14 +412,9 @@ class DianaState:
     iteration: int = 0
 
 
-def diana_init(p: Problem, x0: Array, shifts: str = "zero") -> DianaState:
-    if shifts == "zero":
-        v = np.zeros((p.n, p.d))
-    elif shifts == "local_grad":
-        v = p.local_grad(slice(None), x0) + p.lam * x0
-    else:
-        raise ConfigError(f"unknown shift initialization {shifts!r}")
-    return DianaState(x=x0.copy(), shifts=v)
+def diana_init(p: Problem, x0: Array) -> DianaState:
+    """Start DIANA at x0 from zero shifts."""
+    return DianaState(x0.copy(), np.zeros((p.n, p.d)))
 
 
 def diana_round(p: Problem, state: DianaState, spec: CompressorSpec, seed: int,
@@ -432,8 +426,7 @@ def diana_round(p: Problem, state: DianaState, spec: CompressorSpec, seed: int,
     ghat = (state.shifts + values).mean(axis=0)
     new_shifts = state.shifts + theta * values
     x_new = state.x - stepsize * ghat
-    return DianaState(x=x_new, shifts=new_shifts,
-                      iteration=state.iteration + 1), payload
+    return DianaState(x_new, new_shifts, state.iteration + 1), payload
 
 
 @dataclass

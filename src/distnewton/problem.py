@@ -26,31 +26,17 @@ from .linalg import add_diagonal, weighted_gram
 Array = np.ndarray
 
 
-def _sigmoid(z: Array) -> Array:
-    # exp of a nonpositive argument never overflows; for z < 0, e == exp(z)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _softplus(z: Array) -> Array:
-    # log(1 + exp(z)) without overflow for large positive z
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
 @dataclass(frozen=True)
 class LossModel:
     """Scalar loss phi(t, b) with first/second derivatives in t.
 
-    ``derivs`` returns ``(phi, dphi, ddphi)`` from one shared kernel, each
-    bitwise equal to the separate field. ``gamma`` bounds |phi''|
-    everywhere; ``nu`` is a Lipschitz constant of phi''. Both are
-    closed-form per loss kind, not estimated from data.
+    ``derivs(t, b)`` returns ``(phi, dphi, ddphi)`` elementwise from one
+    kernel. ``gamma`` bounds |phi''| everywhere; ``nu`` is a Lipschitz
+    constant of phi''. Both are closed-form per loss kind, not estimated
+    from data.
     """
 
     kind: str
-    phi: Callable[[Array, Array], Array]
-    dphi: Callable[[Array, Array], Array]
-    ddphi: Callable[[Array, Array], Array]
     derivs: Callable[[Array, Array], tuple[Array, Array, Array]]
     gamma: float
     nu: float
@@ -61,16 +47,16 @@ LOGISTIC_NU = 1.0 / (6.0 * math.sqrt(3.0))
 
 
 def _logistic_derivs(t: Array, b: Array) -> tuple[Array, Array, Array]:
-    # One exp serves _sigmoid(bt), _sigmoid(-bt) and _softplus(-bt), each
-    # bitwise the separate form. With e = exp(-|bt|) <= 1, max(step, e)
-    # picks the numerator 1 where bt >= 0 and e elsewhere, as _sigmoid's
-    # np.where does, without a data-dependent branch.
+    # phi = log(1 + exp(-bt)), dphi = -b s(-bt) and ddphi = b^2 s(bt) s(-bt)
+    # for the sigmoid s, from one exp: e = exp(-|bt|) <= 1 never overflows.
+    # s(z) is 1/(1 + e) for z >= 0 and e/(1 + e) below, and max(step, e)
+    # picks that numerator without a data-dependent branch.
     bt = b * t
     e = np.exp(-np.abs(bt))
     denom = 1.0 + e
     step = (bt >= 0).astype(np.float64)
-    sig_pos = np.maximum(step, e) / denom           # _sigmoid(bt)
-    sig_neg = np.maximum(1.0 - step, e) / denom     # _sigmoid(-bt)
+    sig_pos = np.maximum(step, e) / denom           # s(bt)
+    sig_neg = np.maximum(1.0 - step, e) / denom     # s(-bt)
     phi = np.maximum(-bt, 0.0) + np.log1p(e)
     return phi, -b * sig_neg, (b * b) * sig_pos * sig_neg
 
@@ -82,9 +68,6 @@ def _squared_derivs(t: Array, b: Array) -> tuple[Array, Array, Array]:
 
 _LOGISTIC = LossModel(
     kind="logistic",
-    phi=lambda t, b: _softplus(-b * t),
-    dphi=lambda t, b: -b * _sigmoid(-b * t),
-    ddphi=lambda t, b: (b * b) * _sigmoid(b * t) * _sigmoid(-b * t),
     derivs=_logistic_derivs,
     gamma=0.25,
     nu=LOGISTIC_NU,
@@ -92,9 +75,6 @@ _LOGISTIC = LossModel(
 
 _SQUARED = LossModel(
     kind="squared",
-    phi=lambda t, b: 0.5 * (t - b) ** 2,
-    dphi=lambda t, b: t - b,
-    ddphi=lambda t, b: np.ones_like(t),
     derivs=_squared_derivs,
     gamma=1.0,
     nu=0.0,
@@ -161,6 +141,8 @@ class Problem:
     def __post_init__(self):
         if self.lam < 0:
             raise InputError("regularization parameter must be nonnegative")
+        if self.d < 1:
+            raise InputError("the dataset has no features (d = 0)")
         count = len(self.dataset)
         for shard in self.part.shards:
             if np.max(shard) >= count:

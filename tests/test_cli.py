@@ -145,6 +145,12 @@ class TestRun:
         ({"loss": "hinge"}, "loss"),
         ({"h0": "bogus"}, "h0"),
         ({"option": 3}, "option"),
+        ({"method": "nl2", "compressor": {"kind": "random_r", "r": 1}, "gamma": 0.1},
+         "gamma"),
+        ({"method": "nl2", "compressor": {"kind": "dithering", "q": 0}}, "q >= 1"),
+        ({"method": "nl2", "compressor": {"kind": "dithering", "q": -1}}, "q >= 1"),
+        ({"method": "nl2", "compressor": {"kind": "dithering", "q": float("inf")}},
+         "q >= 1"),
     ])
     def test_bad_field_value_exits_2_and_names_it(self, tmp_path, capsys,
                                                   over, culprit):
@@ -164,6 +170,16 @@ class TestRun:
                    "--method", "gd", "--seed", "1", "--outdir", str(out)])
         assert rc == 2
         assert "d_hint 5 exceeds the maximum width 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_without_features_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "labels_only.libsvm"
+        data.write_text("1\n-1\n1\n-1\n")
+        out = tmp_path / "out"
+        rc = main(["refopt", "--dataset", str(data), "--n", "2", "--lam", "0.1",
+                   "--seed", "1", "--outdir", str(out)])
+        assert rc == 2
+        assert "no features" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["{\"method\": ", "[1, 2]"])
@@ -517,6 +533,7 @@ class TestCompare:
         ("nl1", {"x0": [0.1, 0.2]}, "x0 has shape (2,)"),
         ("dcgd", {"x0": [0.0, float("nan"), 0.0, 0.0]}, "x0 has non-finite"),
         ("nl2", {"x0": ["a", 0.0, 0.0, 0.0]}, "x0"),
+        ("nl2", {"gamma": 0.1}, "exceeds gamma = 0.1"),       # h(0) = 0.25
     ])
     def test_later_config_out_of_range_writes_nothing(self, tmp_path, capsys,
                                                        method, over, culprit):

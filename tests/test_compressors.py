@@ -59,6 +59,11 @@ class TestSpecFieldTypes:
         with pytest.raises(InputError, match=field):
             make()
 
+    @pytest.mark.parametrize("q", [0.0, 0.5, -1.0, math.inf, math.nan])
+    def test_dithering_q_must_be_finite_and_at_least_one(self, q):
+        with pytest.raises(InputError, match="q >= 1"):
+            dithering(s=3, q=q)
+
 
 class TestRandomR:
     def test_full_support_is_identity(self):

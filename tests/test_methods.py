@@ -8,10 +8,10 @@ from distnewton.data import Dataset
 from distnewton.errors import ConfigError
 from distnewton import linalg
 from distnewton.linalg import smallest_eigenvalue
-from distnewton.methods import (bfgs_init, bfgs_step, dcgd_round, default_eta,
-                                diana_init, diana_round, gd_step, learn_init,
-                                learn_round, mn_step, newton_step, ns_step,
-                                reference_optimum, solve_cubic_model)
+from distnewton.methods import (DianaState, bfgs_init, bfgs_step, dcgd_round,
+                                default_eta, diana_init, diana_round, gd_step,
+                                learn_init, learn_round, mn_step, newton_step,
+                                ns_step, reference_optimum, solve_cubic_model)
 from distnewton.problem import make_problem
 
 
@@ -329,7 +329,8 @@ class TestFirstOrder:
         p = small_problem("logistic", lam=1e-2)
         x0 = np.full(p.d, -0.1)
         alpha = 0.5 / p.grad_lipschitz_bound()
-        state = diana_init(p, x0, shifts="local_grad")
+        state = DianaState(x=x0.copy(),
+                           shifts=p.local_grad(slice(None), x0) + p.lam * x0)
         state, _ = diana_round(p, state, identity(), seed=0,
                                stepsize=alpha, theta=1.0)
         assert np.allclose(state.x, gd_step(p, x0, alpha), atol=1e-13)

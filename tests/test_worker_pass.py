@@ -39,11 +39,14 @@ def start_point(p, seed=1):
 # -- per-worker reference forms ---------------------------------------------
 
 def legacy_worker(p, i, x):
-    """Worker i's coefficients and local gradient, from its own rows."""
+    """Worker i's coefficients and local gradient, from its own rows and
+    the reference loss fields."""
+    from test_problem import REFERENCE_LOSS_FIELDS     # test_problem imports this module
+    _, dphi, ddphi = REFERENCE_LOSS_FIELDS[p.loss.kind]
     rows = p.stacked_rows[i * p.m:(i + 1) * p.m]
     labels = p.stacked_labels[i * p.m:(i + 1) * p.m]
     t = rows @ x
-    return p.loss.ddphi(t, labels), rows.T @ p.loss.dphi(t, labels) / p.m
+    return ddphi(t, labels), rows.T @ dphi(t, labels) / p.m
 
 
 def worker_compress(spec, vec, seed, iteration, i):
@@ -197,12 +200,13 @@ def test_diana_round_equals_per_worker_loop(a2a_1e3):
     stepsize = methods.default_first_order_stepsize(p, spec)
     # local-gradient shifts taken at x, and the round taken at a second
     # iterate, so the compressed differences are not zero
-    at_x = methods.diana_init(p, x, shifts="local_grad")
+    at_x = methods.DianaState(x=x.copy(),
+                              shifts=p.local_grad(slice(None), x) + p.lam * x)
     assert np.array_equal(at_x.shifts, np.stack(
         [legacy_worker(p, i, x)[1] + p.lam * x for i in range(p.n)]))
     shifted = methods.DianaState(x=start_point(p, seed=2), shifts=at_x.shifts,
                                  iteration=3)
-    zero = methods.diana_init(p, x, shifts="zero")
+    zero = methods.diana_init(p, x)
     for state in (shifted, zero):
         out, payload = methods.diana_round(p, state, spec, 5, stepsize, 0.5)
         x_new, shifts, sent = legacy_diana_round(p, state, spec, 5, stepsize, 0.5)
@@ -337,7 +341,8 @@ def compressed_iterates_digest(method, rounds=12):
         spec = random_r(3)
         stepsize = methods.default_first_order_stepsize(p, spec)
         x = x0
-        state = methods.diana_init(p, x0, shifts="local_grad")
+        state = methods.DianaState(x=x0.copy(),
+                                   shifts=p.local_grad(slice(None), x0) + p.lam * x0)
         for k in range(rounds):
             if method == "dcgd":
                 x, _ = methods.dcgd_round(p, x, spec, 9, k, stepsize)
