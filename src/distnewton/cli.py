@@ -134,8 +134,6 @@ class ExperimentConfig:
                                   f"{', '.join(map(repr, allowed))}, not {value!r}")
         if self.method in COMPRESSED_METHODS and self.compressor is None:
             raise ConfigError(f"method {self.method!r} requires a compressor")
-        if self.method == "nl1" and self.lam <= 0:
-            raise ConfigError("nl1 requires lam > 0")
         if self.compressor is not None:
             CompressorSpec.from_dict(self.compressor)
 

@@ -26,7 +26,10 @@ from .rngs import RngStream
 
 SCALAR_BITS = 32
 
-KINDS = ("identity", "random_r", "dithering", "natural", "bernoulli")
+# each kind and the spec fields it reads
+_READS = {"identity": (), "random_r": ("r",), "dithering": ("s", "q"),
+          "natural": (), "bernoulli": ("p", "inner")}
+KINDS = tuple(_READS)
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -87,6 +90,12 @@ class CompressorSpec:
         if not isinstance(d, dict) or "kind" not in d:
             raise InputError(f"a compressor must be an object with a kind, not {d!r}")
         kind = d["kind"]
+        if kind not in KINDS:
+            raise InputError(f"unknown compressor kind {kind!r}")
+        unread = sorted(set(d) - {"kind", *_READS[kind]})
+        if unread:
+            raise InputError(f"compressor kind {kind!r} does not read "
+                             f"{', '.join(map(str, unread))}")
         if kind == "bernoulli":
             return bernoulli(CompressorSpec.from_dict(d.get("inner")), d.get("p"))
         return CompressorSpec(kind=kind, r=d.get("r"), s=d.get("s"),

@@ -361,9 +361,12 @@ def _start_bfgs(run: _Run, x: Array):
 def _learner_start(p: Problem, opts: RunOptions, x: Array,
                    bounded: bool) -> tuple[Array, Optional[float]]:
     """A learner's first coefficients h0 at x, by the h0 policy, and its
-    bound gamma (None unless bounded); ConfigError unless |h0| <= gamma."""
+    bound gamma (None unless bounded); ConfigError unless |h0| <= gamma,
+    and for the nonnegative (unbounded) variant unless lam > 0."""
     if opts.h0 not in _H0_POLICIES:
         raise ConfigError(f"unknown h0 policy {opts.h0!r}")
+    if not bounded and p.lam <= 0:
+        raise ConfigError("nonnegative curvature learning requires lam > 0")
     h0 = p.h_all(x) if opts.h0 == "h_at_x0" else np.zeros((p.n, p.m))
     if not bounded:
         return h0, None
@@ -540,14 +543,14 @@ def _check_start(method: str, p: Problem, spec: Optional[CompressorSpec],
     """Raise, before anything is written, what starting this run on p would
     raise: InputError for a spec wider than the vectors it compresses (a
     learner's m coefficients, a first-order method's gradient) or a bad x0,
-    and ConfigError for a bounded learner whose h0 exceeds gamma. Only that
-    last check evaluates the data, at x0, through the evaluation slot."""
+    and ConfigError for a learner's bad start (see ``_learner_start``). Only
+    that last check evaluates the data, at x0, through the evaluation slot."""
     rec = _METHODS[method]
     if rec.needs_spec:
         omega(spec, p.m if rec.eta is not None else p.d)    # raises on r > length
     x = _start_point(opts.x0, p)
-    if rec.bounded:
-        _learner_start(p, opts, x, bounded=True)
+    if rec.eta is not None:
+        _learner_start(p, opts, x, rec.bounded)
 
 
 def _start_point(x0, p: Problem) -> Array:

@@ -137,20 +137,27 @@ def mn_rate_constant(p: Problem, oracles: Oracles) -> float:
 
 CUBIC_RESIDUAL_RTOL = 1e-9
 CUBIC_RHO_RTOL = 1e-12
-_BISECT_MAX = 200
+_NEWTON_MAX = 100
 
 
 def solve_cubic_model(h_reg: Array, g: Array, m_cubic: float) -> Array:
     """Global minimizer of <g,s> + 0.5 s.T H s + (m_cubic/6) ||s||^3.
 
-    Diagonalize H, then the stationarity condition reduces to a scalar
-    equation in rho = ||s||:
+    Diagonalize H = U^T diag(lam) U and put w = U g. The minimizer is
+    s(rho) = -U^T (w / (lam + m_cubic*rho/2)) at the root rho = ||s|| of the
+    secular equation
 
-        sum_i w_i^2 / (lam_i + m_cubic*rho/2)^2 = rho^2,  w = U g.
+        psi(rho) = 1/||s(rho)|| - 1/rho = 0,
 
-    The left side is strictly decreasing in rho past the largest pole, so
-    bisection brackets the root; a short Newton polish then drives the
-    optimality residual to machine level.
+    taken right of the pole -2*lam_min/m_cubic. There psi is increasing and
+    concave, so Newton from a point left of the root climbs to it without
+    overshooting (Cartis, Gould and Toint, Math. Program. 127, 2011, 6.1;
+    Nesterov and Polyak, Math. Program. 108, 2006, 5). It starts at the
+    larger of a point just right of the pole and the root of
+    rho*(max(lam_max, 0) + m_cubic*rho/2) = ||g||, below the root since
+    ||s(rho)|| >= ||g||/(lam_max + m_cubic*rho/2). If psi > 0 already at the
+    pole (g has no component on the smallest eigenspace: the hard case),
+    NumericalError.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape[0] != h_reg.shape[0]:
@@ -166,53 +173,26 @@ def solve_cubic_model(h_reg: Array, g: Array, m_cubic: float) -> Array:
     eig = sym_eig(h_reg)
     lam = eig.eigenvalues
     w = eig.eigenvectors @ g
-    lam_min = float(lam[0])
-
-    def value(rho: float) -> float:
-        denom = lam + 0.5 * m_cubic * rho
-        return float(np.sum((w / denom) ** 2) - rho * rho)
-
-    def slope(rho: float) -> float:
-        denom = lam + 0.5 * m_cubic * rho
-        return float(-m_cubic * np.sum(w ** 2 / denom ** 3) - 2.0 * rho)
-
-    if lam_min > 0:
-        lo = 0.0
-        hi = 2.0 * (gnorm / lam_min + math.sqrt(2.0 * gnorm / m_cubic))
-    else:
-        # stay strictly right of the pole of the smallest eigenvalue
-        pole = -2.0 * lam_min / m_cubic
-        lo = pole * (1.0 + 1e-12) + 1e-300
-        hi = pole + 2.0 * (math.sqrt(2.0 * gnorm / m_cubic) + 2.0 * abs(lam_min) / m_cubic)
-    if value(lo) <= 0.0:
-        raise NumericalError(
-            f"cubic model root not bracketed from below (value(lo)={value(lo):.3e}); "
-            "gradient has no component on the smallest eigenspace")
-    doublings = 0
-    while value(hi) > 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > _BISECT_MAX:
-            raise NumericalError("cubic model root not bracketed within rho_max")
-
-    for _ in range(_BISECT_MAX):
-        if hi - lo <= CUBIC_RHO_RTOL * (1.0 + hi):
+    half_m = 0.5 * m_cubic
+    top = max(float(lam[-1]), 0.0)
+    lower = 2.0 * gnorm / (top + math.sqrt(top * top + 2.0 * m_cubic * gnorm))
+    pole = -float(lam[0]) / half_m * (1.0 + 1e-12) + 1e-300
+    rho = max(lower, pole)
+    for _ in range(_NEWTON_MAX):
+        denom = lam + half_m * rho
+        ws = w / denom
+        inv_norm = 1.0 / math.sqrt(float(ws @ ws))
+        psi = inv_norm - 1.0 / rho
+        if psi > 0.0 and rho == pole:
+            raise NumericalError(
+                f"cubic model has psi = {psi:.3e} > 0 at the pole; "
+                "gradient has no component on the smallest eigenspace")
+        step = psi / (half_m * float(ws @ (ws / denom)) * inv_norm ** 3 + 1.0 / rho ** 2)
+        rho -= step
+        if abs(step) <= CUBIC_RHO_RTOL * rho:
             break
-        mid = 0.5 * (lo + hi)
-        if value(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    rho = 0.5 * (lo + hi)
-    for _ in range(4):
-        step = value(rho) / slope(rho)
-        nxt = rho - step
-        if not lo <= nxt <= hi:
-            break
-        rho = nxt
 
-    denom = lam + 0.5 * m_cubic * rho
-    s = -(eig.eigenvectors.T @ (w / denom))
+    s = -(eig.eigenvectors.T @ (w / (lam + half_m * rho)))
     residual = float(np.linalg.norm(
         g + h_reg @ s + 0.5 * m_cubic * np.linalg.norm(s) * s))
     if residual > CUBIC_RESIDUAL_RTOL * (gnorm + 1.0):
@@ -291,19 +271,17 @@ def learn_init(p: Problem, x0: Array, h0: Array, gamma: Optional[float] = None,
                cubic_coeff: Optional[float] = None) -> LearnState:
     """Start curvature learning at x0 from coefficients h0.
 
-    ``gamma=None`` is the nonnegative variant (nl1, needs lam > 0): updates
-    are projected onto the nonnegative cone and the gram of h is the
-    estimate. A bound gamma gives the shift-dominated variant (nl2): updates
-    are clamped to [-gamma, gamma] and the estimate is scaled to dominate
-    the true curvature, so lam = 0 is allowed. ``cubic_coeff`` (cnl, with a
-    bound) replaces the Newton step by the cubically regularized model
-    step; only the Newton-step variants need h0 >= 0. A bound needs
-    |h0| <= gamma, which the harness checks before a run starts.
+    ``gamma=None`` is the nonnegative variant (nl1): updates are projected
+    onto the nonnegative cone and the gram of h is the estimate. A bound
+    gamma gives the shift-dominated variant (nl2): updates are clamped to
+    [-gamma, gamma] and the estimate is scaled to dominate the true
+    curvature, so lam = 0 is allowed. ``cubic_coeff`` (cnl, with a bound)
+    replaces the Newton step by the cubically regularized model step; only
+    the Newton-step variants need h0 >= 0. The harness checks before a run
+    starts that a bound has |h0| <= gamma and that nl1 has lam > 0.
     """
     h0 = np.asarray(h0, dtype=np.float64)
     bounded = gamma is not None
-    if not bounded and p.lam <= 0:
-        raise ConfigError("nonnegative curvature learning requires lam > 0")
     if bounded and gamma <= 0:
         raise ConfigError("curvature bound gamma must be positive")
     if cubic_coeff is None and np.min(h0) < 0:

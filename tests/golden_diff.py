@@ -5,7 +5,8 @@ Run from the repository root after a change that moves trace bytes:
     PYTHONPATH=src python tests/golden_diff.py
 
 Each pin prints on one line, ``same`` or ``<old> -> <new>``, and the last
-line counts the moved pins. Paste the new digests of the moved pins into
+line counts the moved pins. The exit status is 1 when any pin moved and 0
+when none did. Paste the new digests of the moved pins into
 test_worker_pass.py and name every moved key in the change log.
 """
 
@@ -43,7 +44,7 @@ def main() -> int:
         moved += old != new
         print(f"{table}[{key!r}]: " + ("same" if old == new else f"{old} -> {new}"))
     print(f"{moved} moved")
-    return 0
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -151,6 +151,12 @@ class TestRun:
         ({"method": "nl2", "compressor": {"kind": "dithering", "q": -1}}, "q >= 1"),
         ({"method": "nl2", "compressor": {"kind": "dithering", "q": float("inf")}},
          "q >= 1"),
+        ({"method": "nl2", "compressor": {"kind": "natural", "r": -5, "q": float("nan")}},
+         "does not read q, r"),
+        ({"method": "nl2", "compressor": {"kind": "random_r", "r": 1, "q": 0, "s": 0}},
+         "does not read q, s"),
+        ({"method": "dcgd", "compressor": {"kind": "identity", "zzz": 1}},
+         "does not read zzz"),
     ])
     def test_bad_field_value_exits_2_and_names_it(self, tmp_path, capsys,
                                                   over, culprit):
@@ -544,6 +550,16 @@ class TestCompare:
         rc = main(["compare", str(a), str(b), "--outdir", str(out)])
         assert rc == 2
         assert culprit in capsys.readouterr().err
+        assert not out.exists()          # neither a's trace nor an oracle cache
+
+    def test_later_nl1_config_at_zero_lam_writes_nothing(self, tmp_path, capsys):
+        a, _ = base_config(tmp_path, method="gd", tag="a", lam=0.0)
+        b, _ = base_config(tmp_path, method="nl1", tag="b", lam=0.0,
+                           compressor={"kind": "random_r", "r": 1})
+        out = tmp_path / "out"
+        rc = main(["compare", str(a), str(b), "--outdir", str(out)])
+        assert rc == 2
+        assert "requires lam > 0" in capsys.readouterr().err
         assert not out.exists()          # neither a's trace nor an oracle cache
 
     @pytest.mark.parametrize("method, r", [("nl2", 10), ("dcgd", 4)])

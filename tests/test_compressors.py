@@ -64,6 +64,18 @@ class TestSpecFieldTypes:
         with pytest.raises(InputError, match="q >= 1"):
             dithering(s=3, q=q)
 
+    @pytest.mark.parametrize("d, unread", [
+        ({"kind": "natural", "r": -5, "q": math.nan}, "q, r"),
+        ({"kind": "random_r", "r": 1, "q": 0, "s": 0}, "q, s"),
+        ({"kind": "identity", "zzz": 1}, "zzz"),
+        ({"kind": "dithering", "s": 3, "p": 0.5}, "p"),
+        ({"kind": "bernoulli", "p": 0.5, "r": 1, "inner": {"kind": "natural"}}, "r"),
+        ({"kind": "bernoulli", "p": 0.5, "inner": {"kind": "natural", "s": 2}}, "s"),
+    ])
+    def test_fields_the_kind_does_not_read_are_rejected(self, d, unread):
+        with pytest.raises(InputError, match=f"does not read {unread}$"):
+            CompressorSpec.from_dict(d)
+
 
 class TestRandomR:
     def test_full_support_is_identity(self):

@@ -5,7 +5,7 @@ import pytest
 
 from distnewton.compressors import bernoulli, identity, random_r
 from distnewton.data import Dataset
-from distnewton.errors import ConfigError
+from distnewton.errors import ConfigError, NumericalError
 from distnewton import linalg
 from distnewton.linalg import smallest_eigenvalue
 from distnewton.methods import (DianaState, bfgs_init, bfgs_step, dcgd_round,
@@ -141,17 +141,39 @@ class TestCubicModel:
         s = solve_cubic_model(h, rhs, 0.0)
         assert np.allclose(h @ s, -rhs, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_residual_on_random_instances(self, seed):
+    @pytest.mark.parametrize("family, seed", [
+        *(pytest.param("indefinite", seed, id=str(seed)) for seed in range(30)),
+        *(pytest.param("spd", seed, id=f"spd-{seed}") for seed in range(30))])
+    def test_residual_on_random_instances(self, family, seed):
         g = np.random.default_rng(seed)
-        d = int(g.integers(1, 8))
-        a = g.standard_normal((d, d))
-        h = 0.5 * (a + a.T)   # indefinite in general
-        rhs = g.standard_normal(d)
-        m_cubic = float(g.uniform(0.1, 10.0))
+        if family == "indefinite":
+            d = int(g.integers(1, 8))
+            a = g.standard_normal((d, d))
+            h = 0.5 * (a + a.T)
+            rhs = g.standard_normal(d)
+            m_cubic = float(g.uniform(0.1, 10.0))
+        else:
+            # like cnl's: eigenvalues from 1e-8 to 1e2, ||g|| and M over decades
+            d = int(g.integers(1, 41))
+            q, _ = np.linalg.qr(g.standard_normal((d, d)))
+            h = (q * 10.0 ** g.uniform(-8.0, 2.0, d)) @ q.T
+            h = 0.5 * (h + h.T)
+            rhs = g.standard_normal(d) * 10.0 ** g.uniform(-6.0, 3.0)
+            m_cubic = float(10.0 ** g.uniform(-3.0, 3.0))
         s = solve_cubic_model(h, rhs, m_cubic)
         res = np.linalg.norm(rhs + h @ s
                              + 0.5 * m_cubic * np.linalg.norm(s) * s)
+        assert res <= 1e-9 * (np.linalg.norm(rhs) + 1.0)
+
+    def test_hard_case(self):
+        # the pole is at rho = 8/3; g needs a component on the -2 eigenvector
+        h = np.diag([-2.0, 1.0])
+        for g0 in (0.0, 1e-12):
+            with pytest.raises(NumericalError, match="smallest eigenspace"):
+                solve_cubic_model(h, np.array([g0, 1.0]), 1.5)
+        rhs = np.array([1e-3, 1.0])
+        s = solve_cubic_model(h, rhs, 1.5)
+        res = np.linalg.norm(rhs + h @ s + 0.75 * np.linalg.norm(s) * s)
         assert res <= 1e-9 * (np.linalg.norm(rhs) + 1.0)
 
     def test_second_order_condition(self):
@@ -196,11 +218,6 @@ class TestNl1:
         assert np.array_equal(out.state.h, state.h)
         # the step still moved using the stale estimate
         assert not np.array_equal(out.state.x, state.x)
-
-    def test_requires_positive_lambda(self):
-        p = small_problem("logistic", lam=0.0)
-        with pytest.raises(ConfigError):
-            learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)))
 
     def test_cone_invariant_and_psd(self):
         p = small_problem("logistic", lam=1e-2, seed=9)

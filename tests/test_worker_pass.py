@@ -241,7 +241,7 @@ GOLDEN_TRACE_SHA256 = {
     "mn": "57c05c6d37e90609b361ec5462f3deb6a47ed2cf8e954d08a2e5c7813084b7ae",
     "nl1": "de828a8f406c6999422920fc54496b959d7a3604934be7306da226400ec0febc",
     "nl2": "8454614a446dd5c98d1b7cc19f54f2b661eba81f084a674bdfcd988b9d2f8125",
-    "cnl": "3bca709d89c20561fbb3291b7eae418454ba1865d80b9f24f6bf8cb2fa298f01",
+    "cnl": "804aef2e9d35566f6249ec4dfeaef70246ab8aa459281259b1b0b091959a7c33",
     "nl1-option2-zeros": "274c22203a1cbabfb21dcf5e821d96d252661d57d6b4daf32f83df8860fc83c6",
 }
 
@@ -258,7 +258,7 @@ GOLDEN_JSON_SHA256 = {
     "mn": "1b35345cde5de3c059160318a5a5f1ef94955b453b3958761976e22d5efebfe4",
     "nl1": "1229b366c47e593c010b2719e8a8c294348d0d4f84ae5f1b791698c670da7558",
     "nl2": "d4bc64d7e9910be8645198c9b3a407e9d9cea4f37e26feab3336721db00eb32f",
-    "cnl": "9d616689a21d033ca1d7a5157547447b8bf41f3b0ff62e7085d992b6b1579fdb",
+    "cnl": "c8b0bba28b8a2f96f767abcd0775e757e2e8cde19507889580404be853dc9da4",
     "nl1-option2-zeros": "3c39a7d406ce9979b5825423e552ad1344a53b8fa3603342fc3fad70606b0868",
 }
 
@@ -274,12 +274,19 @@ GOLDEN_LEDGER_SHA256 = {
 # SHA-256 over 12 rounds of the compressed methods' iterates (and learned
 # coefficients, h(x^k) or shifts), also taken before the one-evaluation
 # change: their workers always read the stacked pass, so nothing moved.
-# nl1 and nl2 were re-taken with the dpotrs solve; cnl's step solves by
-# eigendecomposition and the first-order methods solve nothing.
+# nl1 and nl2 were re-taken with the dpotrs solve, and the first-order
+# methods solve nothing. cnl's three pins (CSV, JSON, iterates) were re-taken
+# when its cubic step moved from bisection on the secular equation to Newton
+# on psi(rho) = 1/||s(rho)|| - 1/rho: the root agrees to about 1e-16
+# relative, so only the last bits of cnl's iterates move. Under bisection
+# they read
+#   CSV      3bca709d89c20561fbb3291b7eae418454ba1865d80b9f24f6bf8cb2fa298f01
+#   JSON     9d616689a21d033ca1d7a5157547447b8bf41f3b0ff62e7085d992b6b1579fdb
+#   iterates cc5f30e92375fb2ac0a1f31f4e91b1d531fdeb848525ab1094b1cb830f8ecaca
 GOLDEN_ITERATES_SHA256 = {
     "nl1": "5c7c92112ef5d4d7db6f5b03ac32791ee1738566258223400a19540169ba6ca3",
     "nl2": "c97efee8801abbe189ca325fc6c1ed8e1ec1e6868ce8ac831357beec9e06e7e3",
-    "cnl": "cc5f30e92375fb2ac0a1f31f4e91b1d531fdeb848525ab1094b1cb830f8ecaca",
+    "cnl": "a84c019681cc6024a2846a27c7fd86f0d9af12a75f941a4fe3bcb5509333aece",
     "dcgd": "95e02e7f8d759714df5237c2bedb004997afa0edb70df563b5fca9d521f938c3",
     "diana": "b08f581375266a33ae596f6516f1187bf224a2b0d39a58aa7f1c6444da0455e0",
 }
