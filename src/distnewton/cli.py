@@ -32,9 +32,8 @@ from .data import Dataset, load_dataset, save_dataset, synth_artificial
 from .errors import (CacheError, ConfigError, DistNewtonError, InputError,
                      NumericalError, ParseError, ReplicaMismatchError,
                      SingularMatrixError)
-from .harness import (_H0_POLICIES, _OPTIONS, COMPRESSED_METHODS, METHOD_NAMES,
-                      Budget, RunOptions, Trace, _check_start, bits_to_reach,
-                      run_experiment)
+from .harness import (_H0_POLICIES, _OPTIONS, Budget, RunOptions, Trace, _admit,
+                      bits_to_reach, run_experiment)
 from .methods import Oracles, reference_optimum
 from .problem import _LOSSES, Problem, make_problem
 
@@ -55,10 +54,11 @@ _SYNTH_KEYS = {"n": (True, int), "m": (True, int), "d": (True, int),
                "seed": (True, int), "mean": (False, float),
                "variance": (False, float)}
 # The range of a field: a float field is finite (json reads NaN and
-# Infinity), an int field nonnegative, and these fields positive.
-_POSITIVE = ("eta", "gamma", "stepsize", "theta", "newton_ref_iters")
-# fields whose value is one of the values its owner dispatches on; the
-# flags of these fields take the same choices
+# Infinity), an int field nonnegative, and these fields, which only the CLI
+# reads, positive. The rates' range, like every run rule, is held by
+# ``harness._admit``.
+_POSITIVE = ("newton_ref_iters",)
+# the choices of the flags of fields whose owner dispatches on the value
 _CHOICES = {"loss": tuple(_LOSSES), "h0": _H0_POLICIES, "option": _OPTIONS}
 
 
@@ -107,6 +107,8 @@ class ExperimentConfig:
     tag: str = ""
 
     def validate(self) -> None:
+        """ConfigError unless each field has its kind and the CLI's range;
+        the run rules are checked by ``harness._admit`` (see ``_prepare``)."""
         if self.seed is None:
             raise ConfigError("seed is mandatory; wall-clock seeding is not supported")
         for name, (kind, optional) in _CONFIG_KINDS.items():
@@ -124,16 +126,6 @@ class ExperimentConfig:
                     _check_field(f"synth.{key}", self.synth[key], kind)
                 elif required:
                     raise ConfigError(f"synth needs the key {key!r}")
-        if self.method not in METHOD_NAMES:
-            raise ConfigError(f"unknown method {self.method!r}; "
-                              f"choose from {', '.join(METHOD_NAMES)}")
-        for name, allowed in _CHOICES.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ConfigError(f"config field {name} must be one of "
-                                  f"{', '.join(map(repr, allowed))}, not {value!r}")
-        if self.method in COMPRESSED_METHODS and self.compressor is None:
-            raise ConfigError(f"method {self.method!r} requires a compressor")
         if self.compressor is not None:
             CompressorSpec.from_dict(self.compressor)
 
@@ -304,12 +296,20 @@ def _outroot(args) -> Path:
 
 def _prepare(cfgs: list[ExperimentConfig],
              outroot: Path) -> tuple[Problem, Oracles, Path]:
-    """The problem that configs of one ``problem_key`` share, its oracles and
-    their cache file under outroot. Every config's start is checked against
-    the problem before the oracles are read or computed."""
+    """The CLI's one admission path: the problem the configs share, its
+    oracles and their cache file under outroot. Each config is validated,
+    all must have one ``problem_key``, and each is admitted on the problem
+    by ``harness._admit`` before the oracles are read or computed."""
+    for cfg in cfgs:
+        cfg.validate()
+    for cfg in cfgs[1:]:
+        if cfg.problem_key() != cfgs[0].problem_key():
+            raise ConfigError(
+                "compare requires identical dataset, partition, loss, and lam "
+                f"across configs; {cfg.stem()} differs")
     p = cfgs[0].build_problem()
     for cfg in cfgs:
-        _check_start(cfg.method, p, cfg.compressor_spec(), cfg.run_options())
+        _admit(cfg.method, p, cfg.compressor_spec(), cfg.run_options())
     path = oracle_path(cfgs[0], outroot)
     return p, load_or_compute_oracles(cfgs[0], p, path), path
 
@@ -317,8 +317,8 @@ def _prepare(cfgs: list[ExperimentConfig],
 def execute_config(cfg: ExperimentConfig, outroot: Path,
                    prepared: Optional[tuple[Problem, Oracles, Path]] = None) -> Trace:
     """Run one config. ``prepared`` is the ``_prepare`` result for a list of
-    configs holding this one; without it the problem is built here."""
-    cfg.validate()
+    configs holding this one; without it the config is admitted and the
+    problem built here."""
     p, oracles, _ = prepared if prepared is not None else _prepare([cfg], outroot)
     return run_experiment(
         cfg.method, p, cfg.compressor_spec(), cfg.budget(), cfg.seed,
@@ -338,7 +338,6 @@ def cmd_run(args) -> int:
 
 def cmd_refopt(args) -> int:
     cfg = _config_from_args(args, method_optional=True)
-    cfg.validate()
     _, o, path = _prepare([cfg], _outroot(args))
     print(f"reference optimum: P*={o.value_star!r} grad_norm={o.grad_norm:.3e} "
           f"-> {path}")
@@ -350,18 +349,10 @@ def cmd_compare(args) -> int:
                for f in args.configs]
     if not configs:
         raise ConfigError("compare needs at least one config")
-    for cfg in configs:
-        cfg.validate()
-    key0 = configs[0].problem_key()
-    for cfg in configs[1:]:
-        if cfg.problem_key() != key0:
-            raise ConfigError(
-                "compare requires identical dataset, partition, loss, and lam "
-                f"across configs; {cfg.stem()} differs")
     outroot = _outroot(args)
     thresholds = args.gap_thresholds or list(GAP_THRESHOLDS)
 
-    # equal problem keys give equal problems and oracles: build them once
+    # one problem key gives one problem and its oracles: build them once
     prepared = _prepare(configs, outroot)
     traces = []
     for cfg in configs:
@@ -474,8 +465,8 @@ def parse_compressor_flag(text: str) -> dict:
 
 def _read_config_file(path: str) -> dict:
     try:
-        d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(d, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

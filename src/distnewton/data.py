@@ -234,6 +234,10 @@ def synth_artificial(n: int, m: int, d: int, seed: int,
     """
     if n < 1 or m < 1 or d < 1:
         raise InputError("n, m, d must all be positive")
+    if not -math.inf < mean < math.inf:
+        raise InputError(f"mean must be finite, not {mean!r}")
+    if not 0 <= variance < math.inf:
+        raise InputError(f"variance must be finite and nonnegative, not {variance!r}")
     count = n * m
     feats = standard_normals(seeded_generator(seed, 0), count * d)
     feats = mean + np.sqrt(variance) * feats

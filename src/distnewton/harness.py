@@ -12,10 +12,13 @@ price up by identity on every later charge.
 Every method is one row of the private table ``_METHODS``: whether it needs
 a compressor spec or oracles, its default stepsize, shift rate and learning
 rate, whether the objective must never increase, and a start function
-returning the per-round step. ``run_experiment`` reads everything through
-that row. The three learners (nl1, nl2, cnl) share one start function,
-which also mirrors the server's coefficient replicas and records the
-hull, neighborhood and curvature diagnostics.
+taking the admitted run and returning the per-round step. Every rule a run
+must meet is held once, in ``_admit``, which resolves the run: the row's
+defaults, the first iterate x0, a learner's first coefficients h0 and bound
+gamma. ``run_experiment`` and the CLI both admit a run before any work. The
+three learners (nl1, nl2, cnl) share one start function, which also mirrors
+the server's coefficient replicas and records the hull, neighborhood and
+curvature diagnostics.
 
 With diagnostics on, a learner's row also holds ``curvature_certificate``,
 an O(nm) minimum over arrays the round already has. For nl2 and cnl it is
@@ -279,21 +282,26 @@ class RunOptions:
 # ---------------------------------------------------------------------------
 
 class _Run(NamedTuple):
-    """One run's inputs; stepsize, theta and eta have the method's defaults."""
+    """One admitted run (see ``_admit``): stepsize, theta and eta have the
+    method's defaults, x0 is the first iterate, and a learner has its first
+    coefficients h0 and, if bounded, its bound gamma."""
 
     p: Problem
     spec: Optional[CompressorSpec]
-    seed: int
-    oracles: Optional[Oracles]
     opts: RunOptions
     stepsize: Optional[float]
     theta: Optional[float]
     eta: Optional[float]
+    x0: Array
+    h0: Optional[Array]
+    gamma: Optional[float]
+    seed: Optional[int] = None           # set by run_experiment
+    oracles: Optional[Oracles] = None
 
 
-# A method's start function takes (run, x0) and returns (step, phi): step(k)
-# runs round k and returns (x^{k+1}, one WorkerCharge per worker, trace
-# extras); phi() is the Lyapunov function at the current state. Equal
+# A method's start function takes the admitted run and returns (step, phi):
+# step(k) runs round k and returns (x^{k+1}, one WorkerCharge per worker,
+# trace extras); phi() is the Lyapunov function at the current state. Equal
 # payloads within a run are one WorkerCharge object, which ``charge_round``
 # prices once.
 
@@ -307,7 +315,8 @@ def _grad_charge(p: Problem) -> WorkerCharge:
 
 def _stateless(update, charge):
     """Start function of a step x -> update(run, x); every worker sends charge(p)."""
-    def start(run: _Run, x: Array):
+    def start(run: _Run):
+        x = run.x0
         charges = [charge(run.p)] * run.p.n
 
         def step(k):
@@ -325,7 +334,8 @@ def _compressed_charges(run: _Run) -> Callable[[bool], WorkerCharge]:
         lambda fired: WorkerCharge(compressed=(run.spec, run.p.d, fired)))
 
 
-def _start_dcgd(run: _Run, x: Array):
+def _start_dcgd(run: _Run):
+    x = run.x0
     charges = _compressed_charges(run)
 
     def step(k):
@@ -335,8 +345,8 @@ def _start_dcgd(run: _Run, x: Array):
     return step, _no_phi
 
 
-def _start_diana(run: _Run, x: Array):
-    state = methods.diana_init(run.p, x)
+def _start_diana(run: _Run):
+    state = methods.diana_init(run.p, run.x0)
     charges = _compressed_charges(run)
 
     def step(k):
@@ -347,8 +357,8 @@ def _start_diana(run: _Run, x: Array):
     return step, _no_phi
 
 
-def _start_bfgs(run: _Run, x: Array):
-    state = methods.bfgs_init(run.p, x)
+def _start_bfgs(run: _Run):
+    state = methods.bfgs_init(run.p, run.x0)
     charges = [_grad_charge(run.p)] * run.p.n
 
     def step(k):
@@ -358,35 +368,15 @@ def _start_bfgs(run: _Run, x: Array):
     return step, _no_phi
 
 
-def _learner_start(p: Problem, opts: RunOptions, x: Array,
-                   bounded: bool) -> tuple[Array, Optional[float]]:
-    """A learner's first coefficients h0 at x, by the h0 policy, and its
-    bound gamma (None unless bounded); ConfigError unless |h0| <= gamma,
-    and for the nonnegative (unbounded) variant unless lam > 0."""
-    if opts.h0 not in _H0_POLICIES:
-        raise ConfigError(f"unknown h0 policy {opts.h0!r}")
-    if not bounded and p.lam <= 0:
-        raise ConfigError("nonnegative curvature learning requires lam > 0")
-    h0 = p.h_all(x) if opts.h0 == "h_at_x0" else np.zeros((p.n, p.m))
-    if not bounded:
-        return h0, None
-    gamma = opts.gamma if opts.gamma is not None else p.loss.gamma
-    worst = float(np.max(np.abs(h0)))
-    if worst > gamma:
-        raise ConfigError(f"initial coefficients must satisfy |h| <= gamma, but "
-                          f"max |h0| = {worst!r} exceeds gamma = {gamma!r}")
-    return h0, gamma
-
-
 class _Learner:
     """One curvature-learning run plus all its runtime diagnostics."""
 
-    def __init__(self, run: _Run, x: Array, bounded: bool, cubic: bool):
+    def __init__(self, run: _Run, cubic: bool):
         p = run.p
         self.run = run
-        h0, gamma = _learner_start(p, run.opts, x, bounded)
         self.state = methods.learn_init(
-            p, x, h0, gamma, p.constants().hessian_lipschitz if cubic else None)
+            p, run.x0, run.h0, run.gamma,
+            p.constants().hessian_lipschitz if cubic else None)
         self.server_h = self.state.h.copy()
         self.hull_lo: Optional[Array] = None
         self.hull_hi: Optional[Array] = None
@@ -396,8 +386,8 @@ class _Learner:
         index_bits = ceil_log2(p.n * p.m)
         self.charges = functools.cache(lambda fired, vectors: WorkerCharge(
             grad_floats=p.d, compressed=(run.spec, p.m, fired),
-            beta_scalars=int(bounded), data_vectors=vectors, vector_floats=p.d,
-            index_bits=index_bits))
+            beta_scalars=int(run.gamma is not None), data_vectors=vectors,
+            vector_floats=p.d, index_bits=index_bits))
 
     def _neighborhood_radius_sq(self) -> float:
         """Squared radius of the local-convergence region claimed by the theory."""
@@ -504,8 +494,8 @@ def _theory_eta(p, spec):
 
 def _learner(bounded: bool, cubic: bool) -> _Method:
     """A curvature learner's row; the cubic step never increases P."""
-    def start(run: _Run, x: Array):
-        learner = _Learner(run, x, bounded, cubic)
+    def start(run: _Run):
+        learner = _Learner(run, cubic)
         return learner.step, learner.phi
     return _Method(start, needs_spec=True, eta=_theory_eta, bounded=bounded,
                    monotone=cubic)
@@ -538,33 +528,57 @@ METHOD_NAMES = tuple(_METHODS)
 COMPRESSED_METHODS = tuple(name for name, rec in _METHODS.items() if rec.needs_spec)
 
 
-def _check_start(method: str, p: Problem, spec: Optional[CompressorSpec],
-                 opts: RunOptions) -> None:
-    """Raise, before anything is written, what starting this run on p would
-    raise: InputError for a spec wider than the vectors it compresses (a
-    learner's m coefficients, a first-order method's gradient) or a bad x0,
-    and ConfigError for a learner's bad start (see ``_learner_start``). Only
-    that last check evaluates the data, at x0, through the evaluation slot."""
-    rec = _METHODS[method]
+def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
+           opts: RunOptions) -> _Run:
+    """The run of ``method`` on p, without its seed and oracles, once it
+    meets every rule the harness holds. ConfigError: an unknown method, a
+    missing spec, an option, h0 policy or rate out of range, nl1 at
+    lam <= 0, or a bounded learner's max |h0| above gamma. InputError: a
+    spec wider than the vectors it compresses (a learner's m coefficients,
+    a first-order method's gradient) or an x0 that is not d finite numbers.
+    Only a learner's h0 evaluates the data, at x0, through the evaluation
+    slot."""
+    rec = _METHODS.get(method)
+    if rec is None:
+        raise ConfigError(f"unknown method {method!r}; choose from {METHOD_NAMES}")
     if rec.needs_spec:
+        if spec is None:
+            raise ConfigError(f"method {method!r} requires a compressor spec")
         omega(spec, p.m if rec.eta is not None else p.d)    # raises on r > length
-    x = _start_point(opts.x0, p)
-    if rec.eta is not None:
-        _learner_start(p, opts, x, rec.bounded)
-
-
-def _start_point(x0, p: Problem) -> Array:
-    """The run's first iterate: zeros, or x0 as a finite float array of
-    shape (d,); InputError otherwise."""
+    if opts.option not in _OPTIONS:
+        raise ConfigError(f"option must be 1 or 2, not {opts.option!r}")
+    if opts.h0 not in _H0_POLICIES:
+        raise ConfigError(f"unknown h0 policy {opts.h0!r}")
+    for name in ("eta", "gamma", "stepsize", "theta"):
+        value = getattr(opts, name)
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be a finite number > 0, not {value!r}")
     try:
-        x = np.zeros(p.d) if x0 is None else np.array(x0, dtype=np.float64)
+        x0 = np.zeros(p.d) if opts.x0 is None else np.array(opts.x0, dtype=np.float64)
     except (TypeError, ValueError):
-        raise InputError(f"x0 is not an array of numbers: {x0!r}") from None
-    if x.shape != (p.d,):
-        raise InputError(f"x0 has shape {x.shape}, but the problem has d={p.d}")
-    if not np.all(np.isfinite(x)):
+        raise InputError(f"x0 is not an array of numbers: {opts.x0!r}") from None
+    if x0.shape != (p.d,):
+        raise InputError(f"x0 has shape {x0.shape}, but the problem has d={p.d}")
+    if not np.all(np.isfinite(x0)):
         raise InputError("x0 has non-finite entries")
-    return x
+    h0 = gamma = None
+    if rec.eta is not None:
+        if not rec.bounded and p.lam <= 0:
+            raise ConfigError("nonnegative curvature learning requires lam > 0")
+        h0 = p.h_all(x0) if opts.h0 == "h_at_x0" else np.zeros((p.n, p.m))
+        if rec.bounded:
+            gamma = opts.gamma if opts.gamma is not None else p.loss.gamma
+            worst = float(np.max(np.abs(h0)))
+            if worst > gamma:
+                raise ConfigError(f"initial coefficients must satisfy |h| <= gamma, "
+                                  f"but max |h0| = {worst!r} exceeds gamma = {gamma!r}")
+
+    def default(value, rule):
+        return rule(p, spec) if value is None and rule is not None else value
+
+    return _Run(p, spec, opts, default(opts.stepsize, rec.stepsize),
+                default(opts.theta, rec.theta), default(opts.eta, rec.eta),
+                x0, h0, gamma)
 
 
 def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
@@ -578,34 +592,18 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
     round, so ``max_iters=0`` yields a single initial row. The gap column
     needs oracles; methods that reuse optimum curvature require them.
     """
-    rec = _METHODS.get(method)
-    if rec is None:
-        raise ConfigError(f"unknown method {method!r}; choose from {METHOD_NAMES}")
     opts = opts or RunOptions()
+    run = _admit(method, p, spec, opts)._replace(seed=seed, oracles=oracles)
+    rec = _METHODS[method]
     if rec.needs_oracles and oracles is None:
         raise ConfigError(f"method {method!r} requires precomputed oracles")
     if budget.target_gap is not None and oracles is None:
         raise ConfigError("a target gap budget requires oracles for gap reporting")
-    if rec.needs_spec and spec is None:
-        raise ConfigError(f"method {method!r} requires a compressor spec")
-    if opts.option not in _OPTIONS:
-        raise ConfigError(f"option must be 1 or 2, not {opts.option!r}")
-    x0 = _start_point(opts.x0, p)
-
-    def default(value, rule):
-        return rule(p, spec) if value is None and rule is not None else value
-
-    eta = opts.eta
-    if rec.eta is not None:
-        theory = rec.eta(p, spec)
-        if eta is None:
-            eta = theory
-        elif eta > theory + 1e-15:
-            warnings.warn(f"learning rate {eta:.4g} exceeds 1/(omega+1); "
-                          "convergence guarantees do not apply", stacklevel=2)
-    run = _Run(p, spec, seed, oracles, opts, default(opts.stepsize, rec.stepsize),
-               default(opts.theta, rec.theta), eta)
-    step, phi = rec.start(run, x0)
+    if (rec.eta is not None and opts.eta is not None
+            and opts.eta > rec.eta(p, spec) + 1e-15):
+        warnings.warn(f"learning rate {opts.eta:.4g} exceeds 1/(omega+1); "
+                      "convergence guarantees do not apply", stacklevel=2)
+    step, phi = rec.start(run)
     ledger = CommLedger()
 
     def metrics(x: Array, extras: dict, wall_ms: float, iteration: int) -> TraceRow:
@@ -626,7 +624,7 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
             extras=row_extras,
         )
 
-    rows = [metrics(x0, {}, math.nan, 0)]
+    rows = [metrics(run.x0, {}, math.nan, 0)]
     k = 0
     while True:
         if k >= budget.max_iters:

@@ -162,6 +162,8 @@ def solve_cubic_model(h_reg: Array, g: Array, m_cubic: float) -> Array:
     g = np.asarray(g, dtype=np.float64)
     if g.shape[0] != h_reg.shape[0]:
         raise InputError("gradient length does not match matrix dimension")
+    if not np.all(np.isfinite(g)):
+        raise InputError("gradient entries must be finite")
     if m_cubic < 0:
         raise InputError("cubic coefficient must be nonnegative")
     gnorm = float(np.linalg.norm(g))

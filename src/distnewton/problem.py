@@ -139,8 +139,9 @@ class Problem:
                                     default=None)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise InputError("regularization parameter must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise InputError(f"regularization parameter must be finite and "
+                             f"nonnegative, not {self.lam!r}")
         if self.d < 1:
             raise InputError("the dataset has no features (d = 0)")
         count = len(self.dataset)

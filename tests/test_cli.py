@@ -196,6 +196,15 @@ class TestRun:
         assert rc == 2
         assert "bad.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", [["run", "--config"], ["compare"]])
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys, verb):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(b"\xff\xfe{\x00}\x00")    # UTF-16 text of {}
+        out = tmp_path / "out"
+        assert main([*verb, str(cfg_path), "--outdir", str(out)]) == 2
+        assert "bad.json" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("synth", ["1,2", "1,2,x"])
     def test_malformed_synth_exits_2(self, tmp_path, capsys, synth):
         rc = main(["run", "--synth", synth, "--method", "gd", "--seed", "1",

@@ -285,6 +285,13 @@ class TestSynthetic:
         ds = synth_artificial(50, 10, 50, seed=7, variance=10.0)
         assert abs(ds.features.std() - np.sqrt(10.0)) < 0.1
 
+    @pytest.mark.parametrize("name, value", [
+        ("variance", -1.0), ("variance", math.inf), ("variance", math.nan),
+        ("mean", math.nan), ("mean", -math.inf)])
+    def test_out_of_range_moments_rejected(self, name, value):
+        with pytest.raises(InputError, match=f"^{name} must"):
+            synth_artificial(2, 2, 2, seed=0, **{name: value})
+
     def test_labels_are_signs(self):
         ds = synth_artificial(10, 10, 3, seed=1)
         assert set(np.unique(ds.labels)) == {-1.0, 1.0}

@@ -98,10 +98,21 @@ class TestConfigValidation:
     def test_eta_above_theory_warns(self):
         p = small_problem(lam=1e-2)
         with pytest.warns(UserWarning) as record:
-            run_experiment("nl1", p, random_r(1), Budget(max_iters=1), seed=0,
-                           opts=RunOptions(eta=1.0, diagnostics=False))
-        # attributed to the caller of run_experiment, not to the harness
-        assert [w.filename for w in record] == [__file__]
+            for _ in range(2):
+                run_experiment("nl1", p, random_r(1), Budget(max_iters=1), seed=0,
+                               opts=RunOptions(eta=1.0, diagnostics=False))
+        # once per call, attributed to the caller of run_experiment, not to
+        # the harness
+        assert [w.filename for w in record] == [__file__] * 2
+
+    @pytest.mark.parametrize("method, name, value", [
+        ("gd", "stepsize", -1.0), ("nl1", "eta", -0.5), ("nl2", "eta", math.nan),
+        ("diana", "theta", 0.0), ("nl2", "gamma", math.inf)])
+    def test_rate_outside_the_positive_reals_rejected(self, method, name, value):
+        spec = random_r(1) if _METHODS[method].needs_spec else None
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            run_experiment(method, small_problem(), spec, Budget(max_iters=1), seed=0,
+                           opts=RunOptions(**{name: value}))
 
     @pytest.mark.parametrize("method", ["gd", "nl1", "bfgs"])
     @pytest.mark.parametrize("x0", [[0.1, 0.2], [0.0, 0.0, math.nan, 0.0, 0.0],

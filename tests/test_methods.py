@@ -5,7 +5,7 @@ import pytest
 
 from distnewton.compressors import bernoulli, identity, random_r
 from distnewton.data import Dataset
-from distnewton.errors import ConfigError, NumericalError
+from distnewton.errors import ConfigError, InputError, NumericalError
 from distnewton import linalg
 from distnewton.linalg import smallest_eigenvalue
 from distnewton.methods import (DianaState, bfgs_init, bfgs_step, dcgd_round,
@@ -133,6 +133,11 @@ class TestCubicModel:
         # 1 + s + 3|s|s = 0 -> negative root of 3s^2 - s - 1
         s = solve_cubic_model(np.array([[1.0]]), np.array([1.0]), 6.0)
         assert s[0] == pytest.approx((1.0 - math.sqrt(13.0)) / 6.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gradient_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            solve_cubic_model(np.eye(2), np.array([bad, 1.0]), 1.0)
 
     def test_zero_cubic_coefficient_is_spd_solve(self):
         g = np.random.default_rng(0)

@@ -363,3 +363,9 @@ class TestConstants:
         ds = synth_artificial(2, 2, 2, seed=0)
         with pytest.raises(InputError):
             make_problem(ds, n=2, shuffle_seed=0, lam=-1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        ds = synth_artificial(2, 2, 2, seed=0)
+        with pytest.raises(InputError, match="regularization"):
+            make_problem(ds, n=2, shuffle_seed=0, lam=lam)
