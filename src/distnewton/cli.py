@@ -27,14 +27,14 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .compressors import CompressorSpec
+from .compressors import _READS, CompressorSpec
 from .data import Dataset, load_dataset, save_dataset, synth_artificial
 from .errors import (CacheError, ConfigError, DistNewtonError, InputError,
                      NumericalError, ParseError, ReplicaMismatchError,
                      SingularMatrixError)
 from .harness import (_H0_POLICIES, _OPTIONS, Budget, RunOptions, Trace, _admit,
                       bits_to_reach, run_experiment)
-from .methods import Oracles, reference_optimum
+from .methods import Oracles, _oracles_at, reference_optimum
 from .problem import _LOSSES, Problem, make_problem
 
 EXIT_OK = 0
@@ -202,11 +202,13 @@ _CONFIG_KINDS = {name: ((get_args(hint) or (hint,))[0], type(None) in get_args(h
 # Reference-optimum cache (content addressed)
 # ---------------------------------------------------------------------------
 
-# Version of the reference-optimum computation, hashed into the cache key so
-# that a file written by an earlier formula is never read back. Keys without
-# it were format 1 (whole-matrix products for value and gradient); format 2
-# evaluates every iterate through the stacked per-worker margin pass.
-ORACLE_FORMAT = 2
+# Version of the reference-optimum computation and file, hashed into the
+# cache key so that a file written by an earlier formula is never read back.
+# Keys without it were format 1 (whole-matrix products for value and
+# gradient); format 2 evaluates every iterate through the stacked per-worker
+# margin pass; format 3 stores x* alone, and every other oracle is derived
+# from it on load (``methods._oracles_at``).
+ORACLE_FORMAT = 3
 
 
 def _oracle_cache_key(cfg: ExperimentConfig) -> str:
@@ -225,40 +227,18 @@ def oracle_path(cfg: ExperimentConfig, outroot: Path) -> Path:
 
 
 def oracles_to_json(o: Oracles) -> str:
-    payload = {
-        "x_star": [float(v) for v in o.x_star],
-        "value_star": float(o.value_star),
-        "h_star": [[float(v) for v in row] for row in o.h_star],
-        "grad_norm": float(o.grad_norm),
-    }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps({"x_star": o.x_star.tolist()})
 
 
 def oracles_from_json(text: str, p: Problem) -> Oracles:
-    d = json.loads(text)
-    x_star = np.asarray(d["x_star"], dtype=np.float64)
-    h_star = np.asarray(d["h_star"], dtype=np.float64)
-    if x_star.shape != (p.d,) or h_star.shape != (p.n, p.m):
-        raise InputError(
-            f"x_star shape {x_star.shape} and h_star shape {h_star.shape} do not "
-            f"match the problem's ({p.d},) and ({p.n}, {p.m})")
-    value_star, grad_norm = float(d["value_star"]), float(d["grad_norm"])
+    x_star = np.asarray(json.loads(text)["x_star"], dtype=np.float64)
+    if x_star.shape != (p.d,):
+        raise InputError(f"x_star has shape {x_star.shape}, but the problem "
+                         f"has d={p.d}")
     # json reads NaN and Infinity, which no computed optimum holds
-    for name, value in (("x_star", x_star), ("value_star", value_star),
-                        ("h_star", h_star), ("grad_norm", grad_norm)):
-        if not np.all(np.isfinite(value)):
-            raise InputError(f"{name} holds a non-finite value")
-    hessian_star = p.data_gram(h_star)
-    # one pair serves every config of a compare, so no run may write into it
-    for a in (x_star, h_star, hessian_star):
-        a.setflags(write=False)
-    return Oracles(
-        x_star=x_star,
-        value_star=value_star,
-        h_star=h_star,
-        hessian_star=hessian_star,
-        grad_norm=grad_norm,
-    )
+    if not np.all(np.isfinite(x_star)):
+        raise InputError("x_star holds a non-finite value")
+    return _oracles_at(p, x_star)
 
 
 def load_or_compute_oracles(cfg: ExperimentConfig, p: Problem,
@@ -298,15 +278,20 @@ def _prepare(cfgs: list[ExperimentConfig],
              outroot: Path) -> tuple[Problem, Oracles, Path]:
     """The CLI's one admission path: the problem the configs share, its
     oracles and their cache file under outroot. Each config is validated,
-    all must have one ``problem_key``, and each is admitted on the problem
-    by ``harness._admit`` before the oracles are read or computed."""
+    all must have one ``problem_key``, configs that differ must have
+    different trace stems, and each is admitted on the problem by
+    ``harness._admit`` before the oracles are read or computed."""
+    stems: dict[str, ExperimentConfig] = {}
     for cfg in cfgs:
         cfg.validate()
-    for cfg in cfgs[1:]:
         if cfg.problem_key() != cfgs[0].problem_key():
             raise ConfigError(
                 "compare requires identical dataset, partition, loss, and lam "
                 f"across configs; {cfg.stem()} differs")
+        # one stem is one trace file, which a second, different run would overwrite
+        if stems.setdefault(cfg.stem(), cfg).to_dict() != cfg.to_dict():
+            raise ConfigError(f"two different configs write the trace {cfg.stem()}; "
+                              "give them distinct tags")
     p = cfgs[0].build_problem()
     for cfg in cfgs:
         _admit(cfg.method, p, cfg.compressor_spec(), cfg.run_options())
@@ -434,33 +419,38 @@ def _add_method_flags(sp):
     sp.add_argument("--timing", action="store_true", default=None)
 
 
+# each field's text type, and the value of a field the flag may leave off
+_FLAG_FIELDS = {"r": int, "s": int, "q": float, "p": float}
+_FLAG_DEFAULTS = {"s": None, "q": 2.0}
+
+
 def parse_compressor_flag(text: str) -> dict:
-    parts = text.split(":")
-    kind = parts[0]
-
-    def arg(pos: int, name: str, convert):
-        if len(parts) <= pos:
-            raise ConfigError(f"compressor flag {text!r} is missing {kind}'s {name}")
-        try:
-            return convert(parts[pos])
-        except ValueError:
-            raise ConfigError(f"compressor flag {text!r}: {name}={parts[pos]!r} "
-                              f"is not a valid {convert.__name__}") from None
-
-    if kind == "identity":
-        return {"kind": "identity"}
-    if kind == "natural":
-        return {"kind": "natural"}
-    if kind == "random_r":
-        return {"kind": "random_r", "r": arg(1, "r", int)}
-    if kind == "dithering":
-        spec = {"kind": "dithering", "s": arg(1, "s", int) if len(parts) > 1 else None}
-        spec["q"] = arg(2, "q", float) if len(parts) > 2 else 2.0
-        return spec
-    if kind == "bernoulli":
-        return {"kind": "bernoulli", "p": arg(1, "p", float),
-                "inner": parse_compressor_flag(":".join(parts[2:]))}
-    raise ConfigError(f"cannot parse compressor flag {text!r}")
+    """The spec dict of ``kind:field:...``, fields in ``_READS`` order;
+    bernoulli's inner flag takes the rest of the text."""
+    kind, *parts = text.split(":")
+    if kind not in _READS:
+        raise ConfigError(f"cannot parse compressor flag {text!r}")
+    spec: dict = {"kind": kind}
+    for pos, name in enumerate(_READS[kind]):
+        if pos >= len(parts):
+            if name not in _FLAG_DEFAULTS:
+                raise ConfigError(f"compressor flag {text!r} is missing {kind}'s {name}")
+            spec[name] = _FLAG_DEFAULTS[name]
+        elif name == "inner":
+            spec[name] = parse_compressor_flag(":".join(parts[pos:]))
+            return spec
+        else:
+            convert = _FLAG_FIELDS[name]
+            try:
+                spec[name] = convert(parts[pos])
+            except ValueError:
+                raise ConfigError(f"compressor flag {text!r}: {name}={parts[pos]!r} "
+                                  f"is not a valid {convert.__name__}") from None
+    extra = parts[len(_READS[kind]):]
+    if extra:
+        raise ConfigError(f"compressor flag {text!r} has field(s) that {kind} "
+                          f"does not read: {':'.join(extra)}")
+    return spec
 
 
 def _read_config_file(path: str) -> dict:

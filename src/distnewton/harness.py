@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -397,7 +398,7 @@ class _Learner:
             return math.inf
         if self.state.gamma is None:
             return p.lam ** 2 / (12.0 * c.nu ** 2 * c.max_row_norm ** 6)
-        if oracles is None or oracles.hessian_star is None:
+        if oracles is None:
             return math.nan
         mu = smallest_eigenvalue(oracles.hessian_star) + p.lam
         return mu ** 2 / (432.0 * p.m * p.n * c.nu ** 2 * c.max_row_norm ** 6)
@@ -405,7 +406,7 @@ class _Learner:
     def phi(self) -> float:
         p, o = self.run.p, self.run.oracles
         c = p.constants()
-        if o is None or o.h_star is None or c.nu == 0.0:
+        if o is None or c.nu == 0.0:
             return math.nan
         dist2 = float(np.sum((self.state.x - o.x_star) ** 2))
         h_err = float(np.sum((self.state.h - o.h_star) ** 2))
@@ -528,16 +529,21 @@ METHOD_NAMES = tuple(_METHODS)
 COMPRESSED_METHODS = tuple(name for name, rec in _METHODS.items() if rec.needs_spec)
 
 
+def _is_a(value, kind: type) -> bool:
+    """Whether value is of the numeric kind; bool, an int subclass, is not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
            opts: RunOptions) -> _Run:
     """The run of ``method`` on p, without its seed and oracles, once it
     meets every rule the harness holds. ConfigError: an unknown method, a
-    missing spec, an option, h0 policy or rate out of range, nl1 at
-    lam <= 0, or a bounded learner's max |h0| above gamma. InputError: a
-    spec wider than the vectors it compresses (a learner's m coefficients,
-    a first-order method's gradient) or an x0 that is not d finite numbers.
-    Only a learner's h0 evaluates the data, at x0, through the evaluation
-    slot."""
+    missing spec, an option (an int), h0 policy or rate (a real) out of
+    range or a bool, nl1 at lam <= 0, or a bounded learner's max |h0|
+    above gamma. InputError: a spec wider than the vectors it compresses
+    (a learner's m coefficients, a first-order method's gradient) or an x0
+    that is not d finite numbers. Only a learner's h0 evaluates the data,
+    at x0, through the evaluation slot."""
     rec = _METHODS.get(method)
     if rec is None:
         raise ConfigError(f"unknown method {method!r}; choose from {METHOD_NAMES}")
@@ -545,13 +551,14 @@ def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
         if spec is None:
             raise ConfigError(f"method {method!r} requires a compressor spec")
         omega(spec, p.m if rec.eta is not None else p.d)    # raises on r > length
-    if opts.option not in _OPTIONS:
+    if not _is_a(opts.option, numbers.Integral) or opts.option not in _OPTIONS:
         raise ConfigError(f"option must be 1 or 2, not {opts.option!r}")
     if opts.h0 not in _H0_POLICIES:
         raise ConfigError(f"unknown h0 policy {opts.h0!r}")
     for name in ("eta", "gamma", "stepsize", "theta"):
         value = getattr(opts, name)
-        if value is not None and not 0 < value < math.inf:
+        if value is not None and not (_is_a(value, numbers.Real)
+                                      and 0 < value < math.inf):
             raise ConfigError(f"{name} must be a finite number > 0, not {value!r}")
     try:
         x0 = np.zeros(p.d) if opts.x0 is None else np.array(opts.x0, dtype=np.float64)

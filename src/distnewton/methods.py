@@ -49,19 +49,31 @@ REBUILD_PERIOD = 200
 class Oracles:
     """Quantities at the reference optimum used by oracle-based methods.
 
-    ``h_star`` holds the per-sample curvature coefficients at the optimum
-    as an (n, m) array; ``hessian_star`` is the data part of the Hessian
-    there (regularizer excluded).
+    Every field derives from ``x_star`` (see ``_oracles_at``). ``h_star``
+    holds the per-sample curvature coefficients at the optimum as an (n, m)
+    array; ``hessian_star`` is the data part of the Hessian there
+    (regularizer excluded). The arrays are read-only.
     """
 
     x_star: Array
     value_star: float
-    h_star: Optional[Array] = None
-    hessian_star: Optional[Array] = None
-    grad_norm: float = math.nan
+    h_star: Array
+    hessian_star: Array
+    grad_norm: float
 
     def distance(self, x: Array) -> float:
         return float(np.linalg.norm(x - self.x_star))
+
+
+def _oracles_at(p: Problem, x: Array) -> Oracles:
+    """The oracles at x from p's one evaluation there. One Oracles serves
+    every config of a compare, so its arrays are read-only."""
+    h_star = p.h_all(x)                      # read-only, like every slot array
+    hessian_star = p.data_gram(h_star)
+    for a in (x, hessian_star):
+        a.setflags(write=False)
+    return Oracles(x, p.value(x), h_star, hessian_star,
+                   float(np.linalg.norm(p.grad(x))))
 
 
 def newton_step(p: Problem, x: Array) -> Array:
@@ -74,23 +86,11 @@ def reference_optimum(p: Problem, newton_iters: int = 20) -> Oracles:
     x = np.zeros(p.d)
     for _ in range(newton_iters):
         x = newton_step(p, x)
-    h_star = p.h_all(x)
-    o = Oracles(
-        x_star=x,
-        value_star=p.value(x),
-        h_star=h_star,
-        hessian_star=p.data_gram(h_star),
-        grad_norm=float(np.linalg.norm(p.grad(x))),
-    )
-    for a in (o.x_star, o.h_star, o.hessian_star):
-        a.setflags(write=False)
-    return o
+    return _oracles_at(p, x)
 
 
 def ns_step(p: Problem, oracles: Oracles, x: Array) -> Array:
     """Newton-like step with the curvature matrix frozen at the optimum."""
-    if oracles.hessian_star is None:
-        raise ConfigError("fixed-curvature step needs the optimum Hessian oracle")
     h_reg = add_diagonal(oracles.hessian_star, p.lam)
     return x - solve_spd(h_reg, p.grad(x))
 
@@ -109,8 +109,6 @@ def mn_step(p: Problem, oracles: Oracles, x: Array) -> Array:
     its stored per-worker optimum curvature by beta_i before stepping.
     Requires strictly positive optimum coefficients.
     """
-    if oracles.h_star is None:
-        raise ConfigError("max-scaled step needs optimum coefficients")
     h_star = oracles.h_star
     if np.min(h_star) <= 0.0:
         raise ConfigError("max-scaled step needs strictly positive optimum coefficients")

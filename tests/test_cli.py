@@ -13,7 +13,7 @@ from distnewton.cli import ExperimentConfig, main, parse_compressor_flag
 from distnewton.compressors import bernoulli, dithering, identity, natural, random_r
 from distnewton.data import load_dataset, save_dataset, synth_artificial
 from distnewton.harness import COMPRESSED_METHODS, METHOD_NAMES
-from distnewton.methods import Oracles, reference_optimum
+from distnewton.methods import Oracles, _oracles_at, reference_optimum
 from distnewton.problem import make_problem
 
 
@@ -361,7 +361,8 @@ class TestOracleCache:
 
     def test_corrupt_cache_exits_4_and_names_file(self, tmp_path, capsys):
         cfg_path, cached = self.cached_file(tmp_path)
-        cached.write_text(cached.read_text()[:100])
+        text = cached.read_text()
+        cached.write_text(text[:len(text) // 2])
         capsys.readouterr()
         rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)])
         assert rc == 4
@@ -378,20 +379,12 @@ class TestOracleCache:
         err = capsys.readouterr().err
         assert cached.name in err and "x_star" in err
 
-    @pytest.mark.parametrize("field, value", [("x_star", float("nan")),
-                                              ("value_star", float("inf")),
-                                              ("h_star", float("nan")),
-                                              ("grad_norm", float("-inf"))])
+    @pytest.mark.parametrize("field, value", [("x_star", float("nan"))])
     def test_non_finite_cache_value_exits_4(self, tmp_path, capsys, field, value):
         # json reads NaN and Infinity, so a shape check alone lets them through
         cfg_path, cached = self.cached_file(tmp_path)
         d = json.loads(cached.read_text())
-        if field == "x_star":
-            d[field][0] = value
-        elif field == "h_star":
-            d[field][1][0] = value
-        else:
-            d[field] = value
+        d[field][0] = value
         cached.write_text(json.dumps(d))
         capsys.readouterr()
         rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)])
@@ -459,16 +452,32 @@ def bits(a) -> bytes:
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(FINITE, min_size=4, max_size=4), FINITE,
-       st.lists(FINITE, min_size=6, max_size=6), FINITE)
-def test_oracle_cache_roundtrip_is_bitwise(x_star, value_star, h_star, grad_norm):
-    p = ROUNDTRIP_PROBLEM
-    o = Oracles(x_star=np.array(x_star), value_star=value_star,
-                h_star=np.array(h_star).reshape(p.n, p.m), grad_norm=grad_norm)
-    again = cli.oracles_from_json(cli.oracles_to_json(o), p)
-    for name in ("x_star", "value_star", "h_star", "grad_norm"):
+ORACLE_FIELDS = [f.name for f in fields(Oracles)]
+
+
+def assert_cache_reads_back_bitwise(o: Oracles, p) -> None:
+    """The cache text of o holds x_star alone, and the oracles read back
+    from it equal o bit for bit in every field."""
+    text = cli.oracles_to_json(o)
+    assert list(json.loads(text)) == ["x_star"]
+    again = cli.oracles_from_json(text, p)
+    for name in ORACLE_FIELDS:
         assert bits(getattr(again, name)) == bits(getattr(o, name)), name
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(FINITE, min_size=4, max_size=4))
+def test_oracle_cache_roundtrip_is_bitwise(x_star):
+    # every derived field is what _oracles_at computes at the written x*
+    p = ROUNDTRIP_PROBLEM
+    assert_cache_reads_back_bitwise(_oracles_at(p, np.array(x_star)), p)
+
+
+def test_cached_reference_optimum_equals_the_computed_one_bitwise(a2a_1e3):
+    squared = make_problem(synth_artificial(3, 8, 5, seed=2, mean=0.0, variance=1.0),
+                           n=3, shuffle_seed=1, loss_kind="squared", lam=1e-2)
+    for p in (a2a_1e3, squared):
+        assert_cache_reads_back_bitwise(reference_optimum(p), p)
 
 
 def flag_text(spec) -> str:
@@ -523,6 +532,36 @@ class TestCompare:
         lines = capsys.readouterr().out.splitlines()
         rows = [ln for ln in lines if ln.startswith("newton")]
         assert len(rows) == 2 and rows[0] == rows[1]
+
+    def test_configs_sharing_a_trace_stem_write_nothing(self, tmp_path, capsys):
+        # without tags, random_r(1) and random_r(4) runs write one trace file
+        a, _ = base_config(tmp_path, method="nl1", max_iters=3,
+                           compressor={"kind": "random_r", "r": 1})
+        b = tmp_path / "r4.json"
+        b.write_text(json.dumps({**json.loads(a.read_text()),
+                                 "compressor": {"kind": "random_r", "r": 4}}))
+        out = tmp_path / "out"
+        rc = main(["compare", str(a), str(b), "--outdir", str(out)])
+        assert rc == 2
+        stem = ExperimentConfig.from_dict(json.loads(a.read_text())).stem()
+        err = capsys.readouterr().err
+        assert stem in err and "tag" in err
+        assert not out.exists()          # no trace and no oracle cache
+
+    def test_distinct_tags_write_both_traces(self, tmp_path, capsys):
+        paths, stems = [], []
+        for r in (1, 4):
+            path, cfg = base_config(tmp_path, method="nl1", max_iters=3, tag=f"r{r}",
+                                    compressor={"kind": "random_r", "r": r})
+            paths.append(str(path))
+            stems.append(ExperimentConfig.from_dict(cfg).stem())
+        out = tmp_path / "out"
+        assert main(["compare", *paths, "--outdir", str(out)]) == 0
+        assert stems[0] != stems[1]
+        for stem in stems:
+            assert (out / f"{stem}.csv").exists() and (out / f"{stem}.json").exists()
+        assert json.loads((out / f"{stems[1]}.json").read_text())["config"][
+            "compressor"] == {"kind": "random_r", "r": 4}
 
     def test_unknown_config_key_exits_2_and_names_it(self, tmp_path, capsys):
         a, _ = base_config(tmp_path, method="newton", step_size=0.1)
@@ -617,6 +656,21 @@ class TestCompressorFlag:
                    "--method", "nl2", "--compressor", flag])
         assert rc == 2
         assert f"missing {flag.split(':')[-1]}'s {missing}" in capsys.readouterr().err
+
+    # the flag named is the one whose kind does not read the field: a
+    # bernoulli's inner flag for a field after it
+    @pytest.mark.parametrize("flag, named", [
+        ("random_r:1:7", "random_r:1:7"), ("natural:3", "natural:3"),
+        ("identity:x", "identity:x"), ("dithering:3:2.0:1", "dithering:3:2.0:1"),
+        ("bernoulli:0.5:random_r:1:7", "random_r:1:7")])
+    def test_unread_field_exits_2_and_names_the_flag(self, tmp_path, capsys,
+                                                     flag, named):
+        cfg_path, _ = base_config(tmp_path)
+        rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path),
+                   "--method", "nl2", "--compressor", flag])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"compressor flag {named!r} has field(s)" in err
 
     def test_non_numeric_argument_exits_2(self, tmp_path, capsys):
         cfg_path, _ = base_config(tmp_path)

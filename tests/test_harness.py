@@ -107,7 +107,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("method, name, value", [
         ("gd", "stepsize", -1.0), ("nl1", "eta", -0.5), ("nl2", "eta", math.nan),
-        ("diana", "theta", 0.0), ("nl2", "gamma", math.inf)])
+        ("diana", "theta", 0.0), ("nl2", "gamma", math.inf),
+        ("nl1", "eta", True), ("gd", "stepsize", "0.1"), ("diana", "theta", [0.5]),
+        ("nl2", "gamma", False), ("dcgd", "stepsize", 1j)])
     def test_rate_outside_the_positive_reals_rejected(self, method, name, value):
         spec = random_r(1) if _METHODS[method].needs_spec else None
         with pytest.raises(ConfigError, match=f"^{name} must be"):
@@ -125,7 +127,7 @@ class TestConfigValidation:
             run_experiment(method, p, spec, Budget(max_iters=1), seed=0,
                            opts=RunOptions(x0=x0))
 
-    @pytest.mark.parametrize("option", [0, 3, 7])
+    @pytest.mark.parametrize("option", [0, 3, 7, True, 1.0, 2.0, "1"])
     def test_option_outside_1_2_rejected(self, option):
         with pytest.raises(ConfigError, match="option"):
             run_experiment("nl1", small_problem(), random_r(1), Budget(max_iters=1),

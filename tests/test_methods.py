@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -76,12 +77,6 @@ class TestNewtonStar:
         o = reference_optimum(p)
         assert np.linalg.norm(ns_step(p, o, o.x_star) - o.x_star) <= 1e-12
 
-    def test_missing_oracle(self):
-        p = small_problem()
-        from distnewton.methods import Oracles
-        with pytest.raises(ConfigError):
-            ns_step(p, Oracles(x_star=np.zeros(p.d), value_star=0.0), np.zeros(p.d))
-
 
 class TestMaxNewton:
     def test_beta_one_at_optimum(self):
@@ -100,9 +95,7 @@ class TestMaxNewton:
     def test_rejects_nonpositive_coefficients(self):
         p = small_problem("logistic", lam=1e-2)
         o = reference_optimum(p)
-        bad = o.__class__(x_star=o.x_star, value_star=o.value_star,
-                          h_star=np.zeros_like(o.h_star),
-                          hessian_star=o.hessian_star)
+        bad = dataclasses.replace(o, h_star=np.zeros_like(o.h_star))
         with pytest.raises(ConfigError):
             mn_step(p, bad, np.zeros(p.d))
 
