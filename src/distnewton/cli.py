@@ -60,6 +60,9 @@ _SYNTH_KEYS = {"n": (True, int), "m": (True, int), "d": (True, int),
 _POSITIVE = ("newton_ref_iters",)
 # the choices of the flags of fields whose owner dispatches on the value
 _CHOICES = {"loss": tuple(_LOSSES), "h0": _H0_POLICIES, "option": _OPTIONS}
+# (metavar, help) of the flags that need more than their field's name
+_FLAG_HELP = {"newton_ref_iters": ("N", "x*: at most N Newton steps (default 20); "
+                                        "stops once a step is at rounding level")}
 
 
 def _check_field(name: str, value, kind: type) -> None:
@@ -207,8 +210,9 @@ _CONFIG_KINDS = {name: ((get_args(hint) or (hint,))[0], type(None) in get_args(h
 # Keys without it were format 1 (whole-matrix products for value and
 # gradient); format 2 evaluates every iterate through the stacked per-worker
 # margin pass; format 3 stores x* alone, and every other oracle is derived
-# from it on load (``methods._oracles_at``).
-ORACLE_FORMAT = 3
+# from it on load (``methods._oracles_at``); format 4 stops the Newton loop
+# once a step is at rounding level instead of always taking 20 steps.
+ORACLE_FORMAT = 4
 
 
 def _oracle_cache_key(cfg: ExperimentConfig) -> str:
@@ -389,8 +393,9 @@ def _add_field_flags(sp, names) -> None:
     """A flag per config field, named after it (``--d-hint`` sets d_hint),
     of the field's kind and choices."""
     for name in names:
+        metavar, help_text = _FLAG_HELP.get(name, (None, None))
         sp.add_argument("--" + name.replace("_", "-"), type=_CONFIG_KINDS[name][0],
-                        choices=_CHOICES.get(name))
+                        choices=_CHOICES.get(name), metavar=metavar, help=help_text)
 
 
 def _add_problem_flags(sp):

@@ -82,10 +82,13 @@ def newton_step(p: Problem, x: Array) -> Array:
 
 
 def reference_optimum(p: Problem, newton_iters: int = 20) -> Oracles:
-    """Optimum proxy: the iterate after ``newton_iters`` Newton steps from 0."""
+    """Optimum proxy: Newton steps from 0, at most ``newton_iters``, stopping
+    after the first no longer than ``REFOPT_STEP_RTOL`` times the new iterate."""
     x = np.zeros(p.d)
     for _ in range(newton_iters):
-        x = newton_step(p, x)
+        x, x_old = newton_step(p, x), x
+        if np.linalg.norm(x - x_old) <= REFOPT_STEP_RTOL * np.linalg.norm(x):
+            break
     return _oracles_at(p, x)
 
 
@@ -135,6 +138,9 @@ def mn_rate_constant(p: Problem, oracles: Oracles) -> float:
 
 CUBIC_RESIDUAL_RTOL = 1e-9
 CUBIC_RHO_RTOL = 1e-12
+# reference_optimum stops after a Newton step this short relative to x: by
+# the quadratic rate the next would be of order its square, far below rounding.
+REFOPT_STEP_RTOL = 1e-12
 _NEWTON_MAX = 100
 
 

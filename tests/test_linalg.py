@@ -50,6 +50,16 @@ class TestSymEig:
         assert np.linalg.norm(u @ u.T - np.eye(a.shape[0]), "fro") <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_add_diagonal_equals_fancy_indexing_bitwise(seed):
+    a, g = random_symmetric(seed)
+    value = float(g.standard_normal())
+    want = a.copy()
+    want[np.diag_indices_from(want)] += value
+    a.setflags(write=False)                 # the input is left alone
+    assert linalg.add_diagonal(a, value).tobytes() == want.tobytes()
+
+
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.0])

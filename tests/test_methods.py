@@ -7,13 +7,16 @@ import pytest
 from distnewton.compressors import bernoulli, identity, random_r
 from distnewton.data import Dataset
 from distnewton.errors import ConfigError, InputError, NumericalError
-from distnewton import linalg
+from distnewton import linalg, methods
 from distnewton.linalg import smallest_eigenvalue
 from distnewton.methods import (DianaState, bfgs_init, bfgs_step, dcgd_round,
                                 default_eta, diana_init, diana_round, gd_step,
                                 learn_init, learn_round, mn_step, newton_step,
                                 ns_step, reference_optimum, solve_cubic_model)
 from distnewton.problem import make_problem
+from stand_ins import a2a_shaped_problem, cached_a2a, phishing_shaped_problem
+
+EPS = np.finfo(np.float64).eps
 
 
 def small_problem(loss="logistic", lam=1e-2, count=40, d=5, n=4, seed=0):
@@ -46,6 +49,31 @@ class TestNewton:
         assert e1 <= 1e-3 * e0  # quadratic regime: error drops by orders
 
 
+def counted_reference_optimum(monkeypatch, p, **kwargs):
+    """reference_optimum(p) and the number of Newton steps it took."""
+    steps = 0
+
+    def counting(p, x):
+        nonlocal steps
+        steps += 1
+        return newton_step(p, x)
+
+    monkeypatch.setattr(methods, "newton_step", counting)
+    return reference_optimum(p, **kwargs), steps
+
+
+def twenty_newton_steps(p):
+    x = np.zeros(p.d)
+    for _ in range(20):
+        x = newton_step(p, x)
+    return x
+
+
+STOP_PROBLEMS = {"a2a": lambda: cached_a2a(1e-3),
+                 "phishing": lambda: phishing_shaped_problem(1e-4),
+                 "a2a-squared": lambda: a2a_shaped_problem(1e-3, "squared")}
+
+
 class TestReferenceOptimum:
     def test_squared_loss_grad_floor(self):
         p = small_problem("squared", lam=0.1)
@@ -63,6 +91,19 @@ class TestReferenceOptimum:
         assert o.h_star.shape == (p.n, p.m)
         assert o.hessian_star.shape == (p.d, p.d)
         assert math.isfinite(o.value_star)
+
+    @pytest.mark.parametrize("name", list(STOP_PROBLEMS))
+    def test_stops_at_rounding_level_on_the_fixed_loops_optimum(self, monkeypatch, name):
+        p = STOP_PROBLEMS[name]()
+        o, steps = counted_reference_optimum(monkeypatch, p)
+        assert steps <= 2 if name.endswith("squared") else steps < 20
+        x = twenty_newton_steps(p)
+        assert np.linalg.norm(o.x_star - x) <= 4 * EPS * np.linalg.norm(x)
+        assert o.value_star == p.value(x)
+
+    def test_newton_iters_caps_the_steps(self, monkeypatch, a2a_1e3):
+        _, steps = counted_reference_optimum(monkeypatch, a2a_1e3, newton_iters=3)
+        assert steps == 3
 
 
 class TestNewtonStar:

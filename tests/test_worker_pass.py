@@ -221,9 +221,12 @@ def test_diana_round_equals_per_worker_loop(a2a_1e3):
 # with option=2 and h0="zeros". Every CSV and JSON pin was re-taken when
 # ``solve_cholesky`` moved from two LU solves to LAPACK dpotrs, which moves
 # the last bits of Newton-type iterates and of the reference optimum behind
-# every gap column (tests/golden_diff.py prints old -> new). Earlier, under
-# the round stream contract with whole-matrix products for value/grad, the
-# three read
+# every gap column (tests/golden_diff.py prints old -> new). They were
+# re-taken again when ``reference_optimum`` began to stop at a rounding-level
+# step: x* moves in its last bits, and with it the gap and phi columns and
+# the ns/mn iterates, never a ledger or a compressed method's iterate.
+# Earlier, under the round stream contract with whole-matrix products for
+# value/grad, the three read
 #   nl2  4dddb1d5e8c3d7ed57ec9e295c9a767c4aeb6272a5e20f0299df0b730b306747
 #   dcgd 986d737d42e0e18ab000472de3c7ead43daaa5e777afb4378a7cbf870f2b719b
 #   cnl  e0a4fea48a2f255a3767decfc3832323cedcbc9e91364c0b6700ba89f669df15
@@ -231,35 +234,35 @@ def test_diana_round_equals_per_worker_loop(a2a_1e3):
 # 45cb065421041745f15ad8611fe4ad2fde3d4466f871cf959edd1cf2bd7c129b under the
 # earlier per-worker streams keyed by (seed, worker, iteration).
 GOLDEN_TRACE_SHA256 = {
-    "gd": "9eef1502c156a9971182504593137b8902901fb859f48310e3c8b8847ed9bcd9",
-    "dcgd": "c97218ad5d7a72abdd5f3891d82ccc0274ed2dda3422d78f988ede89c6121574",
-    "diana": "2feb265198597d701dd30bcc35eec733b0bfca47ae1b5cef0d4e8e58a00b6c8a",
-    "bfgs": "4a0599004b53929d7220421b25e730caa40a853c1c10ac585c3fa7c8e1b8dbed",
-    "newton": "65b5e2b9efce3ca36f0633abae8ef60ee3eedb37a55bb4796ba2ccb8c21d836c",
-    "newton_coeff": "c345e705d753eeb8d6463fe95ec3504c3ffe9ff780e87db9199cada25350b679",
-    "ns": "13255e93e1078bc14c9849f6a6a7f0c8f1eede2dcba338d3e128d4351847e963",
-    "mn": "57c05c6d37e90609b361ec5462f3deb6a47ed2cf8e954d08a2e5c7813084b7ae",
-    "nl1": "de828a8f406c6999422920fc54496b959d7a3604934be7306da226400ec0febc",
-    "nl2": "8454614a446dd5c98d1b7cc19f54f2b661eba81f084a674bdfcd988b9d2f8125",
-    "cnl": "804aef2e9d35566f6249ec4dfeaef70246ab8aa459281259b1b0b091959a7c33",
-    "nl1-option2-zeros": "274c22203a1cbabfb21dcf5e821d96d252661d57d6b4daf32f83df8860fc83c6",
+    "gd": "c05a96f51a40b89ace134e524d87d46013efe1ef0ba1fd733170e8f431d07e35",
+    "dcgd": "a5ed19ec15de20afb5f7d0c18e9762bafb30248807e1bf5dc3b7530823ea1a80",
+    "diana": "d324602651ccb77c5d94d8c78ff7d88e9b22c6357d60f0970cdaf5363b089285",
+    "bfgs": "9841d1d5e253e2555a9203a9cd69595d8a0c617700fc5b42a3c012b6c491c3dd",
+    "newton": "227f2a5bdf8868fffb67da538f8df4d62fd5482ca1d5dad3a850158135647558",
+    "newton_coeff": "b8f58cc5342931e4da1d0a666352783dd6abb27e69439a093af02359a0761dd5",
+    "ns": "ce2d640971fd8e220460d285a1bd3660140870f6b722b38d8226c67609acfd99",
+    "mn": "889e1d617634c76a0e510adf4afa3e37348b13c3bba70ce6d84869db87950470",
+    "nl1": "f8faed7fa6f7b663ecd664bde66730f39b676ff064696817794c10f2fdac0b43",
+    "nl2": "da4396b9e0c61147b63cc91227f172dd35c1d1df514060242230cf049e40a2fc",
+    "cnl": "88c235a2c110fabc5d4bf18aaf9852cbea0fd30e14452567a7b1c0f035677d9e",
+    "nl1-option2-zeros": "9e914345f6308e4fc64fa2d141cb238bfd09ccac42b497ed19b2c956252e0a01",
 }
 
 # SHA-256 of the JSON text of the same traces: it also carries the
 # extras (decrease_ok, bfgs_skipped, replica_ok, curvature_certificate, ...).
 GOLDEN_JSON_SHA256 = {
-    "gd": "e95903dec499fc3313ad5343815baab27054d774cf2240e278fc28d59289f2a5",
-    "dcgd": "b2f18cde9c7b3f36b41fc830ea63e65bd9ab3da6bcc0961dc8f7c6a4a398f29b",
-    "diana": "2060a98f86688371b2d338256fcf0378172afdf160ffd412c76ce05a888ad832",
-    "bfgs": "57402540d0567cd2efba058449e165d81ab40906212580cd5eb688078c076d9c",
-    "newton": "ed44584d2bcee224269cc36624d00b0b98388280a43ef79a31ac4d41d34e6848",
-    "newton_coeff": "617f8dd234b1075b1385d085f475ece10e9553ebd7f1eada117d78d2bfcde823",
-    "ns": "54c78dada22eb47e85fa2e0469cd376af55d0271c6727f9922551ce2ae096ba5",
-    "mn": "1b35345cde5de3c059160318a5a5f1ef94955b453b3958761976e22d5efebfe4",
-    "nl1": "1229b366c47e593c010b2719e8a8c294348d0d4f84ae5f1b791698c670da7558",
-    "nl2": "d4bc64d7e9910be8645198c9b3a407e9d9cea4f37e26feab3336721db00eb32f",
-    "cnl": "c8b0bba28b8a2f96f767abcd0775e757e2e8cde19507889580404be853dc9da4",
-    "nl1-option2-zeros": "3c39a7d406ce9979b5825423e552ad1344a53b8fa3603342fc3fad70606b0868",
+    "gd": "6487caf87869de88371fbc4f0e230541e7b37ae343342721f4674112a7cffb8b",
+    "dcgd": "b779d9a62dabd776e77d1fb85ee145b5ca71b4f84272ad16567cb288c16fa0af",
+    "diana": "93a9e7d2e75eaf94e4bfad797c29cbded9274cc9d46e29ab974c75e7f0e98710",
+    "bfgs": "19be0ba3dfd21f808f1958021c0f3a50328ef29bb1100ae0d80b7cf081735826",
+    "newton": "8cb9bf67c5170a60fdf57401d97d353a7c859791d2bbcaf216ab0b4b2248bcb7",
+    "newton_coeff": "fe3e3c02f5e2274f1d9074cfc4a45d4c174fe24540a75c498fafa99d130ced5e",
+    "ns": "a9cff249bd952a443833a6ca3dc948718696733131cc780a80d830cfb55718a1",
+    "mn": "6f6bc7dcf8ebd6e1b2baa020098b573eb653eae40d8a1c7a520b86f2a6fb39fa",
+    "nl1": "cd8745b46fd32a662845f61bf82cff17c5a92ebb2c30c694eadce37aca13148e",
+    "nl2": "66dbd43fc522e647be3c7b76b06c7c844c7efb5fd028cf42c5480b290b32fa51",
+    "cnl": "a4d64d92d5f47ebfb0b91441d673a078ae6ffe2f5321ad3ef40ace584672bb34",
+    "nl1-option2-zeros": "d7f37c2d38580d69c8d87a6e1897126b7c9c31a6659c01d45b7c657ac01ebc06",
 }
 
 # SHA-256 of the iter,bits_up_cum,bits_down_cum columns of the same traces.
