@@ -53,29 +53,21 @@ _FIELD_KINDS = {int: numbers.Integral, float: numbers.Real, str: str,
 _SYNTH_KEYS = {"n": (True, int), "m": (True, int), "d": (True, int),
                "seed": (True, int), "mean": (False, float),
                "variance": (False, float)}
-# The range of a field: a float field is finite (json reads NaN and
-# Infinity), an int field nonnegative, and these fields, which only the CLI
-# reads, positive. The rates' range, like every run rule, is held by
-# ``harness._admit``.
-_POSITIVE = ("newton_ref_iters",)
 # the choices of the flags of fields whose owner dispatches on the value
 _CHOICES = {"loss": tuple(_LOSSES), "h0": _H0_POLICIES, "option": _OPTIONS}
-# (metavar, help) of the flags that need more than their field's name
-_FLAG_HELP = {"newton_ref_iters": ("N", "x*: at most N Newton steps (default 20); "
-                                        "stops once a step is at rounding level")}
 
 
 def _check_field(name: str, value, kind: type) -> None:
     """ConfigError naming ``name`` unless ``value`` is of the field kind and
-    in the field's range."""
+    in the field's range: a float field is finite (json reads NaN and
+    Infinity), an int field nonnegative. The rates' range, like every run
+    rule, is held by ``harness._admit``."""
     if (not isinstance(value, _FIELD_KINDS[kind])
             or (kind is not bool and isinstance(value, bool))):
         raise ConfigError(f"config field {name} must be {kind.__name__}, "
                           f"not {value!r}")
     if kind is float and not -math.inf < value < math.inf:
         raise ConfigError(f"config field {name} must be finite, not {value!r}")
-    if name in _POSITIVE and not value > 0:
-        raise ConfigError(f"config field {name} must be positive, not {value!r}")
     if kind is int and value < 0:
         raise ConfigError(f"config field {name} must be nonnegative, not {value!r}")
 
@@ -104,7 +96,6 @@ class ExperimentConfig:
     max_iters: int = 100
     bit_budget: Optional[int] = None
     target_gap: Optional[float] = None
-    newton_ref_iters: int = 20
     diagnostics: bool = True
     timing: bool = False
     tag: str = ""
@@ -190,8 +181,7 @@ class ExperimentConfig:
         return {
             "dataset_path": self.dataset_path, "synth": self.synth,
             "d_hint": self.d_hint, "n": self.n,
-            "shuffle_seed": self.shuffle_seed, "loss": self.loss,
-            "lam": self.lam, "newton_ref_iters": self.newton_ref_iters,
+            "shuffle_seed": self.shuffle_seed, "loss": self.loss, "lam": self.lam,
         }
 
 
@@ -255,7 +245,7 @@ def load_or_compute_oracles(cfg: ExperimentConfig, p: Problem,
         except (ValueError, KeyError, TypeError) as exc:
             raise CacheError(f"corrupt oracle cache {path}: "
                              f"{type(exc).__name__}: {exc}") from None
-    o = reference_optimum(p, newton_iters=cfg.newton_ref_iters)
+    o = reference_optimum(p)
     path.parent.mkdir(parents=True, exist_ok=True)
     # write-then-rename, so a reader never sees a partly written cache file
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -393,9 +383,8 @@ def _add_field_flags(sp, names) -> None:
     """A flag per config field, named after it (``--d-hint`` sets d_hint),
     of the field's kind and choices."""
     for name in names:
-        metavar, help_text = _FLAG_HELP.get(name, (None, None))
         sp.add_argument("--" + name.replace("_", "-"), type=_CONFIG_KINDS[name][0],
-                        choices=_CHOICES.get(name), metavar=metavar, help=help_text)
+                        choices=_CHOICES.get(name))
 
 
 def _add_problem_flags(sp):
@@ -404,8 +393,7 @@ def _add_problem_flags(sp):
                     help="LIBSVM file (plain or .gz)")
     sp.add_argument("--synth", help="synthetic spec n,m,d (e.g. 100,10,200)")
     sp.add_argument("--synth-seed", type=int, default=0)
-    _add_field_flags(sp, ("d_hint", "n", "lam", "loss", "shuffle_seed", "seed",
-                          "newton_ref_iters"))
+    _add_field_flags(sp, ("d_hint", "n", "lam", "loss", "shuffle_seed", "seed"))
     sp.add_argument("--outdir")
 
 

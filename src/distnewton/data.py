@@ -59,12 +59,19 @@ class Partition:
     shards: tuple
 
     def __post_init__(self):
+        if not (self.n >= 1 and self.m >= 1):
+            raise InputError(f"a partition needs n, m >= 1, not n={self.n}, m={self.m}")
         if len(self.shards) != self.n:
             raise InputError("shard count must equal worker count")
-        seen = np.concatenate([np.asarray(s) for s in self.shards]) if self.n else np.array([])
-        if any(len(s) != self.m for s in self.shards):
+        if any(np.shape(s) != (self.m,) for s in self.shards):
             raise InputError("every shard must hold exactly m indices")
-        if len(np.unique(seen)) != self.n * self.m:
+        seen = np.concatenate(self.shards)
+        if not np.issubdtype(seen.dtype, np.integer) or np.any(seen < 0):
+            raise InputError("shard indices must be nonnegative integers")
+        # a repeat sits next to itself once sorted; a bincount would allocate
+        # as many counters as the largest index, which only Problem bounds
+        ordered = np.sort(seen)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise InputError("shards must be disjoint")
 
 

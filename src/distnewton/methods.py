@@ -81,11 +81,12 @@ def newton_step(p: Problem, x: Array) -> Array:
     return x - solve_spd(p.hessian(x), p.grad(x))
 
 
-def reference_optimum(p: Problem, newton_iters: int = 20) -> Oracles:
-    """Optimum proxy: Newton steps from 0, at most ``newton_iters``, stopping
-    after the first no longer than ``REFOPT_STEP_RTOL`` times the new iterate."""
+def reference_optimum(p: Problem) -> Oracles:
+    """Optimum proxy: Newton steps from 0, stopping after the first no longer
+    than ``REFOPT_STEP_RTOL`` times the new iterate, or after
+    ``REFOPT_MAX_STEPS`` steps if none is."""
     x = np.zeros(p.d)
-    for _ in range(newton_iters):
+    for _ in range(REFOPT_MAX_STEPS):
         x, x_old = newton_step(p, x), x
         if np.linalg.norm(x - x_old) <= REFOPT_STEP_RTOL * np.linalg.norm(x):
             break
@@ -141,6 +142,7 @@ CUBIC_RHO_RTOL = 1e-12
 # reference_optimum stops after a Newton step this short relative to x: by
 # the quadratic rate the next would be of order its square, far below rounding.
 REFOPT_STEP_RTOL = 1e-12
+REFOPT_MAX_STEPS = 20
 _NEWTON_MAX = 100
 
 
@@ -282,16 +284,13 @@ def learn_init(p: Problem, x0: Array, h0: Array, gamma: Optional[float] = None,
     gamma gives the shift-dominated variant (nl2): updates are clamped to
     [-gamma, gamma] and the estimate is scaled to dominate the true
     curvature, so lam = 0 is allowed. ``cubic_coeff`` (cnl, with a bound)
-    replaces the Newton step by the cubically regularized model step; only
-    the Newton-step variants need h0 >= 0. The harness checks before a run
-    starts that a bound has |h0| <= gamma and that nl1 has lam > 0.
+    replaces the Newton step by the cubically regularized model step.
+    Preconditions, which ``harness._admit`` holds before a run starts: a
+    bound has gamma > 0 and |h0| <= gamma, the Newton-step variants have
+    h0 >= 0, and nl1 has lam > 0.
     """
     h0 = np.asarray(h0, dtype=np.float64)
     bounded = gamma is not None
-    if bounded and gamma <= 0:
-        raise ConfigError("curvature bound gamma must be positive")
-    if cubic_coeff is None and np.min(h0) < 0:
-        raise ConfigError("initial coefficients must be nonnegative")
     return LearnState(x=x0.copy(), h=h0.copy(),
                       h_matrix=p.data_gram(h0 + 2.0 * gamma if bounded else h0),
                       gamma=gamma, cubic_coeff=cubic_coeff,

@@ -137,6 +137,8 @@ class Problem:
     _constants: ProblemConstants = field(init=False, repr=False)
     _slot: Optional[_Point] = field(init=False, repr=False, compare=False,
                                     default=None)
+    _mean_gram: Optional[Array] = field(init=False, repr=False, compare=False,
+                                        default=None)
 
     def __post_init__(self):
         if not 0 <= self.lam < math.inf:
@@ -144,11 +146,9 @@ class Problem:
                              f"nonnegative, not {self.lam!r}")
         if self.d < 1:
             raise InputError("the dataset has no features (d = 0)")
-        count = len(self.dataset)
-        for shard in self.part.shards:
-            if np.max(shard) >= count:
-                raise InputError("partition references rows outside the dataset")
         order = np.concatenate(self.part.shards)
+        if np.max(order) >= len(self.dataset):
+            raise InputError("partition references rows outside the dataset")
         self._rows = self.dataset.features[order]
         self._labels = self.dataset.labels[order]
         self._worker_rows = self._rows.reshape(self.n, self.m, self.d)
@@ -257,8 +257,13 @@ class Problem:
                              scale=1.0 / (self.n * self.m))
 
     def mean_gram(self) -> Array:
-        """(1/nm) sum_ij a_ij a_ij^T (unit weights)."""
-        return self.data_gram(np.ones(self.n * self.m))
+        """(1/nm) sum_ij a_ij a_ij^T (unit weights), computed on the first
+        call and read-only, like the slot arrays."""
+        if self._mean_gram is None:
+            gram = self.data_gram(np.ones(self.n * self.m))
+            gram.setflags(write=False)
+            self._mean_gram = gram
+        return self._mean_gram
 
     def constants(self) -> ProblemConstants:
         """Smoothness constants, computed once from the stacked rows."""

@@ -125,8 +125,8 @@ class TestRun:
         ({"method": "nl2", "compressor": {"kind": "bernoulli", "p": 0.5,
                                           "inner": "natural"}}, "'natural'"),
         ({"method": "nl2", "compressor": {"r": 1}}, "kind"),
-        ({"newton_ref_iters": -3}, "newton_ref_iters"),
-        ({"newton_ref_iters": 0}, "newton_ref_iters"),
+        ({"newton_ref_iters": 20}, "unknown config field"),
+        ({"tag": 3}, "tag must be str"),
         ({"method": "gd", "stepsize": float("inf")}, "stepsize"),
         ({"method": "gd", "stepsize": 0.0}, "stepsize"),
         ({"target_gap": float("nan")}, "target_gap"),
@@ -307,6 +307,14 @@ class TestFlags:
         for name in names:
             assert getattr(cfg, name) == flag_value(name), name
 
+    @pytest.mark.parametrize("verb", ["run", "refopt"])
+    def test_retired_flag_exits_2(self, verb, capsys):
+        # x*'s Newton loop stops itself; its step cap is no longer a field
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--synth", "2,10,4", "--seed", "1", "--newton-ref-iters", "3"])
+        assert exc.value.code == 2
+        assert "--newton-ref-iters" in capsys.readouterr().err
+
     def test_switches_leave_the_config_file_value_unless_given(self, tmp_path):
         cfg_path, _ = base_config(tmp_path, diagnostics=False, timing=True)
         parse = cli.build_parser().parse_args
@@ -431,7 +439,7 @@ class TestOracleCache:
 def read_only_oracles():
     """The oracles as computed, and as read back from a cache file."""
     p = make_problem(synth_artificial(2, 5, 3, seed=1), n=2, shuffle_seed=0, lam=1e-2)
-    computed = reference_optimum(p, newton_iters=3)
+    computed = reference_optimum(p)
     return computed, cli.oracles_from_json(cli.oracles_to_json(computed), p)
 
 

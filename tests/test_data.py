@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distnewton import data
-from distnewton.data import (Dataset, dumps_libsvm, load_dataset, parse_libsvm,
-                             partition, save_dataset, synth_artificial)
+from distnewton.data import (Dataset, Partition, dumps_libsvm, load_dataset,
+                             parse_libsvm, partition, save_dataset, synth_artificial)
 from distnewton.errors import InputError, ParseError
 from stand_ins import sparse_binary_dataset
 
@@ -264,6 +264,24 @@ class TestPartition:
     def test_full_coverage_when_n_divides(self):
         part = partition(self.make(12), n=3, shuffle_seed=5)
         assert sorted(np.concatenate(part.shards)) == list(range(12))
+
+    # -1 is a third distinct value, yet it names row 2 again; float indices
+    # would end in an IndexError when the rows are gathered
+    @pytest.mark.parametrize("shards", [
+        (np.array([0]), np.array([2]), np.array([-1])),
+        (np.array([0.0]), np.array([2.0]), np.array([1.0]))], ids=["negative", "float"])
+    def test_bad_shard_indices_rejected(self, shards):
+        with pytest.raises(InputError, match="shard indices"):
+            Partition(n=3, m=1, shards=shards)
+
+    @pytest.mark.parametrize("n, m, shards", [(0, 0, ()), (1, 0, (np.zeros(0, int),))])
+    def test_empty_partition_rejected(self, n, m, shards):
+        with pytest.raises(InputError, match="n, m >= 1"):
+            Partition(n=n, m=m, shards=shards)
+
+    def test_overlapping_shards_rejected(self):
+        with pytest.raises(InputError, match="disjoint"):
+            Partition(n=2, m=2, shards=(np.array([0, 3]), np.array([1, 3])))
 
 
 class TestSynthetic:

@@ -49,7 +49,7 @@ class TestNewton:
         assert e1 <= 1e-3 * e0  # quadratic regime: error drops by orders
 
 
-def counted_reference_optimum(monkeypatch, p, **kwargs):
+def counted_reference_optimum(monkeypatch, p):
     """reference_optimum(p) and the number of Newton steps it took."""
     steps = 0
 
@@ -59,7 +59,7 @@ def counted_reference_optimum(monkeypatch, p, **kwargs):
         return newton_step(p, x)
 
     monkeypatch.setattr(methods, "newton_step", counting)
-    return reference_optimum(p, **kwargs), steps
+    return reference_optimum(p), steps
 
 
 def twenty_newton_steps(p):
@@ -101,8 +101,9 @@ class TestReferenceOptimum:
         assert np.linalg.norm(o.x_star - x) <= 4 * EPS * np.linalg.norm(x)
         assert o.value_star == p.value(x)
 
-    def test_newton_iters_caps_the_steps(self, monkeypatch, a2a_1e3):
-        _, steps = counted_reference_optimum(monkeypatch, a2a_1e3, newton_iters=3)
+    def test_max_steps_caps_the_steps(self, monkeypatch, a2a_1e3):
+        monkeypatch.setattr(methods, "REFOPT_MAX_STEPS", 3)
+        _, steps = counted_reference_optimum(monkeypatch, a2a_1e3)
         assert steps == 3
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from distnewton import linalg, problem
 from distnewton.compressors import random_r
 from distnewton.data import Dataset
+from distnewton.harness import Budget, run_experiment
 from distnewton.methods import REBUILD_PERIOD, default_eta, learn_init, learn_round
 from distnewton.problem import make_problem
 
@@ -42,3 +44,27 @@ def test_gram_stays_exactly_symmetric_across_a_rebuild(variant):
         state = learn_round(p, state, spec, seed=5, eta=eta).state
         assert np.array_equal(state.h_matrix, state.h_matrix.T)
     assert state.rebuild_drift > 0.0     # the rebuild ran
+
+
+def test_mean_gram_is_built_once_per_problem(monkeypatch):
+    p = small_problem(seed=33)
+    calls = []
+    gram = linalg.weighted_gram
+
+    def counting(rows, weights, scale=1.0):
+        calls[-1] += 1
+        return gram(rows, weights, scale)
+
+    monkeypatch.setattr(problem, "weighted_gram", counting)
+    monkeypatch.setattr(linalg, "weighted_gram", counting)
+    for _ in range(2):
+        calls.append(0)
+        run_experiment("nl2", p, random_r(1), Budget(max_iters=3), seed=0)
+    # the two runs are the same run, but the second reuses the mean gram
+    assert calls[0] == calls[1] + 1
+
+
+def test_mean_gram_is_read_only():
+    g = small_problem(seed=34).mean_gram()
+    with pytest.raises(ValueError):
+        g[0, 0] = 1.0

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from distnewton import linalg
-from distnewton.data import Dataset, partition, synth_artificial
+from distnewton.data import Dataset, Partition, partition, synth_artificial
 from distnewton.errors import InputError
 from distnewton.linalg import smallest_eigenvalue
-from distnewton.problem import LOGISTIC_NU, loss_model, make_problem
+from distnewton.problem import LOGISTIC_NU, Problem, loss_model, make_problem
 
 from stand_ins import phishing_shaped_problem
 from test_worker_pass import dense_problem, legacy_worker, start_point
@@ -358,6 +358,12 @@ class TestConstants:
         radius = float(np.max(np.linalg.norm(p.stacked_rows, axis=1)))
         assert c.max_row_norm == radius
         assert c.hessian_lipschitz == LOGISTIC_NU * radius ** 3
+
+    def test_partition_past_the_dataset_rejected(self):
+        ds = synth_artificial(2, 2, 2, seed=0)
+        part = Partition(n=2, m=1, shards=(np.array([0]), np.array([4])))
+        with pytest.raises(InputError, match="outside the dataset"):
+            Problem(dataset=ds, part=part, loss=loss_model("logistic"), lam=0.0)
 
     def test_negative_lambda_rejected(self):
         ds = synth_artificial(2, 2, 2, seed=0)
