@@ -29,9 +29,8 @@ import numpy as np
 
 from .compressors import _READS, CompressorSpec
 from .data import Dataset, load_dataset, save_dataset, synth_artificial
-from .errors import (CacheError, ConfigError, DistNewtonError, InputError,
-                     NumericalError, ParseError, ReplicaMismatchError,
-                     SingularMatrixError)
+from .errors import (CacheError, ConfigError, InputError, NumericalError,
+                     ParseError, ReplicaMismatchError, SingularMatrixError)
 from .harness import (_H0_POLICIES, _OPTIONS, Budget, RunOptions, Trace, _admit,
                       bits_to_reach, run_experiment)
 from .methods import Oracles, _oracles_at, reference_optimum
@@ -87,7 +86,6 @@ class ExperimentConfig:
     d_hint: Optional[int] = None
     compressor: Optional[dict] = None
     eta: Optional[float] = None
-    gamma: Optional[float] = None
     stepsize: Optional[float] = None
     theta: Optional[float] = None
     h0: str = "h_at_x0"
@@ -101,8 +99,9 @@ class ExperimentConfig:
     tag: str = ""
 
     def validate(self) -> None:
-        """ConfigError unless each field has its kind and the CLI's range;
-        the run rules are checked by ``harness._admit`` (see ``_prepare``)."""
+        """ConfigError unless each field has its kind and the CLI's range,
+        and a d_hint comes with a dataset file; the run rules are checked by
+        ``harness._admit`` (see ``_prepare``)."""
         if self.seed is None:
             raise ConfigError("seed is mandatory; wall-clock seeding is not supported")
         for name, (kind, optional) in _CONFIG_KINDS.items():
@@ -111,6 +110,10 @@ class ExperimentConfig:
                 _check_field(name, value, kind)
         if (self.dataset_path is None) == (self.synth is None):
             raise ConfigError("exactly one of dataset_path or synth must be given")
+        if self.d_hint is not None and self.dataset_path is None:
+            raise ConfigError("d_hint widens a dataset file; a synth config has none")
+        if any(c in self.tag for c in "/\\\0"):     # a tag is part of a file name
+            raise ConfigError(f"tag must hold no '/', '\\' or NUL, not {self.tag!r}")
         if self.synth is not None:
             unknown = sorted(set(self.synth) - set(_SYNTH_KEYS))
             if unknown:
@@ -402,7 +405,7 @@ def _add_method_flags(sp):
     sp.add_argument("--compressor",
                     help='e.g. identity | random_r:1 | dithering:11 | natural '
                          '| bernoulli:0.05:random_r:1')
-    _add_field_flags(sp, ("eta", "gamma", "stepsize", "theta", "h0", "option",
+    _add_field_flags(sp, ("eta", "stepsize", "theta", "h0", "option",
                           "max_iters", "bit_budget", "target_gap", "tag"))
     # None unless given, like every field flag, so a config file's value stands
     sp.add_argument("--no-diagnostics", dest="diagnostics", action="store_false",
@@ -530,9 +533,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except DistNewtonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

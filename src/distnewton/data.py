@@ -241,6 +241,8 @@ def synth_artificial(n: int, m: int, d: int, seed: int,
     """
     if n < 1 or m < 1 or d < 1:
         raise InputError("n, m, d must all be positive")
+    if d > MAX_FEATURES:        # parse_libsvm could not read the file back
+        raise InputError(f"d {d} exceeds the maximum width {MAX_FEATURES}")
     if not -math.inf < mean < math.inf:
         raise InputError(f"mean must be finite, not {mean!r}")
     if not 0 <= variance < math.inf:

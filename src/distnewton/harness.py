@@ -14,11 +14,11 @@ a compressor spec or oracles, its default stepsize, shift rate and learning
 rate, whether the objective must never increase, and a start function
 taking the admitted run and returning the per-round step. Every rule a run
 must meet is held once, in ``_admit``, which resolves the run: the row's
-defaults, the first iterate x0, a learner's first coefficients h0 and bound
-gamma. ``run_experiment`` and the CLI both admit a run before any work. The
-three learners (nl1, nl2, cnl) share one start function, which also mirrors
-the server's coefficient replicas and records the hull, neighborhood and
-curvature diagnostics.
+defaults, the first iterate x0, a learner's first coefficients h0 and its
+loss's bound gamma. ``run_experiment`` and the CLI both admit a run before
+any work. The three learners (nl1, nl2, cnl) share one start function,
+which also mirrors the server's coefficient replicas and records the hull,
+neighborhood and curvature diagnostics.
 
 With diagnostics on, a learner's row also holds ``curvature_certificate``,
 an O(nm) minimum over arrays the round already has. For nl2 and cnl it is
@@ -267,7 +267,6 @@ _OPTIONS = (1, 2)
 @dataclass
 class RunOptions:
     eta: Optional[float] = None          # learning rate; default 1/(omega+1)
-    gamma: Optional[float] = None        # clamp bound; default loss gamma
     stepsize: Optional[float] = None     # first-order stepsize
     theta: Optional[float] = None        # shift learning rate (diana)
     h0: str = "h_at_x0"                  # coefficients h(x0), or zeros
@@ -285,7 +284,7 @@ class RunOptions:
 class _Run(NamedTuple):
     """One admitted run (see ``_admit``): stepsize, theta and eta have the
     method's defaults, x0 is the first iterate, and a learner has its first
-    coefficients h0 and, if bounded, its bound gamma."""
+    coefficients h0 and, if bounded, its loss's bound gamma."""
 
     p: Problem
     spec: Optional[CompressorSpec]
@@ -538,12 +537,13 @@ def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
            opts: RunOptions) -> _Run:
     """The run of ``method`` on p, without its seed and oracles, once it
     meets every rule the harness holds. ConfigError: an unknown method, a
-    missing spec, an option (an int), h0 policy or rate (a real) out of
-    range or a bool, nl1 at lam <= 0, or a bounded learner's max |h0|
-    above gamma. InputError: a spec wider than the vectors it compresses
-    (a learner's m coefficients, a first-order method's gradient) or an x0
+    missing spec, a spec or rate the method's row does not read, an option
+    (an int), h0 policy or rate (a real) out of range or a bool, or nl1 at
+    lam <= 0. InputError: a spec wider than the vectors it compresses (a
+    learner's m coefficients, a first-order method's gradient) or an x0
     that is not d finite numbers. Only a learner's h0 evaluates the data,
-    at x0, through the evaluation slot."""
+    at x0, through the evaluation slot; a bounded learner clamps at its
+    loss's gamma, which bounds |h0|."""
     rec = _METHODS.get(method)
     if rec is None:
         raise ConfigError(f"unknown method {method!r}; choose from {METHOD_NAMES}")
@@ -551,14 +551,19 @@ def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
         if spec is None:
             raise ConfigError(f"method {method!r} requires a compressor spec")
         omega(spec, p.m if rec.eta is not None else p.d)    # raises on r > length
+    elif spec is not None:
+        raise ConfigError(f"method {method!r} takes no compressor")
     if not _is_a(opts.option, numbers.Integral) or opts.option not in _OPTIONS:
         raise ConfigError(f"option must be 1 or 2, not {opts.option!r}")
     if opts.h0 not in _H0_POLICIES:
         raise ConfigError(f"unknown h0 policy {opts.h0!r}")
-    for name in ("eta", "gamma", "stepsize", "theta"):
+    for name in ("eta", "stepsize", "theta"):
         value = getattr(opts, name)
-        if value is not None and not (_is_a(value, numbers.Real)
-                                      and 0 < value < math.inf):
+        if value is None:
+            continue
+        if getattr(rec, name) is None:
+            raise ConfigError(f"method {method!r} reads no {name}")
+        if not (_is_a(value, numbers.Real) and 0 < value < math.inf):
             raise ConfigError(f"{name} must be a finite number > 0, not {value!r}")
     try:
         x0 = np.zeros(p.d) if opts.x0 is None else np.array(opts.x0, dtype=np.float64)
@@ -573,12 +578,7 @@ def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
         if not rec.bounded and p.lam <= 0:
             raise ConfigError("nonnegative curvature learning requires lam > 0")
         h0 = p.h_all(x0) if opts.h0 == "h_at_x0" else np.zeros((p.n, p.m))
-        if rec.bounded:
-            gamma = opts.gamma if opts.gamma is not None else p.loss.gamma
-            worst = float(np.max(np.abs(h0)))
-            if worst > gamma:
-                raise ConfigError(f"initial coefficients must satisfy |h| <= gamma, "
-                                  f"but max |h0| = {worst!r} exceeds gamma = {gamma!r}")
+        gamma = p.loss.gamma if rec.bounded else None
 
     def default(value, rule):
         return rule(p, spec) if value is None and rule is not None else value

@@ -95,7 +95,6 @@ def loss_model(kind: str) -> LossModel:
 class ProblemConstants:
     """Smoothness data of a concrete problem instance."""
 
-    gamma: float
     nu: float
     max_row_norm: float          # largest feature-row norm over assigned points
     hessian_lipschitz: float     # nu * max_row_norm**3
@@ -155,7 +154,6 @@ class Problem:
         self._worker_labels = self._labels.reshape(self.n, self.m)
         radius = float(np.max(np.linalg.norm(self._rows, axis=1)))
         self._constants = ProblemConstants(
-            gamma=self.loss.gamma,
             nu=self.loss.nu,
             max_row_norm=radius,
             hessian_lipschitz=self.loss.nu * radius ** 3,
@@ -271,8 +269,7 @@ class Problem:
 
     def grad_lipschitz_bound(self) -> float:
         """Upper bound gamma * max_row_norm^2 + lam on the gradient Lipschitz constant."""
-        c = self.constants()
-        return c.gamma * c.max_row_norm ** 2 + self.lam
+        return self.loss.gamma * self.constants().max_row_norm ** 2 + self.lam
 
 
 def make_problem(dataset: Dataset, n: int, shuffle_seed: int,

@@ -19,13 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
+
 # Middle subkey of every round stream; no other stream's key has three parts
 # with this value in the middle, so round draws never overlap data draws.
 _ROUND_TAG = 0x726E64
 
 
 def seeded_generator(seed: int, *subkeys: int) -> np.random.Generator:
-    """Philox generator for (seed, subkeys); same key -> same sequence."""
+    """Philox generator for (seed, subkeys); same key -> same sequence.
+    InputError on a negative key."""
+    if min((seed, *subkeys)) < 0:
+        raise InputError(f"seed keys must be nonnegative, not {(seed, *subkeys)}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(subkeys))
     return np.random.Generator(np.random.Philox(ss))
 

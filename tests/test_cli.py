@@ -12,9 +12,17 @@ from distnewton import cli
 from distnewton.cli import ExperimentConfig, main, parse_compressor_flag
 from distnewton.compressors import bernoulli, dithering, identity, natural, random_r
 from distnewton.data import load_dataset, save_dataset, synth_artificial
+from distnewton.errors import DistNewtonError
 from distnewton.harness import COMPRESSED_METHODS, METHOD_NAMES
 from distnewton.methods import Oracles, _oracles_at, reference_optimum
 from distnewton.problem import make_problem
+
+
+def all_subclasses(cls) -> set:
+    """The package's subclasses of cls, at any depth."""
+    found = {sub for sub in cls.__subclasses__()
+             if sub.__module__.startswith("distnewton.")}
+    return found.union(*map(all_subclasses, found))
 
 
 def base_config(tmp_path, **over):
@@ -133,8 +141,8 @@ class TestRun:
         ({"lam": float("-inf")}, "lam"),
         ({"method": "nl1", "compressor": {"kind": "random_r", "r": 1}, "eta": -0.5},
          "eta"),
-        ({"method": "nl2", "compressor": {"kind": "random_r", "r": 1}, "gamma": -1.0},
-         "gamma"),
+        ({"method": "nl2", "compressor": {"kind": "random_r", "r": 1}, "gamma": 0.5},
+         "unknown config field"),
         ({"method": "diana", "compressor": {"kind": "random_r", "r": 1}, "theta": 0},
          "theta"),
         ({"max_iters": -1}, "max_iters"),
@@ -145,8 +153,7 @@ class TestRun:
         ({"loss": "hinge"}, "loss"),
         ({"h0": "bogus"}, "h0"),
         ({"option": 3}, "option"),
-        ({"method": "nl2", "compressor": {"kind": "random_r", "r": 1}, "gamma": 0.1},
-         "gamma"),
+        ({"d_hint": 7}, "d_hint"),              # a synthetic problem reads no d_hint
         ({"method": "nl2", "compressor": {"kind": "dithering", "q": 0}}, "q >= 1"),
         ({"method": "nl2", "compressor": {"kind": "dithering", "q": -1}}, "q >= 1"),
         ({"method": "nl2", "compressor": {"kind": "dithering", "q": float("inf")}},
@@ -157,6 +164,12 @@ class TestRun:
          "does not read q, s"),
         ({"method": "dcgd", "compressor": {"kind": "identity", "zzz": 1}},
          "does not read zzz"),
+        # a value the method never reads
+        ({"method": "gd", "theta": 0.5, "eta": 9.0}, "'gd' reads no eta"),
+        ({"method": "newton", "compressor": {"kind": "random_r", "r": 1}},
+         "'newton' takes no compressor"),
+        ({"method": "nl1", "compressor": {"kind": "random_r", "r": 1}, "stepsize": 7.0},
+         "'nl1' reads no stepsize"),
     ])
     def test_bad_field_value_exits_2_and_names_it(self, tmp_path, capsys,
                                                   over, culprit):
@@ -166,6 +179,35 @@ class TestRun:
         assert rc == 2
         assert culprit in capsys.readouterr().err
         assert not out.exists()          # no oracle cache, no trace
+
+    @pytest.mark.parametrize("cls", sorted(all_subclasses(DistNewtonError),
+                                           key=lambda c: c.__name__))
+    def test_every_package_error_has_an_exit_code(self, monkeypatch, capsys, cls):
+        def raise_it(args):
+            raise cls.__new__(cls, "boom")
+        monkeypatch.setattr(cli, "cmd_run", raise_it)
+        rc = main(["run", "--synth", "2,10,4", "--seed", "1", "--method", "gd"])
+        assert rc in (2, 3, 4)
+        err = capsys.readouterr().err
+        assert err.endswith(": boom\n") and "Traceback" not in err
+
+    def test_an_unmapped_error_is_not_reported_as_a_config_error(self, monkeypatch):
+        class Unmapped(DistNewtonError):
+            pass
+
+        def raise_it(args):
+            raise Unmapped("boom")
+        monkeypatch.setattr(cli, "cmd_run", raise_it)
+        with pytest.raises(Unmapped):
+            main(["run", "--synth", "2,10,4", "--seed", "1", "--method", "gd"])
+
+    def test_tag_holding_a_path_separator_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "--synth", "20,5,3", "--n", "2", "--seed", "1", "--method",
+                   "gd", "--tag", "a/b", "--outdir", str(out)])
+        assert rc == 2
+        assert "'a/b'" in capsys.readouterr().err
+        assert not out.exists()          # the rounds never ran
 
     def test_d_hint_past_the_width_limit_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("distnewton.data.MAX_FEATURES", 4)
@@ -309,11 +351,13 @@ class TestFlags:
 
     @pytest.mark.parametrize("verb", ["run", "refopt"])
     def test_retired_flag_exits_2(self, verb, capsys):
-        # x*'s Newton loop stops itself; its step cap is no longer a field
-        with pytest.raises(SystemExit) as exc:
-            main([verb, "--synth", "2,10,4", "--seed", "1", "--newton-ref-iters", "3"])
-        assert exc.value.code == 2
-        assert "--newton-ref-iters" in capsys.readouterr().err
+        # x*'s Newton loop stops itself, so its step cap is no longer a
+        # field; nl2 and cnl clamp at their loss's gamma, so it is not one
+        for flag in ("--newton-ref-iters", "--gamma"):
+            with pytest.raises(SystemExit) as exc:
+                main([verb, "--synth", "2,10,4", "--seed", "1", flag, "0.5"])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_switches_leave_the_config_file_value_unless_given(self, tmp_path):
         cfg_path, _ = base_config(tmp_path, diagnostics=False, timing=True)
@@ -589,13 +633,14 @@ class TestCompare:
 
     @pytest.mark.parametrize("method, over, culprit", [
         ("nl1", {"h0": "bogus"}, "h0"),
-        ("nl2", {"gamma": -1.0}, "gamma"),
+        ("nl2", {"gamma": 0.5}, "gamma"),     # not a config field
         ("nl2", {"compressor": {"kind": "random_r", "r": 99}}, "r=99"),
         ("dcgd", {"compressor": {"kind": "random_r", "r": 5}}, "r=5"),
         ("nl1", {"x0": [0.1, 0.2]}, "x0 has shape (2,)"),
         ("dcgd", {"x0": [0.0, float("nan"), 0.0, 0.0]}, "x0 has non-finite"),
         ("nl2", {"x0": ["a", 0.0, 0.0, 0.0]}, "x0"),
-        ("nl2", {"gamma": 0.1}, "exceeds gamma = 0.1"),       # h(0) = 0.25
+        ("nl2", {"stepsize": 7.0}, "stepsize"),  # a learner has no stepsize
+        ("gd", {}, "compressor"),             # gd compresses nothing
     ])
     def test_later_config_out_of_range_writes_nothing(self, tmp_path, capsys,
                                                        method, over, culprit):
@@ -606,6 +651,20 @@ class TestCompare:
         rc = main(["compare", str(a), str(b), "--outdir", str(out)])
         assert rc == 2
         assert culprit in capsys.readouterr().err
+        assert not out.exists()          # neither a's trace nor an oracle cache
+
+    @pytest.mark.parametrize("tag", ["a/b", "a\\b", "a\x00b"],
+                             ids=["slash", "backslash", "nul"])
+    def test_later_config_tag_no_file_can_hold_writes_nothing(self, tmp_path, capsys,
+                                                               tag):
+        a, _ = base_config(tmp_path, method="gd", tag="a")
+        b, _ = base_config(tmp_path, method="newton")
+        cfg = json.loads(b.read_text())
+        b.write_text(json.dumps({**cfg, "tag": tag}))
+        out = tmp_path / "out"
+        rc = main(["compare", str(a), str(b), "--outdir", str(out)])
+        assert rc == 2
+        assert f"not {tag!r}" in capsys.readouterr().err
         assert not out.exists()          # neither a's trace nor an oracle cache
 
     def test_later_nl1_config_at_zero_lam_writes_nothing(self, tmp_path, capsys):
@@ -641,6 +700,23 @@ class TestGenData:
         assert rc == 0
         ds = load_dataset(out)
         assert len(ds) == 12 and ds.d == 5
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.libsvm"
+        rc = main(["gen-data", "--n", "2", "--m", "2", "--d", "3", "--seed", "-1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "seed keys must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_width_the_parser_cannot_read_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("distnewton.data.MAX_FEATURES", 4)
+        out = tmp_path / "wide.libsvm"
+        rc = main(["gen-data", "--n", "1", "--m", "2", "--d", "5", "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "d 5 exceeds the maximum width 4" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompressorFlag:

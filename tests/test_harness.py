@@ -107,14 +107,38 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("method, name, value", [
         ("gd", "stepsize", -1.0), ("nl1", "eta", -0.5), ("nl2", "eta", math.nan),
-        ("diana", "theta", 0.0), ("nl2", "gamma", math.inf),
-        ("nl1", "eta", True), ("gd", "stepsize", "0.1"), ("diana", "theta", [0.5]),
-        ("nl2", "gamma", False), ("dcgd", "stepsize", 1j)])
+        ("diana", "theta", 0.0), ("nl1", "eta", True), ("gd", "stepsize", "0.1"),
+        ("diana", "theta", [0.5]), ("dcgd", "stepsize", 1j)])
     def test_rate_outside_the_positive_reals_rejected(self, method, name, value):
         spec = random_r(1) if _METHODS[method].needs_spec else None
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             run_experiment(method, small_problem(), spec, Budget(max_iters=1), seed=0,
                            opts=RunOptions(**{name: value}))
+
+    @pytest.mark.parametrize("method, name", [
+        (method, name) for method, rec in _METHODS.items()
+        for name in ("eta", "stepsize", "theta") if getattr(rec, name) is None])
+    def test_rate_the_method_does_not_read_rejected(self, method, name):
+        spec = random_r(1) if _METHODS[method].needs_spec else None
+        with pytest.raises(ConfigError, match=f"reads no {name}$"):
+            run_experiment(method, small_problem(), spec, Budget(max_iters=1), seed=0,
+                           opts=RunOptions(**{name: 0.5}))
+
+    @pytest.mark.parametrize("method", [m for m, rec in _METHODS.items()
+                                        if not rec.needs_spec])
+    def test_uncompressed_methods_reject_a_spec(self, method):
+        with pytest.raises(ConfigError, match="takes no compressor"):
+            run_experiment(method, small_problem(), random_r(1), Budget(max_iters=1),
+                           seed=0)
+
+    @pytest.mark.parametrize("loss, gamma", [("logistic", 0.25), ("squared", 1.0)])
+    @pytest.mark.parametrize("h0", ["h_at_x0", "zeros"])
+    def test_learners_bound_is_the_loss_gamma(self, loss, gamma, h0):
+        p = small_problem(loss=loss)
+        for method in ("nl1", "nl2", "cnl"):
+            run = harness._admit(method, p, random_r(1), RunOptions(h0=h0))
+            assert run.gamma == (None if method == "nl1" else p.loss.gamma)
+            assert np.max(np.abs(run.h0)) <= p.loss.gamma == gamma
 
     @pytest.mark.parametrize("method", ["gd", "nl1", "bfgs"])
     @pytest.mark.parametrize("x0", [[0.1, 0.2], [0.0, 0.0, math.nan, 0.0, 0.0],

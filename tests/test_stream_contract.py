@@ -156,6 +156,12 @@ def test_round_key_differs_from_the_data_keys():
     assert not round_keys & data_keys
 
 
+@pytest.mark.parametrize("key", [(-1,), (1, -2), (3, 0, -1)])
+def test_negative_key_is_an_input_error(key):
+    with pytest.raises(InputError, match="nonnegative"):
+        seeded_generator(*key)
+
+
 def test_block_shape_must_be_one_or_two_dimensional():
     with pytest.raises(InputError):
         compress_with_info(random_r(1), np.ones((2, 2, 2)), RngStream(0, 0))
