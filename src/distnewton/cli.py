@@ -31,8 +31,8 @@ from .compressors import _READS, CompressorSpec
 from .data import Dataset, load_dataset, save_dataset, synth_artificial
 from .errors import (CacheError, ConfigError, InputError, NumericalError,
                      ParseError, ReplicaMismatchError, SingularMatrixError)
-from .harness import (_H0_POLICIES, _OPTIONS, Budget, RunOptions, Trace, _admit,
-                      bits_to_reach, run_experiment)
+from .harness import (_OPTIONS, Budget, RunOptions, Trace, _admit, bits_to_reach,
+                      run_experiment)
 from .methods import Oracles, _oracles_at, reference_optimum
 from .problem import _LOSSES, Problem, make_problem
 
@@ -53,7 +53,7 @@ _SYNTH_KEYS = {"n": (True, int), "m": (True, int), "d": (True, int),
                "seed": (True, int), "mean": (False, float),
                "variance": (False, float)}
 # the choices of the flags of fields whose owner dispatches on the value
-_CHOICES = {"loss": tuple(_LOSSES), "h0": _H0_POLICIES, "option": _OPTIONS}
+_CHOICES = {"loss": tuple(_LOSSES), "option": _OPTIONS}
 
 
 def _check_field(name: str, value, kind: type) -> None:
@@ -88,7 +88,6 @@ class ExperimentConfig:
     eta: Optional[float] = None
     stepsize: Optional[float] = None
     theta: Optional[float] = None
-    h0: str = "h_at_x0"
     option: int = 1
     x0: Optional[list] = None
     max_iters: int = 100
@@ -153,10 +152,7 @@ class ExperimentConfig:
     def load_data(self) -> Dataset:
         if self.dataset_path is not None:
             return load_dataset(self.dataset_path, d_hint=self.d_hint)
-        s = dict(self.synth)
-        return synth_artificial(n=s["n"], m=s["m"], d=s["d"], seed=s["seed"],
-                                mean=s.get("mean", 10.0),
-                                variance=s.get("variance", 10.0))
+        return synth_artificial(**self.synth)    # validate holds its keys
 
     def build_problem(self) -> Problem:
         return make_problem(self.load_data(), self.n, self.shuffle_seed,
@@ -405,7 +401,7 @@ def _add_method_flags(sp):
     sp.add_argument("--compressor",
                     help='e.g. identity | random_r:1 | dithering:11 | natural '
                          '| bernoulli:0.05:random_r:1')
-    _add_field_flags(sp, ("eta", "stepsize", "theta", "h0", "option",
+    _add_field_flags(sp, ("eta", "stepsize", "theta", "option",
                           "max_iters", "bit_budget", "target_gap", "tag"))
     # None unless given, like every field flag, so a config file's value stands
     sp.add_argument("--no-diagnostics", dest="diagnostics", action="store_false",

@@ -75,14 +75,9 @@ class CompressorSpec:
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        if self.kind == "random_r":
-            out["r"] = self.r
-        elif self.kind == "dithering":
-            out["s"] = self.s
-            out["q"] = self.q
-        elif self.kind == "bernoulli":
-            out["p"] = self.p
-            out["inner"] = self.inner.to_dict()
+        for name in _READS[self.kind]:
+            value = getattr(self, name)
+            out[name] = value.to_dict() if name == "inner" else value
         return out
 
     @staticmethod
@@ -96,10 +91,10 @@ class CompressorSpec:
         if unread:
             raise InputError(f"compressor kind {kind!r} does not read "
                              f"{', '.join(map(str, unread))}")
+        given = {name: d[name] for name in _READS[kind] if name in d}
         if kind == "bernoulli":
-            return bernoulli(CompressorSpec.from_dict(d.get("inner")), d.get("p"))
-        return CompressorSpec(kind=kind, r=d.get("r"), s=d.get("s"),
-                              q=d.get("q", 2.0))
+            given["inner"] = CompressorSpec.from_dict(d.get("inner"))
+        return CompressorSpec(kind=kind, **given)
 
 
 def identity() -> CompressorSpec:

@@ -13,12 +13,12 @@ Every method is one row of the private table ``_METHODS``: whether it needs
 a compressor spec or oracles, its default stepsize, shift rate and learning
 rate, whether the objective must never increase, and a start function
 taking the admitted run and returning the per-round step. Every rule a run
-must meet is held once, in ``_admit``, which resolves the run: the row's
-defaults, the first iterate x0, a learner's first coefficients h0 and its
-loss's bound gamma. ``run_experiment`` and the CLI both admit a run before
-any work. The three learners (nl1, nl2, cnl) share one start function,
-which also mirrors the server's coefficient replicas and records the hull,
-neighborhood and curvature diagnostics.
+must meet is held once, in ``_admit``, which resolves the row's defaults
+and the first iterate x0 and reads no data. ``run_experiment`` and the CLI
+both admit a run before any work. The three learners (nl1, nl2, cnl) share
+one start function: coefficients start at h(x0), within the loss's bound
+gamma, and it mirrors the server's coefficient replicas and records the
+hull, neighborhood and curvature diagnostics.
 
 With diagnostics on, a learner's row also holds ``curvature_certificate``,
 an O(nm) minimum over arrays the round already has. For nl2 and cnl it is
@@ -258,9 +258,8 @@ class Budget:
     target_gap: Optional[float] = None
 
 
-# the values RunOptions.h0 and RunOptions.option take, which configs are
-# checked against before any work
-_H0_POLICIES = ("h_at_x0", "zeros")
+# the values RunOptions.option takes, which configs are checked against
+# before any work
 _OPTIONS = (1, 2)
 
 
@@ -269,7 +268,6 @@ class RunOptions:
     eta: Optional[float] = None          # learning rate; default 1/(omega+1)
     stepsize: Optional[float] = None     # first-order stepsize
     theta: Optional[float] = None        # shift learning rate (diana)
-    h0: str = "h_at_x0"                  # coefficients h(x0), or zeros
     x0: Optional[Array] = None
     option: int = 1                      # 1: ship data vectors; 2: server has data
     diagnostics: bool = True             # per-round curvature certificate only; hull,
@@ -283,8 +281,7 @@ class RunOptions:
 
 class _Run(NamedTuple):
     """One admitted run (see ``_admit``): stepsize, theta and eta have the
-    method's defaults, x0 is the first iterate, and a learner has its first
-    coefficients h0 and, if bounded, its loss's bound gamma."""
+    method's defaults and x0 is the first iterate."""
 
     p: Problem
     spec: Optional[CompressorSpec]
@@ -293,8 +290,6 @@ class _Run(NamedTuple):
     theta: Optional[float]
     eta: Optional[float]
     x0: Array
-    h0: Optional[Array]
-    gamma: Optional[float]
     seed: Optional[int] = None           # set by run_experiment
     oracles: Optional[Oracles] = None
 
@@ -369,13 +364,13 @@ def _start_bfgs(run: _Run):
 
 
 class _Learner:
-    """One curvature-learning run plus all its runtime diagnostics."""
+    """One curvature-learning run from h(x0) plus all its runtime diagnostics."""
 
-    def __init__(self, run: _Run, cubic: bool):
+    def __init__(self, run: _Run, bounded: bool, cubic: bool):
         p = run.p
         self.run = run
         self.state = methods.learn_init(
-            p, run.x0, run.h0, run.gamma,
+            p, run.x0, p.h_all(run.x0), p.loss.gamma if bounded else None,
             p.constants().hessian_lipschitz if cubic else None)
         self.server_h = self.state.h.copy()
         self.hull_lo: Optional[Array] = None
@@ -386,7 +381,7 @@ class _Learner:
         index_bits = ceil_log2(p.n * p.m)
         self.charges = functools.cache(lambda fired, vectors: WorkerCharge(
             grad_floats=p.d, compressed=(run.spec, p.m, fired),
-            beta_scalars=int(run.gamma is not None), data_vectors=vectors,
+            beta_scalars=int(bounded), data_vectors=vectors,
             vector_floats=p.d, index_bits=index_bits))
 
     def _neighborhood_radius_sq(self) -> float:
@@ -495,7 +490,7 @@ def _theory_eta(p, spec):
 def _learner(bounded: bool, cubic: bool) -> _Method:
     """A curvature learner's row; the cubic step never increases P."""
     def start(run: _Run):
-        learner = _Learner(run, cubic)
+        learner = _Learner(run, bounded, cubic)
         return learner.step, learner.phi
     return _Method(start, needs_spec=True, eta=_theory_eta, bounded=bounded,
                    monotone=cubic)
@@ -536,14 +531,12 @@ def _is_a(value, kind: type) -> bool:
 def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
            opts: RunOptions) -> _Run:
     """The run of ``method`` on p, without its seed and oracles, once it
-    meets every rule the harness holds. ConfigError: an unknown method, a
-    missing spec, a spec or rate the method's row does not read, an option
-    (an int), h0 policy or rate (a real) out of range or a bool, or nl1 at
-    lam <= 0. InputError: a spec wider than the vectors it compresses (a
-    learner's m coefficients, a first-order method's gradient) or an x0
-    that is not d finite numbers. Only a learner's h0 evaluates the data,
-    at x0, through the evaluation slot; a bounded learner clamps at its
-    loss's gamma, which bounds |h0|."""
+    meets every rule the harness holds; it reads no data. ConfigError: an
+    unknown method, a missing spec, a spec or rate the method's row does
+    not read, an option (an int) or rate (a real) out of range or a bool,
+    or nl1 at lam <= 0. InputError: a spec wider than the vectors it
+    compresses (a learner's m coefficients, a first-order method's
+    gradient) or an x0 that is not d finite real numbers."""
     rec = _METHODS.get(method)
     if rec is None:
         raise ConfigError(f"unknown method {method!r}; choose from {METHOD_NAMES}")
@@ -555,8 +548,6 @@ def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
         raise ConfigError(f"method {method!r} takes no compressor")
     if not _is_a(opts.option, numbers.Integral) or opts.option not in _OPTIONS:
         raise ConfigError(f"option must be 1 or 2, not {opts.option!r}")
-    if opts.h0 not in _H0_POLICIES:
-        raise ConfigError(f"unknown h0 policy {opts.h0!r}")
     for name in ("eta", "stepsize", "theta"):
         value = getattr(opts, name)
         if value is None:
@@ -565,27 +556,22 @@ def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
             raise ConfigError(f"method {method!r} reads no {name}")
         if not (_is_a(value, numbers.Real) and 0 < value < math.inf):
             raise ConfigError(f"{name} must be a finite number > 0, not {value!r}")
-    try:
-        x0 = np.zeros(p.d) if opts.x0 is None else np.array(opts.x0, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InputError(f"x0 is not an array of numbers: {opts.x0!r}") from None
+    x0 = np.zeros(p.d) if opts.x0 is None else opts.x0
+    if not (np.iterable(x0) and all(_is_a(v, numbers.Real) for v in x0)):
+        raise InputError(f"x0 is not an array of numbers: {opts.x0!r}")
+    x0 = np.array(x0, dtype=np.float64)
     if x0.shape != (p.d,):
         raise InputError(f"x0 has shape {x0.shape}, but the problem has d={p.d}")
     if not np.all(np.isfinite(x0)):
         raise InputError("x0 has non-finite entries")
-    h0 = gamma = None
-    if rec.eta is not None:
-        if not rec.bounded and p.lam <= 0:
-            raise ConfigError("nonnegative curvature learning requires lam > 0")
-        h0 = p.h_all(x0) if opts.h0 == "h_at_x0" else np.zeros((p.n, p.m))
-        gamma = p.loss.gamma if rec.bounded else None
+    if rec.eta is not None and not rec.bounded and p.lam <= 0:
+        raise ConfigError("nonnegative curvature learning requires lam > 0")
 
     def default(value, rule):
         return rule(p, spec) if value is None and rule is not None else value
 
     return _Run(p, spec, opts, default(opts.stepsize, rec.stepsize),
-                default(opts.theta, rec.theta), default(opts.eta, rec.eta),
-                x0, h0, gamma)
+                default(opts.theta, rec.theta), default(opts.eta, rec.eta), x0)
 
 
 def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],

@@ -285,10 +285,11 @@ def learn_init(p: Problem, x0: Array, h0: Array, gamma: Optional[float] = None,
     [-gamma, gamma] and the estimate is scaled to dominate the true
     curvature, so lam = 0 is allowed. ``cubic_coeff`` (cnl, with a bound)
     replaces the Newton step by the cubically regularized model step.
-    Preconditions: a bound has gamma > 0 and |h0| <= gamma, which the
-    loss's own bound on phi'' (``LossModel.gamma``) holds for both h0
-    policies, h(x0) and zeros; the Newton-step variants have h0 >= 0; and
-    nl1 has lam > 0, which ``harness._admit`` holds before a run starts.
+    Preconditions: a bound has gamma > 0 and |h0| <= gamma; the Newton-step
+    variants have h0 >= 0; and nl1 has lam > 0, which ``harness._admit``
+    holds before a run starts. The harness starts at h0 = h(x0), which the
+    loss's own bound on phi'' (``LossModel.gamma``) keeps in range; tests
+    may pass any h0 within the bound.
     """
     h0 = np.asarray(h0, dtype=np.float64)
     bounded = gamma is not None

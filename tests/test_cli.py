@@ -151,7 +151,7 @@ class TestRun:
         ({"synth": {"n": 2, "m": 10, "d": 4, "seed": 5, "mean": float("nan")}},
          "synth.mean"),
         ({"loss": "hinge"}, "loss"),
-        ({"h0": "bogus"}, "h0"),
+        ({"h0": "bogus"}, "unknown config field"),  # learners start at h(x0)
         ({"option": 3}, "option"),
         ({"d_hint": 7}, "d_hint"),              # a synthetic problem reads no d_hint
         ({"method": "nl2", "compressor": {"kind": "dithering", "q": 0}}, "q >= 1"),
@@ -303,6 +303,15 @@ class TestRun:
         echoed = json.loads((outdir / f"{stem}.json").read_text())["config"]
         assert ExperimentConfig.from_dict(echoed) == ExperimentConfig.from_dict(cfg)
 
+    @pytest.mark.parametrize("spread", [{}, {"mean": -2.5, "variance": 3.0}],
+                             ids=["defaults", "given"])
+    def test_synth_data_is_synth_artificial_bitwise(self, spread):
+        synth = {"n": 2, "m": 10, "d": 4, "seed": 5, **spread}
+        got = ExperimentConfig(method="gd", seed=1, synth=synth).load_data()
+        want = synth_artificial(2, 10, 4, 5, **spread)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
     def test_seed_required(self, tmp_path, capsys):
         cfg_path, _ = base_config(tmp_path)
         data = json.loads(cfg_path.read_text())
@@ -352,8 +361,9 @@ class TestFlags:
     @pytest.mark.parametrize("verb", ["run", "refopt"])
     def test_retired_flag_exits_2(self, verb, capsys):
         # x*'s Newton loop stops itself, so its step cap is no longer a
-        # field; nl2 and cnl clamp at their loss's gamma, so it is not one
-        for flag in ("--newton-ref-iters", "--gamma"):
+        # field; nl2 and cnl clamp at their loss's gamma, so it is not one;
+        # every learner starts at h(x0)
+        for flag in ("--newton-ref-iters", "--gamma", "--h0"):
             with pytest.raises(SystemExit) as exc:
                 main([verb, "--synth", "2,10,4", "--seed", "1", flag, "0.5"])
             assert exc.value.code == 2
@@ -632,7 +642,7 @@ class TestCompare:
         assert not out.exists()          # neither a's trace nor an oracle cache
 
     @pytest.mark.parametrize("method, over, culprit", [
-        ("nl1", {"h0": "bogus"}, "h0"),
+        ("nl1", {"h0": "bogus"}, "unknown config field"),
         ("nl2", {"gamma": 0.5}, "gamma"),     # not a config field
         ("nl2", {"compressor": {"kind": "random_r", "r": 99}}, "r=99"),
         ("dcgd", {"compressor": {"kind": "random_r", "r": 5}}, "r=5"),
@@ -641,6 +651,10 @@ class TestCompare:
         ("nl2", {"x0": ["a", 0.0, 0.0, 0.0]}, "x0"),
         ("nl2", {"stepsize": 7.0}, "stepsize"),  # a learner has no stepsize
         ("gd", {}, "compressor"),             # gd compresses nothing
+        ("nl2", {"x0": [True, False, True, False]}, "x0 is not an array of numbers"),
+        ("dcgd", {"x0": ["1.5", "2", "0", "0"]}, "x0 is not an array of numbers"),
+        ("nl1", {"x0": [None, 0.0, 0.0, 0.0]}, "x0 is not an array of numbers"),
+        ("nl2", {"x0": [True, 1.5, 0.0, 0.0]}, "x0 is not an array of numbers"),
     ])
     def test_later_config_out_of_range_writes_nothing(self, tmp_path, capsys,
                                                        method, over, culprit):

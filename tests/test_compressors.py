@@ -292,5 +292,8 @@ def test_natural_zero_and_subnormal_entries_round_silently():
 
 def test_spec_serialization_roundtrip():
     for spec in [identity(), random_r(3), dithering(s=4, q=2.0), natural(),
-                 bernoulli(random_r(1), 0.05)]:
+                 bernoulli(random_r(1), 0.05), dithering(),
+                 bernoulli(dithering(q=1.5), 0.5)]:
         assert CompressorSpec.from_dict(spec.to_dict()) == spec
+    # each kind writes the fields it reads, an unset s as None
+    assert dithering().to_dict() == {"kind": "dithering", "s": None, "q": 2.0}

@@ -22,6 +22,8 @@ from distnewton.linalg import smallest_eigenvalue
 from distnewton.methods import reference_optimum
 from distnewton.problem import make_problem
 
+NOT_NUMBERS = "x0 is not an array of numbers"
+
 
 def small_problem(loss="logistic", lam=1e-2, count=40, d=5, n=4, seed=0):
     g = np.random.default_rng(seed)
@@ -132,24 +134,44 @@ class TestConfigValidation:
                            seed=0)
 
     @pytest.mark.parametrize("loss, gamma", [("logistic", 0.25), ("squared", 1.0)])
-    @pytest.mark.parametrize("h0", ["h_at_x0", "zeros"])
-    def test_learners_bound_is_the_loss_gamma(self, loss, gamma, h0):
+    def test_learners_bound_is_the_loss_gamma(self, loss, gamma):
         p = small_problem(loss=loss)
-        for method in ("nl1", "nl2", "cnl"):
-            run = harness._admit(method, p, random_r(1), RunOptions(h0=h0))
-            assert run.gamma == (None if method == "nl1" else p.loss.gamma)
-            assert np.max(np.abs(run.h0)) <= p.loss.gamma == gamma
+        x0 = np.random.default_rng(3).standard_normal(p.d)
+        assert p.loss.gamma == gamma
+        for method, bounded, cubic in (("nl1", False, False), ("nl2", True, False),
+                                       ("cnl", True, True)):
+            run = harness._admit(method, p, random_r(1), RunOptions(x0=x0))
+            state = harness._Learner(run, bounded, cubic).state
+            assert state.gamma == (p.loss.gamma if bounded else None)
+            # the coefficients start at h(x0), bit for bit
+            assert state.h.tobytes() == p.h_all(x0).tobytes()
 
     @pytest.mark.parametrize("method", ["gd", "nl1", "bfgs"])
-    @pytest.mark.parametrize("x0", [[0.1, 0.2], [0.0, 0.0, math.nan, 0.0, 0.0],
-                                    [[0.0] * 5], ["a", 0.0, 0.0, 0.0, 0.0]],
-                             ids=["short", "nan", "nested", "text"])
-    def test_bad_x0_raises_input_error(self, method, x0):
+    @pytest.mark.parametrize("x0, message", [
+        ([0.1, 0.2], "x0 has shape"), ([0.0, 0.0, math.nan, 0.0, 0.0], "non-finite"),
+        ([[0.0] * 5], NOT_NUMBERS), (["a", 0.0, 0.0, 0.0, 0.0], NOT_NUMBERS),
+        ([True, False, True, False, True], NOT_NUMBERS),
+        (["1.5", "2", "0", "0", "0"], NOT_NUMBERS),
+        ([None, 0.0, 0.0, 0.0, 0.0], NOT_NUMBERS),
+        ([True, 1.5, 0.0, 0.0, 0.0], NOT_NUMBERS),
+        (np.ones(5, dtype=bool), NOT_NUMBERS), (0.0, NOT_NUMBERS)],
+        ids=["short", "nan", "nested", "text", "bool", "numeric-text", "none",
+             "mixed-bool", "bool-array", "scalar"])
+    def test_bad_x0_raises_input_error(self, method, x0, message):
         p = small_problem()
         spec = random_r(1) if method == "nl1" else None
-        with pytest.raises(InputError, match="x0"):
+        with pytest.raises(InputError, match=message):
             run_experiment(method, p, spec, Budget(max_iters=1), seed=0,
                            opts=RunOptions(x0=x0))
+
+    @pytest.mark.parametrize("x0", [[0, 1, 2, 3, 4], np.arange(5, dtype=np.int8),
+                                    np.arange(5, dtype=np.float32),
+                                    np.arange(5, dtype=np.uint64)],
+                             ids=["int-list", "int8", "float32", "uint64"])
+    def test_numeric_x0_of_any_dtype_accepted(self, x0):
+        run = harness._admit("gd", small_problem(), None, RunOptions(x0=x0))
+        assert run.x0.dtype == np.float64
+        assert np.array_equal(run.x0, np.arange(5.0))
 
     @pytest.mark.parametrize("option", [0, 3, 7, True, 1.0, 2.0, "1"])
     def test_option_outside_1_2_rejected(self, option):

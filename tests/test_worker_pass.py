@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from distnewton import linalg, methods
+from distnewton import harness, linalg, methods
 from distnewton.compressors import (_row_draws, bernoulli, compress_with_info,
                                     random_r)
 from distnewton.data import Dataset
@@ -218,7 +218,11 @@ def test_diana_round_equals_per_worker_loop(a2a_1e3):
 
 # SHA-256 of each trace's CSV under the one-evaluation contract: every
 # margin comes from the stacked per-worker pass. The last key is an nl1 run
-# with option=2 and h0="zeros". Every CSV and JSON pin was re-taken when
+# with option=2, from h(x0) like every learner. It replaced the key
+# nl1-option2-zeros (CSV 9e914345f6308e4fc64fa2d141cb238bfd09ccac42b497ed
+# 19b2c956252e0a01, JSON d7f37c2d38580d69c8d87a6e1897126b7c9c31a6659c01d45b
+# 7c657ac01ebc06) when the zeros start was retired; its digests were taken
+# before that change and hold after it. Every CSV and JSON pin was re-taken when
 # ``solve_cholesky`` moved from two LU solves to LAPACK dpotrs, which moves
 # the last bits of Newton-type iterates and of the reference optimum behind
 # every gap column (tests/golden_diff.py prints old -> new). They were
@@ -245,7 +249,7 @@ GOLDEN_TRACE_SHA256 = {
     "nl1": "f8faed7fa6f7b663ecd664bde66730f39b676ff064696817794c10f2fdac0b43",
     "nl2": "da4396b9e0c61147b63cc91227f172dd35c1d1df514060242230cf049e40a2fc",
     "cnl": "88c235a2c110fabc5d4bf18aaf9852cbea0fd30e14452567a7b1c0f035677d9e",
-    "nl1-option2-zeros": "9e914345f6308e4fc64fa2d141cb238bfd09ccac42b497ed19b2c956252e0a01",
+    "nl1-option2": "5796d89b36ba72a38ad24033920c38e6b840995d430248206224eda97d340372",
 }
 
 # SHA-256 of the JSON text of the same traces: it also carries the
@@ -262,7 +266,7 @@ GOLDEN_JSON_SHA256 = {
     "nl1": "cd8745b46fd32a662845f61bf82cff17c5a92ebb2c30c694eadce37aca13148e",
     "nl2": "66dbd43fc522e647be3c7b76b06c7c844c7efb5fd028cf42c5480b290b32fa51",
     "cnl": "a4d64d92d5f47ebfb0b91441d673a078ae6ffe2f5321ad3ef40ace584672bb34",
-    "nl1-option2-zeros": "d7f37c2d38580d69c8d87a6e1897126b7c9c31a6659c01d45b7c657ac01ebc06",
+    "nl1-option2": "1a3356a97c41e1e9381110d538de8bd5de942426fa441b184fe223702d1db7f3",
 }
 
 # SHA-256 of the iter,bits_up_cum,bits_down_cum columns of the same traces.
@@ -302,7 +306,7 @@ GOLDEN_SPECS = {"nl1": random_r(2), "nl2": random_r(2),
 
 def golden_trace(key):
     method, _, variant = key.partition("-")
-    opts = RunOptions(option=2, h0="zeros") if variant else None
+    opts = RunOptions(option=2) if variant else None
     p = dense_problem()
     return run_experiment(method, p, GOLDEN_SPECS.get(method), Budget(max_iters=12),
                           seed=9, oracles=reference_optimum(p), opts=opts)
@@ -387,12 +391,8 @@ def test_server_gradient_is_bitwise_the_mean_of_local_grads(problem):
         assert np.array_equal(p.value_and_grad(x)[1], expected)
 
 
-@pytest.mark.parametrize("method", METHOD_NAMES)
-def test_one_margin_pass_per_iterate(method, monkeypatch):
-    """A run evaluates the data once per iterate: rounds + 1 margin passes."""
-    p = dense_problem()
-    oracles = reference_optimum(p)
-    spec = random_r(2) if method in COMPRESSED_METHODS else None
+def counted_margin_passes(monkeypatch):
+    """The list that every later ``Problem.worker_rows`` call appends to."""
     passes = []
     original = Problem.worker_rows
 
@@ -401,8 +401,28 @@ def test_one_margin_pass_per_iterate(method, monkeypatch):
         return original(self, i)
 
     monkeypatch.setattr(Problem, "worker_rows", counted)
+    return passes
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_one_margin_pass_per_iterate(method, monkeypatch):
+    """A run evaluates the data once per iterate: rounds + 1 margin passes."""
+    p = dense_problem()
+    oracles = reference_optimum(p)
+    spec = random_r(2) if method in COMPRESSED_METHODS else None
+    passes = counted_margin_passes(monkeypatch)
     rounds = 5
     trace = run_experiment(method, p, spec, Budget(max_iters=rounds), seed=9,
                            oracles=oracles)
     assert trace.final().iteration == rounds
     assert len(passes) == rounds + 1
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_admission_reads_no_data(method, monkeypatch):
+    """``_admit`` makes no margin pass; a learner's h(x0) is its start's."""
+    p = dense_problem()
+    spec = random_r(2) if method in COMPRESSED_METHODS else None
+    passes = counted_margin_passes(monkeypatch)
+    harness._admit(method, p, spec, RunOptions(x0=start_point(p)))
+    assert passes == []
