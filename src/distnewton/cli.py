@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import numbers
 import os
 import sys
@@ -30,7 +29,8 @@ import numpy as np
 from .compressors import _READS, CompressorSpec
 from .data import Dataset, load_dataset, save_dataset, synth_artificial
 from .errors import (CacheError, ConfigError, InputError, NumericalError,
-                     ParseError, ReplicaMismatchError, SingularMatrixError)
+                     ParseError, ReplicaMismatchError, SingularMatrixError,
+                     _finite_real)
 from .harness import (_OPTIONS, Budget, RunOptions, Trace, _admit, bits_to_reach,
                       run_experiment)
 from .methods import Oracles, _oracles_at, reference_optimum
@@ -58,14 +58,14 @@ _CHOICES = {"loss": tuple(_LOSSES), "option": _OPTIONS}
 
 def _check_field(name: str, value, kind: type) -> None:
     """ConfigError naming ``name`` unless ``value`` is of the field kind and
-    in the field's range: a float field is finite (json reads NaN and
-    Infinity), an int field nonnegative. The rates' range, like every run
-    rule, is held by ``harness._admit``."""
+    in the field's range: a float field is finite as a float (json reads NaN,
+    Infinity and integers of any size), an int field nonnegative. The rates'
+    range, like every run rule, is held by ``harness._admit``."""
     if (not isinstance(value, _FIELD_KINDS[kind])
             or (kind is not bool and isinstance(value, bool))):
         raise ConfigError(f"config field {name} must be {kind.__name__}, "
                           f"not {value!r}")
-    if kind is float and not -math.inf < value < math.inf:
+    if kind is float and not _finite_real(value):
         raise ConfigError(f"config field {name} must be finite, not {value!r}")
     if kind is int and value < 0:
         raise ConfigError(f"config field {name} must be nonnegative, not {value!r}")
@@ -324,11 +324,8 @@ def cmd_refopt(args) -> int:
 
 def cmd_compare(args) -> int:
     configs = [ExperimentConfig.from_dict(_read_config_file(f))
-               for f in args.configs]
-    if not configs:
-        raise ConfigError("compare needs at least one config")
+               for f in args.configs]        # argparse asks for at least one
     outroot = _outroot(args)
-    thresholds = args.gap_thresholds or list(GAP_THRESHOLDS)
 
     # one problem key gives one problem and its oracles: build them once
     prepared = _prepare(configs, outroot)
@@ -347,16 +344,15 @@ def cmd_compare(args) -> int:
     combined_path.parent.mkdir(parents=True, exist_ok=True)
     combined_path.write_text("\n".join(combined) + "\n")
 
-    header = "method".ljust(18) + "".join(f"bits@gap<={t:g}".rjust(12 + 6)
-                                          for t in thresholds)
-    print(header)
+    print("method".ljust(18) + "".join(f"bits@gap<={t:g}".rjust(18)
+                                       for t in GAP_THRESHOLDS))
     table = []
     for label, trace in traces:
-        cells = [bits_to_reach(trace, t) for t in thresholds]
+        cells = [bits_to_reach(trace, t) for t in GAP_THRESHOLDS]
         table.append((label, cells))
         print(label.ljust(18) + "".join(
             (str(c) if c is not None else "unreached").rjust(18) for c in cells))
-    for t_idx, t in enumerate(thresholds):
+    for t_idx, t in enumerate(GAP_THRESHOLDS):
         reached = sorted((cells[t_idx], label) for label, cells in table
                          if cells[t_idx] is not None)
         if reached:
@@ -448,7 +444,7 @@ def parse_compressor_flag(text: str) -> dict:
 def _read_config_file(path: str) -> dict:
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:       # bad JSON or UTF-8, or an int past the digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(d, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -501,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="run several configs and rank them")
     sp.add_argument("configs", nargs="+", help="JSON config files")
-    sp.add_argument("--gap-thresholds", type=float, nargs="*")
     sp.add_argument("--outdir")
     sp.set_defaults(fn=cmd_compare)
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _finite_real
 from .rngs import RngStream
 
 SCALAR_BITS = 32
@@ -67,10 +67,10 @@ class CompressorSpec:
         if self.kind == "dithering" and self.s is not None and self.s < 1:
             raise InputError("dithering needs s >= 1")
         # (sum |x|^q)^(1/q) is a norm, and omega's closed form holds, for q >= 1
-        if self.kind == "dithering" and not 1 <= self.q < math.inf:
+        if self.kind == "dithering" and not (_finite_real(self.q) and self.q >= 1):
             raise InputError(f"dithering needs a finite q >= 1, not {self.q!r}")
         if self.kind == "bernoulli":
-            if self.inner is None or self.p is None or not 0 < self.p <= 1:
+            if self.inner is None or not (_finite_real(self.p) and 0 < self.p <= 1):
                 raise InputError("bernoulli needs an inner spec and p in (0, 1]")
 
     def to_dict(self) -> dict:

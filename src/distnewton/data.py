@@ -17,7 +17,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, _finite_real
 from .rngs import seeded_generator, standard_normals
 
 
@@ -80,6 +80,9 @@ class Partition:
 # this simulator can run; rejecting it keeps the parser from allocating a
 # rows x index matrix.
 MAX_FEATURES = 1 << 16
+# The most feature values synth_artificial draws: n*m*d float64 values take
+# 8 bytes each, so 2**26 of them hold 512 MiB before any copy is made.
+MAX_SYNTH_VALUES = 1 << 26
 
 _NOT_COLON_OR_SPACE = bytes(c for c in range(256) if c not in b": ")
 
@@ -243,9 +246,11 @@ def synth_artificial(n: int, m: int, d: int, seed: int,
         raise InputError("n, m, d must all be positive")
     if d > MAX_FEATURES:        # parse_libsvm could not read the file back
         raise InputError(f"d {d} exceeds the maximum width {MAX_FEATURES}")
-    if not -math.inf < mean < math.inf:
+    if n * m * d > MAX_SYNTH_VALUES:
+        raise InputError(f"n*m*d = {n * m * d} exceeds {MAX_SYNTH_VALUES} values")
+    if not _finite_real(mean):
         raise InputError(f"mean must be finite, not {mean!r}")
-    if not 0 <= variance < math.inf:
+    if not (_finite_real(variance) and variance >= 0):
         raise InputError(f"variance must be finite and nonnegative, not {variance!r}")
     count = n * m
     feats = standard_normals(seeded_generator(seed, 0), count * d)

@@ -6,6 +6,18 @@ numerical failures exit 3, and I/O problems exit 4.
 
 from __future__ import annotations
 
+import math
+import numbers
+
+
+def _finite_real(value) -> bool:
+    """Whether value is a real number, not a bool, whose float is finite."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:       # an int too large for a float, yet < math.inf
+        return False
+
 
 class DistNewtonError(Exception):
     """Base class for all package-specific errors."""

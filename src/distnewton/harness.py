@@ -50,7 +50,8 @@ import numpy as np
 
 from . import methods
 from .compressors import CompressorSpec, bit_cost, ceil_log2, omega, SCALAR_BITS
-from .errors import ConfigError, InputError, NumericalError, ReplicaMismatchError
+from .errors import (ConfigError, InputError, NumericalError, ReplicaMismatchError,
+                     _finite_real)
 from .linalg import smallest_eigenvalue
 from .methods import Oracles
 from .problem import Problem
@@ -554,16 +555,16 @@ def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
             continue
         if getattr(rec, name) is None:
             raise ConfigError(f"method {method!r} reads no {name}")
-        if not (_is_a(value, numbers.Real) and 0 < value < math.inf):
+        if not (_finite_real(value) and value > 0):
             raise ConfigError(f"{name} must be a finite number > 0, not {value!r}")
     x0 = np.zeros(p.d) if opts.x0 is None else opts.x0
     if not (np.iterable(x0) and all(_is_a(v, numbers.Real) for v in x0)):
         raise InputError(f"x0 is not an array of numbers: {opts.x0!r}")
+    if not all(_finite_real(v) for v in x0):    # before the float conversion
+        raise InputError("x0 has non-finite entries")
     x0 = np.array(x0, dtype=np.float64)
     if x0.shape != (p.d,):
         raise InputError(f"x0 has shape {x0.shape}, but the problem has d={p.d}")
-    if not np.all(np.isfinite(x0)):
-        raise InputError("x0 has non-finite entries")
     if rec.eta is not None and not rec.bounded and p.lam <= 0:
         raise ConfigError("nonnegative curvature learning requires lam > 0")
 
@@ -600,7 +601,7 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
     ledger = CommLedger()
 
     def metrics(x: Array, extras: dict, wall_ms: float, iteration: int) -> TraceRow:
-        value, grad = p.value_and_grad(x)
+        value, grad = p.value(x), p.grad(x)
         gap = value - oracles.value_star if oracles is not None else math.nan
         row_extras = {"value": value}
         if oracles is not None:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .data import Dataset, Partition, partition
-from .errors import InputError
+from .errors import InputError, _finite_real
 from .linalg import add_diagonal, weighted_gram
 
 Array = np.ndarray
@@ -130,7 +130,6 @@ class Problem:
 
     # worker-major stacked copies, built once, with (n, m, d) / (n, m) views
     _rows: Array = field(init=False, repr=False)
-    _labels: Array = field(init=False, repr=False)
     _worker_rows: Array = field(init=False, repr=False)
     _worker_labels: Array = field(init=False, repr=False)
     _constants: ProblemConstants = field(init=False, repr=False)
@@ -140,7 +139,7 @@ class Problem:
                                         default=None)
 
     def __post_init__(self):
-        if not 0 <= self.lam < math.inf:
+        if not (_finite_real(self.lam) and self.lam >= 0):
             raise InputError(f"regularization parameter must be finite and "
                              f"nonnegative, not {self.lam!r}")
         if self.d < 1:
@@ -149,9 +148,8 @@ class Problem:
         if np.max(order) >= len(self.dataset):
             raise InputError("partition references rows outside the dataset")
         self._rows = self.dataset.features[order]
-        self._labels = self.dataset.labels[order]
         self._worker_rows = self._rows.reshape(self.n, self.m, self.d)
-        self._worker_labels = self._labels.reshape(self.n, self.m)
+        self._worker_labels = self.dataset.labels[order].reshape(self.n, self.m)
         radius = float(np.max(np.linalg.norm(self._rows, axis=1)))
         self._constants = ProblemConstants(
             nu=self.loss.nu,
@@ -175,10 +173,6 @@ class Problem:
     def stacked_rows(self) -> Array:
         """All assigned feature rows, worker-major: row i*m+j belongs to worker i."""
         return self._rows
-
-    @property
-    def stacked_labels(self) -> Array:
-        return self._labels
 
     def worker_rows(self, i: int | slice) -> Array:
         """Rows of worker i as (m, d), or of a slice of workers as (k, m, d)."""
@@ -217,12 +211,6 @@ class Problem:
     def grad(self, x: Array) -> Array:
         """Mean of the local gradients plus lam * x."""
         return self._point(x).grad + self.lam * x
-
-    def value_and_grad(self, x: Array) -> tuple[float, Array]:
-        """``(value(x), grad(x))`` from one evaluation, bitwise the separate calls."""
-        point = self._point(x)
-        return (point.value + 0.5 * self.lam * float(x @ x),
-                point.grad + self.lam * x)
 
     def local_grad(self, i: int | slice, x: Array) -> Array:
         """Data gradient of worker i at x, (d,); a slice of workers gives (k, d).

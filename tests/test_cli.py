@@ -170,6 +170,20 @@ class TestRun:
          "'newton' takes no compressor"),
         ({"method": "nl1", "compressor": {"kind": "random_r", "r": 1}, "stepsize": 7.0},
          "'nl1' reads no stepsize"),
+        # an integer too large for a float
+        ({"lam": 10**400}, "lam"),
+        ({"method": "nl1", "compressor": {"kind": "random_r", "r": 1}, "eta": 10**400},
+         "eta"),
+        ({"method": "gd", "stepsize": 10**400}, "stepsize"),
+        ({"method": "diana", "compressor": {"kind": "random_r", "r": 1},
+          "theta": 10**400}, "theta"),
+        ({"target_gap": 10**400}, "target_gap"),
+        ({"synth": {"n": 2, "m": 10, "d": 4, "seed": 5, "mean": 10**400}},
+         "synth.mean"),
+        ({"synth": {"n": 2, "m": 10, "d": 4, "seed": 5, "variance": 10**400}},
+         "synth.variance"),
+        ({"method": "nl2", "compressor": {"kind": "dithering", "q": 10**400}},
+         "q >= 1"),
     ])
     def test_bad_field_value_exits_2_and_names_it(self, tmp_path, capsys,
                                                   over, culprit):
@@ -247,6 +261,13 @@ class TestRun:
         assert "bad.json" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # json refuses an int of more than 4300 digits with a plain ValueError
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text('{"method": "gd", "seed": 1, "lam": 1' + "0" * 5000 + "}")
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("synth", ["1,2", "1,2,x"])
     def test_malformed_synth_exits_2(self, tmp_path, capsys, synth):
         rc = main(["run", "--synth", synth, "--method", "gd", "--seed", "1",
@@ -254,10 +275,19 @@ class TestRun:
         assert rc == 2
         assert repr(synth) in capsys.readouterr().err
 
+    def test_synth_count_past_the_bound_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew normals")
+        monkeypatch.setattr("distnewton.data.standard_normals", no_draw)
+        rc = main(["run", "--synth", "1000000000,1000000000,3", "--method", "gd",
+                   "--seed", "1", "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "n*m*d" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["gd", "nl1", "bfgs"])
     @pytest.mark.parametrize("x0", [[0.1, 0.2], [0.0, float("nan"), 0.0, 0.0],
-                                    ["a", 0.0, 0.0, 0.0]],
-                             ids=["short", "nan", "text"])
+                                    ["a", 0.0, 0.0, 0.0], [10**400, 0.0, 0.0, 0.0]],
+                             ids=["short", "nan", "text", "huge-int"])
     def test_bad_x0_exits_2_and_names_it(self, tmp_path, capsys, method, x0):
         compressor = {"kind": "random_r", "r": 1} if method == "nl1" else None
         cfg_path, _ = base_config(tmp_path, method=method, compressor=compressor, x0=x0)
@@ -368,6 +398,14 @@ class TestFlags:
                 main([verb, "--synth", "2,10,4", "--seed", "1", flag, "0.5"])
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
+
+    def test_retired_compare_flag_exits_2(self, tmp_path, capsys):
+        # compare ranks at the fixed GAP_THRESHOLDS
+        cfg_path, _ = base_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(cfg_path), "--gap-thresholds", "1e-3"])
+        assert exc.value.code == 2
+        assert "--gap-thresholds" in capsys.readouterr().err
 
     def test_switches_leave_the_config_file_value_unless_given(self, tmp_path):
         cfg_path, _ = base_config(tmp_path, diagnostics=False, timing=True)

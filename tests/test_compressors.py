@@ -59,7 +59,8 @@ class TestSpecFieldTypes:
         with pytest.raises(InputError, match=field):
             make()
 
-    @pytest.mark.parametrize("q", [0.0, 0.5, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("q", [0.0, 0.5, -1.0, math.inf, math.nan,
+                                   pytest.param(10**400, id="huge-int")])
     def test_dithering_q_must_be_finite_and_at_least_one(self, q):
         with pytest.raises(InputError, match="q >= 1"):
             dithering(s=3, q=q)

@@ -305,10 +305,20 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("name, value", [
         ("variance", -1.0), ("variance", math.inf), ("variance", math.nan),
-        ("mean", math.nan), ("mean", -math.inf)])
+        ("mean", math.nan), ("mean", -math.inf),
+        pytest.param("mean", 10**400, id="mean-huge-int"),
+        pytest.param("variance", 10**400, id="variance-huge-int")])
     def test_out_of_range_moments_rejected(self, name, value):
         with pytest.raises(InputError, match=f"^{name} must"):
-            synth_artificial(2, 2, 2, seed=0, **{name: value})
+            synth_artificial(2, 3, 4, 0, **{name: value})
+
+    def test_count_past_the_bound_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew normals")
+        monkeypatch.setattr(data, "standard_normals", no_draw)
+        for n, m, d in ((10**9, 10**9, 3), (1024, 1024, 65)):   # 65 * 2**20 > 2**26
+            with pytest.raises(InputError, match=r"^n\*m\*d = "):
+                synth_artificial(n, m, d, seed=1)
 
     def test_labels_are_signs(self):
         ds = synth_artificial(10, 10, 3, seed=1)

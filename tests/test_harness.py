@@ -110,7 +110,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("method, name, value", [
         ("gd", "stepsize", -1.0), ("nl1", "eta", -0.5), ("nl2", "eta", math.nan),
         ("diana", "theta", 0.0), ("nl1", "eta", True), ("gd", "stepsize", "0.1"),
-        ("diana", "theta", [0.5]), ("dcgd", "stepsize", 1j)])
+        ("diana", "theta", [0.5]), ("dcgd", "stepsize", 1j),
+        pytest.param("nl1", "eta", 10**400, id="nl1-eta-huge-int")])
     def test_rate_outside_the_positive_reals_rejected(self, method, name, value):
         spec = random_r(1) if _METHODS[method].needs_spec else None
         with pytest.raises(ConfigError, match=f"^{name} must be"):
@@ -154,9 +155,10 @@ class TestConfigValidation:
         (["1.5", "2", "0", "0", "0"], NOT_NUMBERS),
         ([None, 0.0, 0.0, 0.0, 0.0], NOT_NUMBERS),
         ([True, 1.5, 0.0, 0.0, 0.0], NOT_NUMBERS),
-        (np.ones(5, dtype=bool), NOT_NUMBERS), (0.0, NOT_NUMBERS)],
+        (np.ones(5, dtype=bool), NOT_NUMBERS), (0.0, NOT_NUMBERS),
+        ([10**400, 0.0, 0.0, 0.0, 0.0], "non-finite")],     # too large for a float
         ids=["short", "nan", "nested", "text", "bool", "numeric-text", "none",
-             "mixed-bool", "bool-array", "scalar"])
+             "mixed-bool", "bool-array", "scalar", "huge-int"])
     def test_bad_x0_raises_input_error(self, method, x0, message):
         p = small_problem()
         spec = random_r(1) if method == "nl1" else None
