@@ -43,6 +43,10 @@ EXIT_IO = 4
 
 GAP_THRESHOLDS = (1e-4, 1e-7, 1e-10)
 
+# The longest file name, in bytes, that ext4, xfs, btrfs and APFS accept
+# (NAME_MAX), checked on a trace stem before any work.
+NAME_MAX = 255
+
 # The values a config field of each annotated type accepts. A float field
 # takes any real, since JSON may write 1 for 1.0; bool is an int subclass,
 # so ``_check_field`` turns it away from the numeric kinds.
@@ -100,7 +104,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         """ConfigError unless each field has its kind and the CLI's range,
         and a d_hint comes with a dataset file; the run rules are checked by
-        ``harness._admit`` (see ``_prepare``)."""
+        ``harness._admit`` (see ``_prepare``). The trace file name must fit
+        in NAME_MAX bytes; the compare CSV's name is always shorter."""
         if self.seed is None:
             raise ConfigError("seed is mandatory; wall-clock seeding is not supported")
         for name, (kind, optional) in _CONFIG_KINDS.items():
@@ -124,6 +129,9 @@ class ExperimentConfig:
                     raise ConfigError(f"synth needs the key {key!r}")
         if self.compressor is not None:
             CompressorSpec.from_dict(self.compressor)
+        if len(f"{self.stem()}.json".encode()) > NAME_MAX:
+            raise ConfigError(f"trace file name {self.stem()}.json is longer than "
+                              f"{NAME_MAX} bytes")
 
     def to_dict(self) -> dict:
         return asdict(self)

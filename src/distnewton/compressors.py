@@ -64,8 +64,9 @@ class CompressorSpec:
                 raise InputError(f"compressor {name} must be {what}, not {value!r}")
         if self.kind == "random_r" and (self.r is None or self.r < 1):
             raise InputError("random_r needs r >= 1")
-        if self.kind == "dithering" and self.s is not None and self.s < 1:
-            raise InputError("dithering needs s >= 1")
+        if self.kind == "dithering" and self.s is not None and not (
+                _finite_real(self.s) and self.s >= 1):
+            raise InputError(f"dithering needs a finite s >= 1, not {self.s!r}")
         # (sum |x|^q)^(1/q) is a norm, and omega's closed form holds, for q >= 1
         if self.kind == "dithering" and not (_finite_real(self.q) and self.q >= 1):
             raise InputError(f"dithering needs a finite q >= 1, not {self.q!r}")

@@ -10,13 +10,13 @@ prices a descriptor once, on the first round that charges it, and looks the
 price up by identity on every later charge.
 
 Every method is one row of the private table ``_METHODS``: whether it needs
-a compressor spec or oracles, its default stepsize, shift rate and learning
-rate, whether the objective must never increase, and a start function
-taking the admitted run and returning the per-round step. Every rule a run
-must meet is held once, in ``_admit``, which resolves the row's defaults
-and the first iterate x0 and reads no data. ``run_experiment`` and the CLI
-both admit a run before any work. The three learners (nl1, nl2, cnl) share
-one start function: coefficients start at h(x0), within the loss's bound
+a compressor spec, its default stepsize, shift rate and learning rate,
+whether the objective must never increase, and a start function taking the
+admitted run and returning the per-round step. Every rule a run must meet
+is held once, in ``_admit``, which resolves the row's defaults and the
+first iterate x0 and reads no data; ``run_experiment`` and the CLI both
+admit a run before any work. The three learners (nl1, nl2, cnl) share one
+start function: coefficients start at h(x0), within the loss's bound
 gamma, and it mirrors the server's coefficient replicas and records the
 hull, neighborhood and curvature diagnostics.
 
@@ -226,7 +226,7 @@ class Trace:
         return [r.gap for r in self.rows]
 
     def distances(self) -> list[float]:
-        return [r.extras.get("dist", math.nan) for r in self.rows]
+        return [r.extras["dist"] for r in self.rows]
 
 
 def bits_to_reach(trace: Trace, gap_threshold: float) -> Optional[int]:
@@ -292,7 +292,7 @@ class _Run(NamedTuple):
     eta: Optional[float]
     x0: Array
     seed: Optional[int] = None           # set by run_experiment
-    oracles: Optional[Oracles] = None
+    oracles: Optional[Oracles] = None    # set by run_experiment
 
 
 # A method's start function takes the admitted run and returns (step, phi):
@@ -387,21 +387,19 @@ class _Learner:
 
     def _neighborhood_radius_sq(self) -> float:
         """Squared radius of the local-convergence region claimed by the theory."""
-        p, oracles = self.run.p, self.run.oracles
+        p = self.run.p
         c = p.constants()
         if c.nu == 0.0:
             return math.inf
         if self.state.gamma is None:
             return p.lam ** 2 / (12.0 * c.nu ** 2 * c.max_row_norm ** 6)
-        if oracles is None:
-            return math.nan
-        mu = smallest_eigenvalue(oracles.hessian_star) + p.lam
+        mu = smallest_eigenvalue(self.run.oracles.hessian_star) + p.lam
         return mu ** 2 / (432.0 * p.m * p.n * c.nu ** 2 * c.max_row_norm ** 6)
 
     def phi(self) -> float:
         p, o = self.run.p, self.run.oracles
         c = p.constants()
-        if o is None or c.nu == 0.0:
+        if c.nu == 0.0:
             return math.nan
         dist2 = float(np.sum((self.state.x - o.x_star) ** 2))
         h_err = float(np.sum((self.state.h - o.h_star) ** 2))
@@ -438,7 +436,7 @@ class _Learner:
             np.all(self.state.h >= self.hull_lo - pad)
             and np.all(self.state.h <= self.hull_hi + pad))
 
-        if run.oracles is not None and math.isfinite(self.neighborhood):
+        if math.isfinite(self.neighborhood):
             dist2 = float(np.sum((self.state.x - run.oracles.x_star) ** 2))
             extras["in_neighborhood"] = dist2 <= self.neighborhood
 
@@ -470,7 +468,6 @@ class _Method:
 
     start: Callable
     needs_spec: bool = False
-    needs_oracles: bool = False
     stepsize: Optional[Callable] = None
     theta: Optional[Callable] = None
     eta: Optional[Callable] = None
@@ -512,10 +509,9 @@ _METHODS = {
         lambda run, x: methods.newton_step(run.p, x),
         lambda p: WorkerCharge(grad_floats=p.d, coeff_floats=p.m))),
     "ns": _Method(_stateless(lambda run, x: methods.ns_step(run.p, run.oracles, x),
-                             _grad_charge), needs_oracles=True),
+                             _grad_charge)),
     "mn": _Method(_stateless(lambda run, x: methods.mn_step(run.p, run.oracles, x),
-                             lambda p: WorkerCharge(grad_floats=p.d, beta_scalars=1)),
-                  needs_oracles=True),
+                             lambda p: WorkerCharge(grad_floats=p.d, beta_scalars=1))),
     "nl1": _learner(bounded=False, cubic=False),
     "nl2": _learner(bounded=True, cubic=False),
     "cnl": _learner(bounded=True, cubic=True),
@@ -576,23 +572,18 @@ def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
 
 
 def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
-                   budget: Budget, seed: int,
-                   oracles: Optional[Oracles] = None,
+                   budget: Budget, seed: int, oracles: Oracles,
                    opts: Optional[RunOptions] = None,
                    config_echo: Optional[dict] = None) -> Trace:
     """Run one method under a budget; returns the full convergence trace.
 
     Stops at the first satisfied budget condition, checked before each
-    round, so ``max_iters=0`` yields a single initial row. The gap column
-    needs oracles; methods that reuse optimum curvature require them.
+    round, so ``max_iters=0`` yields a single initial row. Gaps and distances
+    are taken against ``oracles``, ``reference_optimum(p)``.
     """
     opts = opts or RunOptions()
     run = _admit(method, p, spec, opts)._replace(seed=seed, oracles=oracles)
     rec = _METHODS[method]
-    if rec.needs_oracles and oracles is None:
-        raise ConfigError(f"method {method!r} requires precomputed oracles")
-    if budget.target_gap is not None and oracles is None:
-        raise ConfigError("a target gap budget requires oracles for gap reporting")
     if (rec.eta is not None and opts.eta is not None
             and opts.eta > rec.eta(p, spec) + 1e-15):
         warnings.warn(f"learning rate {opts.eta:.4g} exceeds 1/(omega+1); "
@@ -602,20 +593,15 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
 
     def metrics(x: Array, extras: dict, wall_ms: float, iteration: int) -> TraceRow:
         value, grad = p.value(x), p.grad(x)
-        gap = value - oracles.value_star if oracles is not None else math.nan
-        row_extras = {"value": value}
-        if oracles is not None:
-            row_extras["dist"] = oracles.distance(x)
-        row_extras.update(extras)
         return TraceRow(
             iteration=iteration,
-            gap=gap,
+            gap=value - oracles.value_star,
             grad_norm=float(np.linalg.norm(grad)),
             bits_up_cum=ledger.up_cum,
             bits_down_cum=ledger.down_cum,
             phi=phi(),
             wall_ms=wall_ms,
-            extras=row_extras,
+            extras={"value": value, "dist": oracles.distance(x), **extras},
         )
 
     rows = [metrics(run.x0, {}, math.nan, 0)]

@@ -7,6 +7,8 @@ binary feature rows and labels drawn from a planted logistic model. All
 acceptance properties are shape/behavior claims, so they transfer.
 """
 
+import weakref
+
 import numpy as np
 
 from distnewton.data import Dataset, partition
@@ -40,7 +42,7 @@ def phishing_shaped_problem(lam: float) -> Problem:
 
 
 _PROBLEM_CACHE = {}
-_ORACLE_CACHE = {}
+_OPTIMUM_CACHE = {}
 
 
 def cached_a2a(lam: float) -> Problem:
@@ -49,7 +51,15 @@ def cached_a2a(lam: float) -> Problem:
     return _PROBLEM_CACHE[lam]
 
 
+def cached_optimum(p: Problem):
+    """reference_optimum(p), computed once per problem object; the entry
+    goes when p does, so a later problem at the same id gets its own."""
+    key = id(p)
+    if key not in _OPTIMUM_CACHE:
+        _OPTIMUM_CACHE[key] = reference_optimum(p)
+        weakref.finalize(p, _OPTIMUM_CACHE.pop, key, None)
+    return _OPTIMUM_CACHE[key]
+
+
 def cached_a2a_oracles(lam: float):
-    if lam not in _ORACLE_CACHE:
-        _ORACLE_CACHE[lam] = reference_optimum(cached_a2a(lam))
-    return _ORACLE_CACHE[lam]
+    return cached_optimum(cached_a2a(lam))

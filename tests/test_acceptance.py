@@ -364,6 +364,7 @@ def test_criterion_8_replica_consistency():
     p = cached_a2a(1e-4)
     trace = run_experiment("nl2", p, bernoulli(random_r(1), 1.0 / 20.0),
                            Budget(max_iters=1000), seed=3,
+                           oracles=cached_a2a_oracles(1e-4),
                            opts=RunOptions(diagnostics=False))
     flags = [r.extras["replica_ok"] for r in trace.rows[1:]]
     ok = len(flags) == 1000 and all(flags)

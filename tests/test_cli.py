@@ -184,6 +184,11 @@ class TestRun:
          "synth.variance"),
         ({"method": "nl2", "compressor": {"kind": "dithering", "q": 10**400}},
          "q >= 1"),
+        ({"method": "nl2", "compressor": {"kind": "dithering", "s": 10**400}},
+         "s >= 1"),
+        # a trace file name past NAME_MAX (the config file's own name fits)
+        ({"seed": 10**400}, "longer than 255 bytes"),
+        ({"tag": "t" * 230}, "longer than 255 bytes"),
     ])
     def test_bad_field_value_exits_2_and_names_it(self, tmp_path, capsys,
                                                   over, culprit):
@@ -693,12 +698,14 @@ class TestCompare:
         ("dcgd", {"x0": ["1.5", "2", "0", "0"]}, "x0 is not an array of numbers"),
         ("nl1", {"x0": [None, 0.0, 0.0, 0.0]}, "x0 is not an array of numbers"),
         ("nl2", {"x0": [True, 1.5, 0.0, 0.0]}, "x0 is not an array of numbers"),
+        # a trace name past NAME_MAX, whose config file's name still fits
+        ("nl2", {"tag": "b" * 230}, "longer than 255 bytes"),
     ])
     def test_later_config_out_of_range_writes_nothing(self, tmp_path, capsys,
                                                        method, over, culprit):
         a, _ = base_config(tmp_path, method="gd", tag="a")
-        over = {"compressor": {"kind": "random_r", "r": 1}, **over}
-        b, _ = base_config(tmp_path, method=method, tag="b", **over)
+        over = {"compressor": {"kind": "random_r", "r": 1}, "tag": "b", **over}
+        b, _ = base_config(tmp_path, method=method, **over)
         out = tmp_path / "out"
         rc = main(["compare", str(a), str(b), "--outdir", str(out)])
         assert rc == 2

@@ -65,6 +65,11 @@ class TestSpecFieldTypes:
         with pytest.raises(InputError, match="q >= 1"):
             dithering(s=3, q=q)
 
+    @pytest.mark.parametrize("s", [0, -2, pytest.param(10**400, id="huge-int")])
+    def test_dithering_s_must_be_finite_and_at_least_one(self, s):
+        with pytest.raises(InputError, match="s >= 1"):
+            dithering(s=s)
+
     @pytest.mark.parametrize("d, unread", [
         ({"kind": "natural", "r": -5, "q": math.nan}, "q, r"),
         ({"kind": "random_r", "r": 1, "q": 0, "s": 0}, "q, s"),

@@ -21,6 +21,7 @@ from distnewton.harness import (_METHODS, Budget, RunOptions, WorkerCharge,
 from distnewton.linalg import smallest_eigenvalue
 from distnewton.methods import reference_optimum
 from distnewton.problem import make_problem
+from stand_ins import cached_optimum
 
 NOT_NUMBERS = "x0 is not an array of numbers"
 
@@ -43,7 +44,8 @@ def wide_problem(n=15, m=1, d=123, loss="logistic", lam=1e-3):
 class TestBudgets:
     def test_zero_iterations_gives_initial_row_only(self):
         p = small_problem()
-        trace = run_experiment("gd", p, None, Budget(max_iters=0), seed=0)
+        trace = run_experiment("gd", p, None, Budget(max_iters=0), seed=0,
+                               oracles=cached_optimum(p))
         assert len(trace.rows) == 1
         assert trace.rows[0].bits_up_cum == 0
 
@@ -60,7 +62,7 @@ class TestBudgets:
         p = small_problem()
         trace = run_experiment("gd", p, None,
                                Budget(max_iters=100, bit_budget=2 * 32 * p.d * p.n),
-                               seed=0)
+                               seed=0, oracles=cached_optimum(p))
         assert len(trace.rows) == 3  # two rounds charge past the budget
 
     def test_ns_squared_loss_converges_first_round(self):
@@ -72,36 +74,31 @@ class TestBudgets:
 
 class TestConfigValidation:
     def test_unknown_method(self):
+        p = small_problem()
         with pytest.raises(ConfigError):
-            run_experiment("sgd", small_problem(), None, Budget(max_iters=1), seed=0)
+            run_experiment("sgd", p, None, Budget(max_iters=1), seed=0,
+                           oracles=cached_optimum(p))
 
     def test_nl1_requires_positive_lambda(self):
         p = small_problem(lam=0.0)
         with pytest.raises(ConfigError):
-            run_experiment("nl1", p, random_r(1), Budget(max_iters=1), seed=0)
-
-    @pytest.mark.parametrize("method", [m for m, rec in _METHODS.items()
-                                        if rec.needs_oracles])
-    def test_oracle_methods_require_oracles(self, method):
-        with pytest.raises(ConfigError, match="oracles"):
-            run_experiment(method, small_problem(), None, Budget(max_iters=1), seed=0)
+            run_experiment("nl1", p, random_r(1), Budget(max_iters=1), seed=0,
+                           oracles=cached_optimum(p))
 
     @pytest.mark.parametrize("method", [m for m, rec in _METHODS.items()
                                         if rec.needs_spec])
     def test_compressed_methods_require_spec(self, method):
+        p = small_problem()
         with pytest.raises(ConfigError, match="compressor spec"):
-            run_experiment(method, small_problem(), None, Budget(max_iters=1), seed=0)
-
-    def test_target_gap_requires_oracles(self):
-        with pytest.raises(ConfigError):
-            run_experiment("gd", small_problem(), None,
-                           Budget(max_iters=1, target_gap=1e-3), seed=0)
+            run_experiment(method, p, None, Budget(max_iters=1), seed=0,
+                           oracles=cached_optimum(p))
 
     def test_eta_above_theory_warns(self):
         p = small_problem(lam=1e-2)
         with pytest.warns(UserWarning) as record:
             for _ in range(2):
                 run_experiment("nl1", p, random_r(1), Budget(max_iters=1), seed=0,
+                               oracles=cached_optimum(p),
                                opts=RunOptions(eta=1.0, diagnostics=False))
         # once per call, attributed to the caller of run_experiment, not to
         # the harness
@@ -113,26 +110,29 @@ class TestConfigValidation:
         ("diana", "theta", [0.5]), ("dcgd", "stepsize", 1j),
         pytest.param("nl1", "eta", 10**400, id="nl1-eta-huge-int")])
     def test_rate_outside_the_positive_reals_rejected(self, method, name, value):
-        spec = random_r(1) if _METHODS[method].needs_spec else None
+        p, spec = small_problem(), random_r(1) if _METHODS[method].needs_spec else None
         with pytest.raises(ConfigError, match=f"^{name} must be"):
-            run_experiment(method, small_problem(), spec, Budget(max_iters=1), seed=0,
+            run_experiment(method, p, spec, Budget(max_iters=1), seed=0,
+                           oracles=cached_optimum(p),
                            opts=RunOptions(**{name: value}))
 
     @pytest.mark.parametrize("method, name", [
         (method, name) for method, rec in _METHODS.items()
         for name in ("eta", "stepsize", "theta") if getattr(rec, name) is None])
     def test_rate_the_method_does_not_read_rejected(self, method, name):
-        spec = random_r(1) if _METHODS[method].needs_spec else None
+        p, spec = small_problem(), random_r(1) if _METHODS[method].needs_spec else None
         with pytest.raises(ConfigError, match=f"reads no {name}$"):
-            run_experiment(method, small_problem(), spec, Budget(max_iters=1), seed=0,
+            run_experiment(method, p, spec, Budget(max_iters=1), seed=0,
+                           oracles=cached_optimum(p),
                            opts=RunOptions(**{name: 0.5}))
 
     @pytest.mark.parametrize("method", [m for m, rec in _METHODS.items()
                                         if not rec.needs_spec])
     def test_uncompressed_methods_reject_a_spec(self, method):
+        p = small_problem()
         with pytest.raises(ConfigError, match="takes no compressor"):
-            run_experiment(method, small_problem(), random_r(1), Budget(max_iters=1),
-                           seed=0)
+            run_experiment(method, p, random_r(1), Budget(max_iters=1), seed=0,
+                           oracles=cached_optimum(p))
 
     @pytest.mark.parametrize("loss, gamma", [("logistic", 0.25), ("squared", 1.0)])
     def test_learners_bound_is_the_loss_gamma(self, loss, gamma):
@@ -141,7 +141,8 @@ class TestConfigValidation:
         assert p.loss.gamma == gamma
         for method, bounded, cubic in (("nl1", False, False), ("nl2", True, False),
                                        ("cnl", True, True)):
-            run = harness._admit(method, p, random_r(1), RunOptions(x0=x0))
+            run = harness._admit(method, p, random_r(1), RunOptions(x0=x0))._replace(
+                oracles=cached_optimum(p))
             state = harness._Learner(run, bounded, cubic).state
             assert state.gamma == (p.loss.gamma if bounded else None)
             # the coefficients start at h(x0), bit for bit
@@ -164,6 +165,7 @@ class TestConfigValidation:
         spec = random_r(1) if method == "nl1" else None
         with pytest.raises(InputError, match=message):
             run_experiment(method, p, spec, Budget(max_iters=1), seed=0,
+                           oracles=cached_optimum(p),
                            opts=RunOptions(x0=x0))
 
     @pytest.mark.parametrize("x0", [[0, 1, 2, 3, 4], np.arange(5, dtype=np.int8),
@@ -177,9 +179,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("option", [0, 3, 7, True, 1.0, 2.0, "1"])
     def test_option_outside_1_2_rejected(self, option):
+        p = small_problem()
         with pytest.raises(ConfigError, match="option"):
-            run_experiment("nl1", small_problem(), random_r(1), Budget(max_iters=1),
-                           seed=0, opts=RunOptions(option=option))
+            run_experiment("nl1", p, random_r(1), Budget(max_iters=1), seed=0,
+                           oracles=cached_optimum(p),
+                           opts=RunOptions(option=option))
 
 
 class TestLedger:
@@ -193,20 +197,22 @@ class TestLedger:
 
     def test_naive_newton_round_charge(self):
         p = wide_problem(n=2, d=123)
-        trace = run_experiment("newton", p, None, Budget(max_iters=1), seed=0)
+        trace = run_experiment("newton", p, None, Budget(max_iters=1), seed=0,
+                               oracles=cached_optimum(p))
         per_worker = trace.ledger.rounds[0].per_worker_bits[0]
         assert per_worker == 32 * 123 + 32 * (123 * 124) // 2
 
     def test_coefficient_newton_round_charge(self):
         p = small_problem(count=40, d=5, n=4)
-        trace = run_experiment("newton_coeff", p, None, Budget(max_iters=1), seed=0)
+        trace = run_experiment("newton_coeff", p, None, Budget(max_iters=1), seed=0,
+                               oracles=cached_optimum(p))
         per_worker = trace.ledger.rounds[0].per_worker_bits[0]
         assert per_worker == 32 * 5 + 32 * p.m
 
     def test_nl2_option2_round_charge(self):
         p = small_problem(count=302, d=7, n=2, lam=1e-2)  # m = 151
         trace = run_experiment(
-            "nl2", p, random_r(1), Budget(max_iters=1), seed=0,
+            "nl2", p, random_r(1), Budget(max_iters=1), seed=0, oracles=cached_optimum(p),
             opts=RunOptions(option=2, diagnostics=False))
         per_worker = trace.ledger.rounds[0].per_worker_bits[0]
         assert p.m == 151
@@ -215,6 +221,7 @@ class TestLedger:
     def test_nl1_option1_charges_changed_vectors(self):
         p = small_problem(lam=1e-2)
         trace = run_experiment("nl1", p, random_r(1), Budget(max_iters=3), seed=0,
+                               oracles=cached_optimum(p),
                                opts=RunOptions(diagnostics=False))
         for rec in trace.ledger.rounds:
             for charge in rec.charges:
@@ -227,18 +234,21 @@ class TestLedger:
         spec = bernoulli(random_r(1), 1e-12)
         p = small_problem(lam=1e-2)
         trace = run_experiment("nl1", p, spec, Budget(max_iters=1), seed=0,
+                               oracles=cached_optimum(p),
                                opts=RunOptions(diagnostics=False))
         charge = trace.ledger.rounds[0].charges[0]
         assert charge.bits() == 32 * p.d + 1   # no change -> no vectors either
 
     def test_dcgd_gradient_compression_cost(self):
         p = small_problem(d=5)
-        trace = run_experiment("dcgd", p, natural(), Budget(max_iters=1), seed=0)
+        trace = run_experiment("dcgd", p, natural(), Budget(max_iters=1), seed=0,
+                               oracles=cached_optimum(p))
         assert trace.ledger.rounds[0].per_worker_bits[0] == 9 * 5
 
     def test_cumulative_equals_recomputation(self):
         p = small_problem(lam=1e-2)
         trace = run_experiment("nl2", p, random_r(2), Budget(max_iters=20), seed=3,
+                               oracles=cached_optimum(p),
                                opts=RunOptions(diagnostics=False))
         up, down = recompute_ledger_totals(trace.ledger)
         assert up == trace.ledger.up_cum == trace.final().bits_up_cum
@@ -257,6 +267,7 @@ class TestLedger:
     def _descriptor_run(method, spec, option, seed=5):
         p = small_problem(lam=1e-2, count=60, n=6)
         return run_experiment(method, p, spec, Budget(max_iters=12), seed=seed,
+                              oracles=cached_optimum(p),
                               opts=RunOptions(option=option, diagnostics=False))
 
     @pytest.mark.parametrize("method, spec, option", DESCRIPTOR_RUNS)
@@ -323,6 +334,7 @@ class TestReplicas:
     def test_replicas_hold_over_rounds(self, spec):
         p = small_problem(lam=1e-2, seed=5)
         trace = run_experiment("nl1", p, spec, Budget(max_iters=50), seed=11,
+                               oracles=cached_optimum(p),
                                opts=RunOptions(diagnostics=False))
         assert all(r.extras["replica_ok"] for r in trace.rows[1:])
 
@@ -342,7 +354,8 @@ class TestReplicas:
 
         monkeypatch.setattr(methods, "apply_coeff_update", perturbed)
         with pytest.raises(ReplicaMismatchError) as info:
-            run_experiment("nl2", p, random_r(1), Budget(max_iters=3), seed=0)
+            run_experiment("nl2", p, random_r(1), Budget(max_iters=3), seed=0,
+                           oracles=cached_optimum(p))
         assert len(calls) == 4
         assert info.value.mismatches == [(2, 1)]
         assert "(worker 2, index 1)" in str(info.value)
@@ -382,7 +395,8 @@ class TestDiagnostics:
     def test_nl2_domination_margin_recorded(self, monkeypatch):
         p = small_problem(lam=1e-2)
         calls = recorded_rounds(monkeypatch)
-        trace = run_experiment("nl2", p, random_r(1), Budget(max_iters=10), seed=0)
+        trace = run_experiment("nl2", p, random_r(1), Budget(max_iters=10), seed=0,
+                               oracles=cached_optimum(p))
         margins = [oracle_margin(p, out) for _, out in calls]
         assert len(margins) == 10 and all(m >= -1e-8 for m in margins)
         assert all(r.extras["curvature_certificate"] >= -1e-12 for r in trace.rows[1:])
@@ -391,7 +405,8 @@ class TestDiagnostics:
     def test_domination_margin_matches_full_hessian_form(self, variant):
         # estimate + lam*I - hessian(x), with the regularizer on both sides
         p = small_problem(lam=1e-2, seed=3)
-        trace = run_experiment(variant, p, random_r(1), Budget(max_iters=5), seed=0)
+        trace = run_experiment(variant, p, random_r(1), Budget(max_iters=5), seed=0,
+                               oracles=cached_optimum(p))
         cubic = p.constants().hessian_lipschitz if variant == "cnl" else None
         x0 = np.zeros(p.d)
         state = methods.learn_init(p, x0, p.h_all(x0), p.loss.gamma, cubic)
@@ -411,28 +426,39 @@ class TestDiagnostics:
     def test_nl1_psd_margin_recorded(self, monkeypatch):
         p = small_problem(lam=1e-2)
         calls = recorded_rounds(monkeypatch)
-        trace = run_experiment("nl1", p, random_r(1), Budget(max_iters=10), seed=0)
+        trace = run_experiment("nl1", p, random_r(1), Budget(max_iters=10), seed=0,
+                               oracles=cached_optimum(p))
         eigs = [oracle_margin(p, out) for _, out in calls]
         assert len(eigs) == 10 and all(e >= -1e-10 for e in eigs)
         assert all(r.extras["curvature_certificate"] >= -1e-12 for r in trace.rows[1:])
 
     def test_hull_tracking_with_theory_settings(self):
         p = small_problem(lam=1e-2, seed=6)
-        trace = run_experiment("nl1", p, random_r(2), Budget(max_iters=60), seed=2)
+        trace = run_experiment("nl1", p, random_r(2), Budget(max_iters=60), seed=2,
+                               oracles=cached_optimum(p))
         assert all(r.extras["hull_ok"] for r in trace.rows[1:])
 
     def test_cnl_decrease_flag(self):
         p = small_problem(lam=1e-3, count=60, seed=7)
         trace = run_experiment("cnl", p, bernoulli(random_r(1), 0.25),
-                               Budget(max_iters=30), seed=4)
+                               Budget(max_iters=30), seed=4, oracles=cached_optimum(p))
         assert all(r.extras["decrease_ok"] for r in trace.rows[1:])
 
     def test_phi_finite_for_learning_methods_with_oracles(self):
         p = small_problem(lam=1e-2, seed=8)
         o = reference_optimum(p)
-        trace = run_experiment("nl1", p, random_r(1), Budget(max_iters=5), seed=0,
-                               oracles=o)
-        assert all(math.isfinite(r.phi) for r in trace.rows)
+        x0, c = np.zeros(p.d), p.constants()
+        eta = methods.default_eta(random_r(1), p.m)
+        scale = p.m * p.n * eta * c.nu ** 2 * c.max_row_norm ** 2
+        # Phi = ||x - x*||^2 + w ||h - h*||^2, with cnl's weight 4/9 where
+        # nl1's and nl2's is 1/3
+        for method, weight in (("nl1", 1 / 3), ("nl2", 1 / 3), ("cnl", 4 / 9)):
+            trace = run_experiment(method, p, random_r(1), Budget(max_iters=5), seed=0,
+                                   oracles=o)
+            assert all(math.isfinite(r.phi) for r in trace.rows)
+            want = (float(np.sum((x0 - o.x_star) ** 2))
+                    + weight / scale * float(np.sum((p.h_all(x0) - o.h_star) ** 2)))
+            assert trace.rows[0].phi == pytest.approx(want, rel=1e-14)
 
 
 class TestBackgroundDiagnostics:
@@ -448,7 +474,8 @@ class TestBackgroundDiagnostics:
                                                           spec, rounds):
         p = small_problem(lam=1e-3, count=60, d=6, seed=4)
         calls = recorded_rounds(monkeypatch)
-        trace = run_experiment(method, p, spec, Budget(max_iters=rounds), seed=3)
+        trace = run_experiment(method, p, spec, Budget(max_iters=rounds), seed=3,
+                               oracles=cached_optimum(p))
         assert len(calls) == rounds
         got = [r.extras["curvature_certificate"] for r in trace.rows[1:]]
         want = [certificate_formula(state, out) for state, out in calls]
@@ -464,7 +491,8 @@ class TestBackgroundDiagnostics:
 
         def run():
             calls = recorded_rounds(monkeypatch)
-            trace = run_experiment(method, p, random_r(1), Budget(max_iters=5), seed=0)
+            trace = run_experiment(method, p, random_r(1), Budget(max_iters=5), seed=0,
+                                   oracles=cached_optimum(p))
             certificates = [r.extras["curvature_certificate"] for r in trace.rows[1:]]
             return certificates, [oracle_margin(p, out) for _, out in calls]
 
@@ -491,15 +519,18 @@ class TestBackgroundDiagnostics:
             from distnewton.compressors import random_r
             from distnewton.data import Dataset
             from distnewton.harness import Budget, run_experiment
+            from distnewton.methods import reference_optimum
             from distnewton.problem import make_problem
 
             g = np.random.default_rng(0)
             ds = Dataset(features=g.standard_normal((40, 5)),
                          labels=np.where(g.random(40) < 0.5, -1.0, 1.0))
             p = make_problem(ds, n=4, shuffle_seed=0, loss_kind="logistic", lam=1e-2)
+            o = reference_optimum(p)
             before = threading.enumerate()
             for method in ("nl1", "nl2", "cnl"):
-                trace = run_experiment(method, p, random_r(1), Budget(max_iters=5), seed=0)
+                trace = run_experiment(method, p, random_r(1), Budget(max_iters=5), seed=0,
+                                       oracles=o)
                 assert "curvature_certificate" in trace.rows[-1].extras
             print(threading.enumerate() == before)
         """)
@@ -513,14 +544,17 @@ class TestBackgroundDiagnostics:
         # more runs than cores, each on its own problem (the evaluation slot
         # is per problem), with thread switches forced as often as possible
         names = ["nl1", "nl2", "cnl", "nl2"]
-        serial = [run_experiment(m, small_problem(seed=s), random_r(1),
-                                 Budget(max_iters=15), seed=s).json_text()
-                  for s, m in enumerate(names)]
+
+        def text(s, m):
+            p = small_problem(seed=s)
+            return run_experiment(m, p, random_r(1), Budget(max_iters=15), seed=s,
+                                  oracles=cached_optimum(p)).json_text()
+
+        serial = [text(s, m) for s, m in enumerate(names)]
         texts = [None] * len(names)
 
         def run(s, m):
-            texts[s] = run_experiment(m, small_problem(seed=s), random_r(1),
-                                      Budget(max_iters=15), seed=s).json_text()
+            texts[s] = text(s, m)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -544,7 +578,8 @@ class TestBackgroundDiagnostics:
         calls = recorded_rounds(monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(linalg, "_LAPACK", None)
-            trace = run_experiment(method, p, random_r(1), Budget(max_iters=20), seed=3)
+            trace = run_experiment(method, p, random_r(1), Budget(max_iters=20), seed=3,
+                                   oracles=cached_optimum(p))
         assert trace.final().iteration == 20 and len(calls) == 20
         got = [r.extras["curvature_certificate"] for r in trace.rows[1:]]
         assert got == [certificate_formula(state, out) for state, out in calls]
@@ -553,8 +588,10 @@ class TestBackgroundDiagnostics:
         # and the certificate never touches the CSV bytes
         for method in ("nl1", "nl2", "cnl"):
             p = small_problem()
-            on = run_experiment(method, p, random_r(1), Budget(max_iters=3), seed=0)
+            on = run_experiment(method, p, random_r(1), Budget(max_iters=3), seed=0,
+                                oracles=cached_optimum(p))
             off = run_experiment(method, p, random_r(1), Budget(max_iters=3), seed=0,
+                                 oracles=cached_optimum(p),
                                  opts=RunOptions(diagnostics=False))
             assert all("curvature_certificate" in r.extras for r in on.rows[1:])
             assert not any("curvature_certificate" in r.extras for r in off.rows)
@@ -574,7 +611,7 @@ class TestTraceOutput:
 
     def test_determinism_bit_identical(self):
         p = small_problem(lam=1e-2, seed=9)
-        kwargs = dict(budget=Budget(max_iters=25), seed=123)
+        kwargs = dict(budget=Budget(max_iters=25), seed=123, oracles=cached_optimum(p))
         a = run_experiment("nl2", p, bernoulli(random_r(1), 0.5), **kwargs)
         b = run_experiment("nl2", p, bernoulli(random_r(1), 0.5), **kwargs)
         assert a.csv_text() == b.csv_text()
@@ -584,9 +621,11 @@ class TestTraceOutput:
     def test_timing_opt_in(self):
         p = small_problem()
         trace = run_experiment("gd", p, None, Budget(max_iters=2), seed=0,
+                               oracles=cached_optimum(p),
                                opts=RunOptions(timing=True))
         assert all(r.wall_ms > 0 for r in trace.rows[1:])
-        silent = run_experiment("gd", p, None, Budget(max_iters=2), seed=0)
+        silent = run_experiment("gd", p, None, Budget(max_iters=2), seed=0,
+                                oracles=cached_optimum(p))
         assert all(math.isnan(r.wall_ms) for r in silent.rows)
 
 
@@ -605,18 +644,27 @@ class TestSuperlinearDiagnostic:
 
     def test_learning_neighborhood_flag_eventually_true(self, a2a_1e3,
                                                         a2a_1e3_oracles):
-        trace = run_experiment("nl1", a2a_1e3, random_r(1),
-                               Budget(max_iters=60), seed=1,
-                               oracles=a2a_1e3_oracles)
-        flags = [r.extras["in_neighborhood"] for r in trace.rows[1:]]
-        assert not flags[0] and flags[-1]
+        p, o = a2a_1e3, a2a_1e3_oracles
+        c = p.constants()
+        mu = smallest_eigenvalue(o.hessian_star) + p.lam
+        # the squared radius of each learner's local-convergence region
+        bounded = mu ** 2 / (432 * p.m * p.n * c.nu ** 2 * c.max_row_norm ** 6)
+        for method, radius_sq in (
+                ("nl1", p.lam ** 2 / (12 * c.nu ** 2 * c.max_row_norm ** 6)),
+                ("nl2", bounded), ("cnl", bounded)):
+            trace = run_experiment(method, p, random_r(1), Budget(max_iters=60), seed=1,
+                                   oracles=o, opts=RunOptions(diagnostics=False))
+            flags = [r.extras["in_neighborhood"] for r in trace.rows[1:]]
+            assert not flags[0] and flags[-1], method
+            assert flags == [r.extras["dist"] ** 2 <= radius_sq for r in trace.rows[1:]]
 
 
 class TestLearningGramConsistency:
     def test_periodic_rebuild_reports_negligible_drift(self):
         p = small_problem(lam=1e-2, seed=23)
         trace = run_experiment("nl2", p, random_r(3), Budget(max_iters=220),
-                               seed=6, opts=RunOptions(diagnostics=False))
+                               seed=6, oracles=cached_optimum(p),
+                               opts=RunOptions(diagnostics=False))
         drifts = [r.extras["rebuild_drift"] for r in trace.rows[1:]]
         assert max(drifts) > 0.0          # a rebuild actually happened
         assert max(drifts) <= 1e-8

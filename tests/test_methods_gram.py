@@ -7,6 +7,7 @@ from distnewton.data import Dataset
 from distnewton.harness import Budget, run_experiment
 from distnewton.methods import REBUILD_PERIOD, default_eta, learn_init, learn_round
 from distnewton.problem import make_problem
+from stand_ins import cached_optimum
 
 
 def small_problem(lam=1e-2, count=40, d=5, n=4, seed=0):
@@ -48,6 +49,7 @@ def test_gram_stays_exactly_symmetric_across_a_rebuild(variant):
 
 def test_mean_gram_is_built_once_per_problem(monkeypatch):
     p = small_problem(seed=33)
+    o = cached_optimum(p)        # before the count: x*'s Hessian is a gram too
     calls = []
     gram = linalg.weighted_gram
 
@@ -59,7 +61,7 @@ def test_mean_gram_is_built_once_per_problem(monkeypatch):
     monkeypatch.setattr(linalg, "weighted_gram", counting)
     for _ in range(2):
         calls.append(0)
-        run_experiment("nl2", p, random_r(1), Budget(max_iters=3), seed=0)
+        run_experiment("nl2", p, random_r(1), Budget(max_iters=3), seed=0, oracles=o)
     # the two runs are the same run, but the second reuses the mean gram
     assert calls[0] == calls[1] + 1
 
