@@ -415,9 +415,8 @@ def _add_method_flags(sp):
     sp.add_argument("--timing", action="store_true", default=None)
 
 
-# each field's text type, and the value of a field the flag may leave off
-_FLAG_FIELDS = {"r": int, "s": int, "q": float, "p": float}
-_FLAG_DEFAULTS = {"s": None, "q": 2.0}
+# each field's text type; only dithering's s may be left off, as unset
+_FLAG_FIELDS = {"r": int, "s": int, "p": float}
 
 
 def parse_compressor_flag(text: str) -> dict:
@@ -429,9 +428,9 @@ def parse_compressor_flag(text: str) -> dict:
     spec: dict = {"kind": kind}
     for pos, name in enumerate(_READS[kind]):
         if pos >= len(parts):
-            if name not in _FLAG_DEFAULTS:
+            if name != "s":
                 raise ConfigError(f"compressor flag {text!r} is missing {kind}'s {name}")
-            spec[name] = _FLAG_DEFAULTS[name]
+            spec[name] = None
         elif name == "inner":
             spec[name] = parse_compressor_flag(":".join(parts[pos:]))
             return spec

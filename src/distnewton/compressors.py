@@ -27,7 +27,7 @@ from .rngs import RngStream
 SCALAR_BITS = 32
 
 # each kind and the spec fields it reads
-_READS = {"identity": (), "random_r": ("r",), "dithering": ("s", "q"),
+_READS = {"identity": (), "random_r": ("r",), "dithering": ("s",),
           "natural": (), "bernoulli": ("p", "inner")}
 KINDS = tuple(_READS)
 
@@ -38,38 +38,32 @@ _TINY = np.finfo(np.float64).tiny
 class CompressorSpec:
     """Declarative description of a compressor; see the factory helpers below.
 
-    ``s=None`` for dithering means "round(sqrt(length))", resolved per call.
+    Dithering rounds each |x_j| / ||x||_2 to one of s levels (QSGD's l2 form);
+    ``s=None`` means "round(sqrt(length))", resolved per call.
     """
 
     kind: str
     r: Optional[int] = None
     s: Optional[int] = None
-    q: float = 2.0
     p: Optional[float] = None
     inner: Optional["CompressorSpec"] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown compressor kind {self.kind!r}")
-        # a JSON config can put any type here, and bool is an int subclass;
-        # only q has no unset value
+        # a JSON config can put any type here, and bool is an int subclass
         for name, kind, what in (("r", numbers.Integral, "an integer"),
                                  ("s", numbers.Integral, "an integer"),
-                                 ("p", numbers.Real, "a number"),
-                                 ("q", numbers.Real, "a number")):
+                                 ("p", numbers.Real, "a number")):
             value = getattr(self, name)
-            if value is None and name != "q":
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, kind)):
                 raise InputError(f"compressor {name} must be {what}, not {value!r}")
         if self.kind == "random_r" and (self.r is None or self.r < 1):
             raise InputError("random_r needs r >= 1")
         if self.kind == "dithering" and self.s is not None and not (
                 _finite_real(self.s) and self.s >= 1):
             raise InputError(f"dithering needs a finite s >= 1, not {self.s!r}")
-        # (sum |x|^q)^(1/q) is a norm, and omega's closed form holds, for q >= 1
-        if self.kind == "dithering" and not (_finite_real(self.q) and self.q >= 1):
-            raise InputError(f"dithering needs a finite q >= 1, not {self.q!r}")
         if self.kind == "bernoulli":
             if self.inner is None or not (_finite_real(self.p) and 0 < self.p <= 1):
                 raise InputError("bernoulli needs an inner spec and p in (0, 1]")
@@ -106,8 +100,8 @@ def random_r(r: int) -> CompressorSpec:
     return CompressorSpec(kind="random_r", r=r)
 
 
-def dithering(s: Optional[int] = None, q: float = 2.0) -> CompressorSpec:
-    return CompressorSpec(kind="dithering", s=s, q=q)
+def dithering(s: Optional[int] = None) -> CompressorSpec:
+    return CompressorSpec(kind="dithering", s=s)
 
 
 def natural() -> CompressorSpec:
@@ -136,9 +130,7 @@ def omega(spec: CompressorSpec, length: int) -> float:
         return 0.125
     if spec.kind == "dithering":
         s = _dither_levels(spec, length)
-        if spec.q == 2.0:
-            return min(length / s ** 2, math.sqrt(length) / s)
-        return 2.0 + (math.sqrt(length) + length ** (1.0 / spec.q)) / s
+        return min(length / s ** 2, math.sqrt(length) / s)
     # bernoulli wrapper
     return (omega(spec.inner, length) + 1.0) / spec.p - 1.0
 
@@ -258,14 +250,10 @@ def _compress(spec: CompressorSpec, x: np.ndarray,
 
     if spec.kind == "dithering":
         s = _dither_levels(spec, m)
-        mag = np.abs(x)
-        if spec.q == 2.0:
-            norm = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
-        else:
-            norm = np.add.reduce(mag ** spec.q, axis=1, keepdims=True) ** (1.0 / spec.q)
+        norm = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
         # the floor on the norm keeps 0/0 out: a zero row scales to level 0
         # everywhere and sends zero
-        scaled = mag / np.maximum(norm, _TINY) * s
+        scaled = np.abs(x) / np.maximum(norm, _TINY) * s
         low = np.floor(scaled)
         levels = low + (u[:, :m] < scaled - low)
         return np.copysign(levels, x) * (norm / s), None

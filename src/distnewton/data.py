@@ -252,6 +252,7 @@ def synth_artificial(n: int, m: int, d: int, seed: int,
         raise InputError(f"mean must be finite, not {mean!r}")
     if not (_finite_real(variance) and variance >= 0):
         raise InputError(f"variance must be finite and nonnegative, not {variance!r}")
+    mean, variance = float(mean), float(variance)   # numpy takes no int past int64
     count = n * m
     feats = standard_normals(seeded_generator(seed, 0), count * d)
     feats = mean + np.sqrt(variance) * feats

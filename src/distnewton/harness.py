@@ -371,12 +371,18 @@ class _Learner:
         p = run.p
         self.run = run
         self.state = methods.learn_init(
-            p, run.x0, p.h_all(run.x0), p.loss.gamma if bounded else None,
+            p, run.x0, p.loss.gamma if bounded else None,
             p.constants().hessian_lipschitz if cubic else None)
         self.server_h = self.state.h.copy()
         self.hull_lo: Optional[Array] = None
         self.hull_hi: Optional[Array] = None
         self.neighborhood = self._neighborhood_radius_sq()
+        c = p.constants()
+        try:                            # phi's weight on ||h - h*||^2
+            scale = p.m * p.n * run.eta * c.nu ** 2 * c.max_row_norm ** 2
+            self.phi_weight = 4.0 / (9.0 * scale) if cubic else 1.0 / (3.0 * scale)
+        except ArithmeticError:         # see _neighborhood_radius_sq
+            self.phi_weight = math.nan
         # keyed by (fired, data vectors shipped); the bounded variants also
         # send their curvature ratio
         index_bits = ceil_log2(p.n * p.m)
@@ -386,26 +392,23 @@ class _Learner:
             vector_floats=p.d, index_bits=index_bits))
 
     def _neighborhood_radius_sq(self) -> float:
-        """Squared radius of the local-convergence region claimed by the theory."""
+        """Squared radius of the theory's local-convergence region. Like phi's
+        weight, NaN where its formula divides by 0 (nu = 0, an underflow) or overflows."""
         p = self.run.p
         c = p.constants()
-        if c.nu == 0.0:
-            return math.inf
-        if self.state.gamma is None:
-            return p.lam ** 2 / (12.0 * c.nu ** 2 * c.max_row_norm ** 6)
-        mu = smallest_eigenvalue(self.run.oracles.hessian_star) + p.lam
-        return mu ** 2 / (432.0 * p.m * p.n * c.nu ** 2 * c.max_row_norm ** 6)
+        try:
+            if self.state.gamma is None:
+                return p.lam ** 2 / (12.0 * c.nu ** 2 * c.max_row_norm ** 6)
+            mu = smallest_eigenvalue(self.run.oracles.hessian_star) + p.lam
+            return mu ** 2 / (432.0 * p.m * p.n * c.nu ** 2 * c.max_row_norm ** 6)
+        except ArithmeticError:
+            return math.nan
 
     def phi(self) -> float:
-        p, o = self.run.p, self.run.oracles
-        c = p.constants()
-        if c.nu == 0.0:
-            return math.nan
+        o = self.run.oracles
         dist2 = float(np.sum((self.state.x - o.x_star) ** 2))
         h_err = float(np.sum((self.state.h - o.h_star) ** 2))
-        scale = p.m * p.n * self.run.eta * c.nu ** 2 * c.max_row_norm ** 2
-        cubic = self.state.cubic_coeff is not None
-        return dist2 + (4.0 / (9.0 * scale) if cubic else 1.0 / (3.0 * scale)) * h_err
+        return dist2 + self.phi_weight * h_err
 
     def step(self, k):
         run, p = self.run, self.run.p
@@ -463,7 +466,7 @@ class _Method:
     the RunOptions field of that name; ``eta`` also marks a method that
     learns coefficients, warned when its rate exceeds that theory default.
     A ``bounded`` learner clamps its coefficients to [-gamma, gamma].
-    ``monotone`` methods must not increase the objective.
+    ``monotone`` methods (the cubic step) must not increase the objective.
     """
 
     start: Callable
@@ -531,7 +534,8 @@ def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
     meets every rule the harness holds; it reads no data. ConfigError: an
     unknown method, a missing spec, a spec or rate the method's row does
     not read, an option (an int) or rate (a real) out of range or a bool,
-    or nl1 at lam <= 0. InputError: a spec wider than the vectors it
+    nl1 at lam <= 0, or cnl with a cubic coefficient M = nu * max_row_norm**3
+    that is not finite. InputError: a spec wider than the vectors it
     compresses (a learner's m coefficients, a first-order method's
     gradient) or an x0 that is not d finite real numbers."""
     rec = _METHODS.get(method)
@@ -563,6 +567,8 @@ def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
         raise InputError(f"x0 has shape {x0.shape}, but the problem has d={p.d}")
     if rec.eta is not None and not rec.bounded and p.lam <= 0:
         raise ConfigError("nonnegative curvature learning requires lam > 0")
+    if rec.monotone and not math.isfinite(p.constants().hessian_lipschitz):
+        raise ConfigError(f"{method}'s cubic coefficient nu * max_row_norm**3 is not finite")
 
     def default(value, rule):
         return rule(p, spec) if value is None and rule is not None else value

@@ -186,19 +186,23 @@ def solve_cubic_model(h_reg: Array, g: Array, m_cubic: float) -> Array:
     lower = 2.0 * gnorm / (top + math.sqrt(top * top + 2.0 * m_cubic * gnorm))
     pole = -float(lam[0]) / half_m * (1.0 + 1e-12) + 1e-300
     rho = max(lower, pole)
-    for _ in range(_NEWTON_MAX):
-        denom = lam + half_m * rho
-        ws = w / denom
-        inv_norm = 1.0 / math.sqrt(float(ws @ ws))
-        psi = inv_norm - 1.0 / rho
-        if psi > 0.0 and rho == pole:
-            raise NumericalError(
-                f"cubic model has psi = {psi:.3e} > 0 at the pole; "
-                "gradient has no component on the smallest eigenspace")
-        step = psi / (half_m * float(ws @ (ws / denom)) * inv_norm ** 3 + 1.0 / rho ** 2)
-        rho -= step
-        if abs(step) <= CUBIC_RHO_RTOL * rho:
-            break
+    try:
+        for _ in range(_NEWTON_MAX):
+            denom = lam + half_m * rho
+            ws = w / denom
+            inv_norm = 1.0 / math.sqrt(float(ws @ ws))
+            psi = inv_norm - 1.0 / rho
+            if psi > 0.0 and rho == pole:
+                raise NumericalError(
+                    f"cubic model has psi = {psi:.3e} > 0 at the pole; "
+                    "gradient has no component on the smallest eigenspace")
+            step = psi / (half_m * float(ws @ (ws / denom)) * inv_norm ** 3
+                          + 1.0 / rho ** 2)
+            rho -= step
+            if abs(step) <= CUBIC_RHO_RTOL * rho:
+                break
+    except ArithmeticError:     # a curvature that dwarfs g: ||s|| leaves the float range
+        raise NumericalError("cubic model step leaves the float range") from None
 
     s = -(eig.eigenvectors.T @ (w / (lam + half_m * rho)))
     residual = float(np.linalg.norm(
@@ -275,9 +279,9 @@ def default_eta(spec: CompressorSpec, m: int) -> float:
     return 1.0 / (omega(spec, m) + 1.0)
 
 
-def learn_init(p: Problem, x0: Array, h0: Array, gamma: Optional[float] = None,
+def learn_init(p: Problem, x0: Array, gamma: Optional[float] = None,
                cubic_coeff: Optional[float] = None) -> LearnState:
-    """Start curvature learning at x0 from coefficients h0.
+    """Start curvature learning at x0 from the coefficients h(x0).
 
     ``gamma=None`` is the nonnegative variant (nl1): updates are projected
     onto the nonnegative cone and the gram of h is the estimate. A bound
@@ -285,18 +289,16 @@ def learn_init(p: Problem, x0: Array, h0: Array, gamma: Optional[float] = None,
     [-gamma, gamma] and the estimate is scaled to dominate the true
     curvature, so lam = 0 is allowed. ``cubic_coeff`` (cnl, with a bound)
     replaces the Newton step by the cubically regularized model step.
-    Preconditions: a bound has gamma > 0 and |h0| <= gamma; the Newton-step
-    variants have h0 >= 0; and nl1 has lam > 0, which ``harness._admit``
-    holds before a run starts. The harness starts at h0 = h(x0), which the
-    loss's own bound on phi'' (``LossModel.gamma``) keeps in range; tests
-    may pass any h0 within the bound.
+    The start is where the local theory needs it by construction: phi'' is
+    nonnegative and at most the loss's own bound ``LossModel.gamma``, so
+    h(x0) >= 0, and |h(x0)| <= gamma for a bound at least the loss's. nl1
+    also needs lam > 0, which ``harness._admit`` holds before a run starts.
     """
-    h0 = np.asarray(h0, dtype=np.float64)
-    bounded = gamma is not None
+    h0 = p.h_all(x0)
     return LearnState(x=x0.copy(), h=h0.copy(),
-                      h_matrix=p.data_gram(h0 + 2.0 * gamma if bounded else h0),
+                      h_matrix=p.data_gram(h0 if gamma is None else h0 + 2.0 * gamma),
                       gamma=gamma, cubic_coeff=cubic_coeff,
-                      mean_gram=p.mean_gram() if bounded else None)
+                      mean_gram=None if gamma is None else p.mean_gram())
 
 
 def _dominated_estimate(state: LearnState, h_at_x: Array) -> tuple[Array, float, Array]:

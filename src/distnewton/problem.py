@@ -151,10 +151,12 @@ class Problem:
         self._worker_rows = self._rows.reshape(self.n, self.m, self.d)
         self._worker_labels = self.dataset.labels[order].reshape(self.n, self.m)
         radius = float(np.max(np.linalg.norm(self._rows, axis=1)))
+        with np.errstate(over="ignore"):     # past the float range, M reads inf
+            cubed = float(np.float64(radius) ** 3)
         self._constants = ProblemConstants(
             nu=self.loss.nu,
             max_row_norm=radius,
-            hessian_lipschitz=self.loss.nu * radius ** 3,
+            hessian_lipschitz=self.loss.nu * cubed,
         )
 
     @property

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from distnewton import cli
 from distnewton.cli import ExperimentConfig, main, parse_compressor_flag
 from distnewton.compressors import bernoulli, dithering, identity, natural, random_r
-from distnewton.data import load_dataset, save_dataset, synth_artificial
+from distnewton.data import Dataset, load_dataset, save_dataset, synth_artificial
 from distnewton.errors import DistNewtonError
 from distnewton.harness import COMPRESSED_METHODS, METHOD_NAMES
 from distnewton.methods import Oracles, _oracles_at, reference_optimum
@@ -127,7 +127,8 @@ class TestRun:
         ({"method": "nl2", "compressor": {"kind": "random_r", "r": "1"}}, "r must"),
         ({"method": "nl2", "compressor": {"kind": "random_r", "r": True}}, "r must"),
         ({"method": "nl2", "compressor": {"kind": "dithering", "s": 1.0}}, "s must"),
-        ({"method": "nl2", "compressor": {"kind": "dithering", "q": "2"}}, "q must"),
+        ({"method": "nl2", "compressor": {"kind": "dithering", "q": "2"}},
+         "does not read q"),                  # dithering's norm is l2, with no q
         ({"method": "nl2", "compressor": {"kind": "bernoulli", "p": "0.5",
                                           "inner": {"kind": "natural"}}}, "p must"),
         ({"method": "nl2", "compressor": {"kind": "bernoulli", "p": 0.5,
@@ -154,10 +155,12 @@ class TestRun:
         ({"h0": "bogus"}, "unknown config field"),  # learners start at h(x0)
         ({"option": 3}, "option"),
         ({"d_hint": 7}, "d_hint"),              # a synthetic problem reads no d_hint
-        ({"method": "nl2", "compressor": {"kind": "dithering", "q": 0}}, "q >= 1"),
-        ({"method": "nl2", "compressor": {"kind": "dithering", "q": -1}}, "q >= 1"),
+        ({"method": "nl2", "compressor": {"kind": "dithering", "q": 0}},
+         "does not read q"),
+        ({"method": "nl2", "compressor": {"kind": "dithering", "s": 3, "q": 2.0}},
+         "does not read q"),
         ({"method": "nl2", "compressor": {"kind": "dithering", "q": float("inf")}},
-         "q >= 1"),
+         "does not read q"),
         ({"method": "nl2", "compressor": {"kind": "natural", "r": -5, "q": float("nan")}},
          "does not read q, r"),
         ({"method": "nl2", "compressor": {"kind": "random_r", "r": 1, "q": 0, "s": 0}},
@@ -183,7 +186,7 @@ class TestRun:
         ({"synth": {"n": 2, "m": 10, "d": 4, "seed": 5, "variance": 10**400}},
          "synth.variance"),
         ({"method": "nl2", "compressor": {"kind": "dithering", "q": 10**400}},
-         "q >= 1"),
+         "does not read q"),
         ({"method": "nl2", "compressor": {"kind": "dithering", "s": 10**400}},
          "s >= 1"),
         # a trace file name past NAME_MAX (the config file's own name fits)
@@ -271,6 +274,35 @@ class TestRun:
         cfg_path = tmp_path / "big.json"
         cfg_path.write_text('{"method": "gd", "seed": 1, "lam": 1' + "0" * 5000 + "}")
         assert main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    # inputs that once ended in a traceback; a scale replaces the synthetic
+    # data by a LIBSVM file of features of that size
+    @pytest.mark.parametrize("over, scale", [
+        pytest.param({"synth": {"n": 4, "m": 5, "d": 3, "seed": 0, "variance": 2**64}},
+                     None, id="synth-variance-2**64"),
+        pytest.param({"method": "nl1", "eta": 5e-324}, None, id="nl1-eta-5e-324"),
+        pytest.param({"method": "nl1", "lam": 1e308}, None, id="nl1-lam-1e308"),
+        pytest.param({"method": "nl2", "lam": 1e308}, None, id="nl2-lam-1e308"),
+        pytest.param({"method": "cnl", "lam": 1e308}, None, id="cnl-lam-1e308"),
+        *(pytest.param({"method": m}, 1e120, id=f"{m}-features-1e120")
+          for m in ("gd", "nl1", "nl2", "cnl")),
+        *(pytest.param({"method": m}, 1e-200, id=f"{m}-features-1e-200")
+          for m in ("nl1", "nl2", "cnl")),
+    ])
+    def test_extreme_value_ends_in_a_mapped_exit_code(self, tmp_path, capsys,
+                                                      over, scale):
+        if over.get("method") in COMPRESSED_METHODS:
+            over = {**over, "compressor": {"kind": "random_r", "r": 1}}
+        if scale is not None:
+            g = np.random.default_rng(0)
+            data = tmp_path / "data.txt"
+            save_dataset(Dataset(features=g.standard_normal((12, 3)) * scale,
+                                 labels=np.where(g.random(12) < 0.5, -1.0, 1.0)), data)
+            over = {**over, "synth": None, "dataset_path": str(data)}
+        cfg_path, _ = base_config(tmp_path, **over)
+        rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path / "out")])
+        assert rc in (0, 2, 3)
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("synth", ["1,2", "1,2,x"])
@@ -590,7 +622,7 @@ def flag_text(spec) -> str:
     if spec.kind == "random_r":
         return f"random_r:{spec.r}"
     if spec.kind == "dithering":
-        return "dithering" if spec.s is None else f"dithering:{spec.s}:{spec.q!r}"
+        return "dithering" if spec.s is None else f"dithering:{spec.s}"
     if spec.kind == "bernoulli":
         return f"bernoulli:{spec.p!r}:{flag_text(spec.inner)}"
     return spec.kind
@@ -599,8 +631,7 @@ def flag_text(spec) -> str:
 SPECS = st.recursive(
     st.one_of(st.just(identity()), st.just(natural()), st.just(dithering()),
               st.builds(random_r, st.integers(1, 10 ** 6)),
-              st.builds(dithering, st.integers(1, 10 ** 6),
-                        st.floats(min_value=1.0, max_value=1e6))),
+              st.builds(dithering, st.integers(1, 10 ** 6))),
     lambda inner: st.builds(bernoulli, inner,
                             st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
     max_leaves=3)
@@ -805,7 +836,8 @@ class TestCompressorFlag:
     @pytest.mark.parametrize("flag, named", [
         ("random_r:1:7", "random_r:1:7"), ("natural:3", "natural:3"),
         ("identity:x", "identity:x"), ("dithering:3:2.0:1", "dithering:3:2.0:1"),
-        ("bernoulli:0.5:random_r:1:7", "random_r:1:7")])
+        ("bernoulli:0.5:random_r:1:7", "random_r:1:7"),
+        ("dithering:3:2.0", "dithering:3:2.0")])     # dithering reads no q
     def test_unread_field_exits_2_and_names_the_flag(self, tmp_path, capsys,
                                                      flag, named):
         cfg_path, _ = base_config(tmp_path)
@@ -831,7 +863,7 @@ class TestCompressorFlag:
 
 
 COMPRESSORS = {"dcgd": {"kind": "random_r", "r": 2},
-               "diana": {"kind": "dithering", "s": 3, "q": 2.0},
+               "diana": {"kind": "dithering", "s": 3},
                "nl1": {"kind": "random_r", "r": 1},
                "nl2": {"kind": "natural"},
                "cnl": {"kind": "bernoulli", "p": 0.5,

@@ -46,24 +46,26 @@ class TestOmega:
 class TestSpecFieldTypes:
     def test_numpy_scalars_are_accepted(self):
         assert bit_cost(random_r(np.int64(2)), 8) == bit_cost(random_r(2), 8)
-        assert omega(bernoulli(dithering(np.int32(3), np.float64(2.0)), np.float64(0.5)),
-                     8) == omega(bernoulli(dithering(3, 2.0), 0.5), 8)
+        assert omega(bernoulli(dithering(np.int32(3)), np.float64(0.5)),
+                     8) == omega(bernoulli(dithering(3), 0.5), 8)
 
     @pytest.mark.parametrize("make, field", [
         (lambda: random_r(True), "r"), (lambda: random_r("1"), "r"),
         (lambda: random_r(1.0), "r"), (lambda: dithering(s=False), "s"),
-        (lambda: dithering(q=None), "q"), (lambda: bernoulli(natural(), "0.5"), "p"),
+        (lambda: CompressorSpec.from_dict({"kind": "dithering", "q": None}), "q"),
+        (lambda: bernoulli(natural(), "0.5"), "p"),
         (lambda: CompressorSpec.from_dict({"kind": "bernoulli", "p": 0.5}), "kind"),
     ])
     def test_wrong_type_is_rejected_by_name(self, make, field):
         with pytest.raises(InputError, match=field):
             make()
 
-    @pytest.mark.parametrize("q", [0.0, 0.5, -1.0, math.inf, math.nan,
+    @pytest.mark.parametrize("q", [0.0, 0.5, -1.0, 2.0, math.inf, math.nan,
                                    pytest.param(10**400, id="huge-int")])
-    def test_dithering_q_must_be_finite_and_at_least_one(self, q):
-        with pytest.raises(InputError, match="q >= 1"):
-            dithering(s=3, q=q)
+    def test_dithering_reads_no_q(self, q):
+        # the norm is l2, QSGD's form, so no q is read, not even 2
+        with pytest.raises(InputError, match="'dithering' does not read q"):
+            CompressorSpec.from_dict({"kind": "dithering", "s": 3, "q": q})
 
     @pytest.mark.parametrize("s", [0, -2, pytest.param(10**400, id="huge-int")])
     def test_dithering_s_must_be_finite_and_at_least_one(self, s):
@@ -297,9 +299,9 @@ def test_natural_zero_and_subnormal_entries_round_silently():
 
 
 def test_spec_serialization_roundtrip():
-    for spec in [identity(), random_r(3), dithering(s=4, q=2.0), natural(),
+    for spec in [identity(), random_r(3), dithering(s=4), natural(),
                  bernoulli(random_r(1), 0.05), dithering(),
-                 bernoulli(dithering(q=1.5), 0.5)]:
+                 bernoulli(dithering(), 0.5)]:
         assert CompressorSpec.from_dict(spec.to_dict()) == spec
     # each kind writes the fields it reads, an unset s as None
-    assert dithering().to_dict() == {"kind": "dithering", "s": None, "q": 2.0}
+    assert dithering().to_dict() == {"kind": "dithering", "s": None}

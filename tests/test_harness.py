@@ -1,9 +1,13 @@
+import functools
+import itertools
 import math
 import os
 import subprocess
 import sys
 import textwrap
 import threading
+import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +25,7 @@ from distnewton.harness import (_METHODS, Budget, RunOptions, WorkerCharge,
 from distnewton.linalg import smallest_eigenvalue
 from distnewton.methods import reference_optimum
 from distnewton.problem import make_problem
-from stand_ins import cached_optimum
+from stand_ins import a2a_shaped_problem, cached_optimum
 
 NOT_NUMBERS = "x0 is not an array of numbers"
 
@@ -409,7 +413,7 @@ class TestDiagnostics:
                                oracles=cached_optimum(p))
         cubic = p.constants().hessian_lipschitz if variant == "cnl" else None
         x0 = np.zeros(p.d)
-        state = methods.learn_init(p, x0, p.h_all(x0), p.loss.gamma, cubic)
+        state = methods.learn_init(p, x0, p.loss.gamma, cubic)
         eta = methods.default_eta(random_r(1), p.m)
         for row in trace.rows[1:]:
             out = methods.learn_round(p, state, random_r(1), 0, eta)
@@ -628,6 +632,28 @@ class TestTraceOutput:
                                 oracles=cached_optimum(p))
         assert all(math.isnan(r.wall_ms) for r in silent.rows)
 
+    def test_wall_ms_sum_is_within_the_elapsed_time(self):
+        p = small_problem()
+        o = cached_optimum(p)
+        start = time.perf_counter()
+        trace = run_experiment("nl2", p, random_r(1), Budget(max_iters=20), seed=0,
+                               oracles=o, opts=RunOptions(timing=True))
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        walls = [r.wall_ms for r in trace.rows[1:]]
+        assert all(w > 0 for w in walls)
+        assert sum(walls) <= elapsed_ms
+
+    def test_wall_ms_is_each_round_in_milliseconds(self, monkeypatch):
+        # a clock that moves a quarter second per reading: each round reads
+        # it once before and once after its step
+        clock = itertools.count(step=0.25)
+        monkeypatch.setattr(harness, "time",
+                            types.SimpleNamespace(perf_counter=lambda: next(clock)))
+        p = small_problem()
+        trace = run_experiment("nl2", p, random_r(1), Budget(max_iters=4), seed=0,
+                               oracles=cached_optimum(p), opts=RunOptions(timing=True))
+        assert [r.wall_ms for r in trace.rows[1:]] == [250.0] * 4
+
 
 class TestSuperlinearDiagnostic:
     """Converging learning runs show a decreasing distance-ratio tail."""
@@ -657,6 +683,53 @@ class TestSuperlinearDiagnostic:
             flags = [r.extras["in_neighborhood"] for r in trace.rows[1:]]
             assert not flags[0] and flags[-1], method
             assert flags == [r.extras["dist"] ** 2 <= radius_sq for r in trace.rows[1:]]
+
+
+@functools.cache
+def squared_a2a(lam):
+    p = a2a_shaped_problem(lam, loss="squared")
+    return p, cached_optimum(p)
+
+
+class TestTheoryConstants:
+    """A learner's neighborhood radius and phi's weight never raise: where
+    their formula divides by 0 or leaves the float range they are NaN, so
+    phi reads NaN and no row carries in_neighborhood. cnl's step reads M,
+    so admission rejects a cnl run whose M is not finite."""
+
+    # h is constant on the squared loss (nu = 0), so the start h(x0) is exact
+    @pytest.mark.parametrize("lam, method", [(1e-3, "nl1"), (1e-3, "nl2"), (1e-3, "cnl"),
+                                             (0.0, "nl2"), (0.0, "cnl")])
+    def test_squared_loss_learner_is_exact_from_round_1(self, lam, method):
+        p, o = squared_a2a(lam)
+        trace = run_experiment(method, p, random_r(1), Budget(max_iters=3), seed=1,
+                               oracles=o)
+        assert trace.rows[0].gap > 0.0
+        assert [r.gap for r in trace.rows[1:]] == [0.0] * 3
+        assert all(math.isnan(r.phi) for r in trace.rows)
+        assert not any("in_neighborhood" in r.extras for r in trace.rows)
+
+    @pytest.mark.parametrize("scale, eta", [(1.0, 5e-324), (1e-200, None)],
+                             ids=["eta-underflows", "features-1e-200"])
+    def test_constant_past_the_float_range_reads_nan(self, scale, eta):
+        p = small_problem(lam=1e-2, seed=4)
+        p = make_problem(Dataset(p.dataset.features * scale, p.dataset.labels),
+                         n=p.n, shuffle_seed=4, loss_kind="logistic", lam=p.lam)
+        for method in ("nl1", "nl2", "cnl"):
+            trace = run_experiment(method, p, random_r(1), Budget(max_iters=2), seed=0,
+                                   oracles=cached_optimum(p), opts=RunOptions(eta=eta))
+            assert all(math.isnan(r.phi) for r in trace.rows), method
+            if scale != 1.0:
+                assert not any("in_neighborhood" in r.extras for r in trace.rows)
+
+    def test_cnl_rejects_an_infinite_cubic_coefficient(self):
+        p = small_problem()
+        p = make_problem(Dataset(p.dataset.features * 1e120, p.dataset.labels),
+                         n=p.n, shuffle_seed=0, loss_kind="logistic", lam=p.lam)
+        assert p.constants().hessian_lipschitz == math.inf
+        with pytest.raises(ConfigError, match="cubic coefficient"):
+            harness._admit("cnl", p, random_r(1), RunOptions())
+        harness._admit("nl2", p, random_r(1), RunOptions())     # reads no M
 
 
 class TestLearningGramConsistency:

@@ -216,6 +216,13 @@ class TestCubicModel:
         res = np.linalg.norm(rhs + h @ s + 0.75 * np.linalg.norm(s) * s)
         assert res <= 1e-9 * (np.linalg.norm(rhs) + 1.0)
 
+    # a curvature that dwarfs g: 1/||s||**3 overflows from lam ~1e102, the start
+    # rho is 0 past lam ~1e154, and ||s||**2 underflows to 0 at 1e200
+    @pytest.mark.parametrize("lam", [1e150, 1e160, 1e200, 1e308])
+    def test_step_past_the_float_range_raises_numerical_error(self, lam):
+        with pytest.raises(NumericalError, match="leaves the float range"):
+            solve_cubic_model(lam * np.eye(3), np.full(3, 0.1), 0.1)
+
     def test_second_order_condition(self):
         # global minimizer needs H + (M/2)||s|| I psd even for indefinite H
         g = np.random.default_rng(5)
@@ -234,9 +241,10 @@ def tiny_scalar_problem():
 
 class TestNl1:
     def test_scalar_arithmetic_oracle(self):
-        # single sample a=1, b=+1, lam=0.1, h0=0.25: x1 = 0.5/0.35
+        # single sample a=1, b=+1, lam=0.1, h(0)=0.25: x1 = 0.5/0.35
         p = tiny_scalar_problem()
-        state = learn_init(p, np.zeros(1), np.array([[0.25]]))
+        state = learn_init(p, np.zeros(1))
+        assert state.h[0, 0] == 0.25
         out = learn_round(p, state, identity(), seed=0, eta=1.0)
         assert out.state.x[0] == pytest.approx(0.5 / 0.35, rel=1e-12)
         assert out.state.h[0, 0] == pytest.approx(0.25)
@@ -244,7 +252,7 @@ class TestNl1:
     def test_squared_loss_identity_eta_one_is_newton(self):
         p = small_problem("squared", lam=0.1)
         x0 = np.zeros(p.d)
-        state = learn_init(p, x0, p.h_all(x0))
+        state = learn_init(p, x0)
         out = learn_round(p, state, identity(), seed=0, eta=1.0)
         assert np.allclose(out.state.x, newton_step(p, x0), atol=1e-12)
         assert np.linalg.norm(p.grad(out.state.x)) <= 1e-12
@@ -252,7 +260,7 @@ class TestNl1:
     def test_non_fire_keeps_coefficients(self):
         p = small_problem("logistic", lam=1e-2)
         x0 = np.zeros(p.d)
-        state = learn_init(p, x0, p.h_all(x0))
+        state = learn_init(p, x0)
         spec = bernoulli(identity(), 1e-12)     # never fires in practice
         out = learn_round(p, state, spec, seed=1, eta=1.0)
         assert np.array_equal(out.state.h, state.h)
@@ -263,7 +271,7 @@ class TestNl1:
         p = small_problem("logistic", lam=1e-2, seed=9)
         spec = random_r(2)
         eta = default_eta(spec, p.m)
-        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)))
+        state = learn_init(p, np.zeros(p.d))
         for k in range(30):
             state = learn_round(p, state, spec, seed=5, eta=eta).state
             assert np.min(state.h) >= 0.0
@@ -273,7 +281,7 @@ class TestNl1:
         p = small_problem("logistic", lam=1e-2, seed=11)
         spec = random_r(3)
         eta = default_eta(spec, p.m)
-        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)))
+        state = learn_init(p, np.zeros(p.d))
         for _ in range(50):
             state = learn_round(p, state, spec, seed=6, eta=eta).state
         rebuilt = p.data_gram(state.h)
@@ -283,7 +291,7 @@ class TestNl1:
     def test_option1_changed_indices_match_coefficient_change(self):
         p = small_problem("logistic", lam=1e-2, seed=12)
         spec = random_r(1)
-        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)))
+        state = learn_init(p, np.zeros(p.d))
         out = learn_round(p, state, spec, seed=7, eta=default_eta(spec, p.m))
         for i, sent in enumerate(out.changed):
             changed = np.flatnonzero(out.state.h[i] != state.h[i])
@@ -295,7 +303,7 @@ class TestNl2:
     def test_fresh_coefficients_give_newton_step(self):
         p = small_problem("logistic", lam=1e-2)
         x0 = np.zeros(p.d)
-        state = learn_init(p, x0, p.h_all(x0), gamma=p.loss.gamma)
+        state = learn_init(p, x0, gamma=p.loss.gamma)
         out = learn_round(p, state, identity(), seed=0, eta=1.0)
         assert out.beta == pytest.approx(1.0)
         assert np.allclose(out.state.x, newton_step(p, x0), atol=1e-10)
@@ -303,7 +311,7 @@ class TestNl2:
     def test_squared_loss_one_step(self):
         p = small_problem("squared", lam=0.1)
         x0 = np.zeros(p.d)
-        state = learn_init(p, x0, p.h_all(x0), gamma=1.0)
+        state = learn_init(p, x0, gamma=1.0)
         out = learn_round(p, state, identity(), seed=0, eta=1.0)
         assert np.linalg.norm(p.grad(out.state.x)) <= 1e-11
 
@@ -312,8 +320,7 @@ class TestNl2:
         p = small_problem("logistic", lam=1e-2, seed=13)
         spec = random_r(2)
         eta = default_eta(spec, p.m)
-        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)),
-                           gamma=p.loss.gamma)
+        state = learn_init(p, np.zeros(p.d), gamma=p.loss.gamma)
         for _ in range(25):
             h_at_x = p.h_all(state.x)
             h_est, beta, _ = _dominated_estimate(state, h_at_x)
@@ -325,8 +332,7 @@ class TestNl2:
 
     def test_works_with_zero_lambda(self):
         p = small_problem("logistic", lam=0.0, count=60, seed=14)
-        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)),
-                           gamma=p.loss.gamma)
+        state = learn_init(p, np.zeros(p.d), gamma=p.loss.gamma)
         out = learn_round(p, state, identity(), seed=0, eta=1.0)
         assert np.all(np.isfinite(out.state.x))
 
@@ -335,9 +341,8 @@ class TestCnl:
     def test_reduces_to_nl2_when_cubic_term_vanishes(self):
         p = small_problem("squared", lam=0.1, seed=15)
         x0 = np.zeros(p.d)
-        h0 = p.h_all(x0)
-        a = learn_round(p, learn_init(p, x0, h0, gamma=1.0), random_r(2), seed=3, eta=0.25)
-        b = learn_round(p, learn_init(p, x0, h0, gamma=1.0, cubic_coeff=0.0),
+        a = learn_round(p, learn_init(p, x0, gamma=1.0), random_r(2), seed=3, eta=0.25)
+        b = learn_round(p, learn_init(p, x0, gamma=1.0, cubic_coeff=0.0),
                         random_r(2), seed=3, eta=0.25)
         assert np.array_equal(a.state.x, b.state.x)
         assert np.array_equal(a.state.h, b.state.h)
@@ -347,8 +352,7 @@ class TestCnl:
         m_cubic = p.constants().hessian_lipschitz
         spec = bernoulli(random_r(1), 0.25)
         eta = default_eta(spec, p.m)
-        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)),
-                           gamma=p.loss.gamma, cubic_coeff=m_cubic)
+        state = learn_init(p, np.zeros(p.d), gamma=p.loss.gamma, cubic_coeff=m_cubic)
         values = [p.value(state.x)]
         for _ in range(40):
             state = learn_round(p, state, spec, seed=9, eta=eta).state
@@ -360,8 +364,7 @@ class TestCnl:
         p = small_problem("logistic", lam=1e-2, count=60, seed=17)
         o = reference_optimum(p)
         m_cubic = p.constants().hessian_lipschitz
-        state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)),
-                           gamma=p.loss.gamma, cubic_coeff=m_cubic)
+        state = learn_init(p, np.zeros(p.d), gamma=p.loss.gamma, cubic_coeff=m_cubic)
         for _ in range(60):
             state = learn_round(p, state, identity(), seed=10, eta=1.0).state
         assert p.value(state.x) - o.value_star <= 1e-10

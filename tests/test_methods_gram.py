@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from distnewton import linalg, problem
+from distnewton import linalg, methods, problem
 from distnewton.compressors import random_r
 from distnewton.data import Dataset
 from distnewton.harness import Budget, run_experiment
@@ -23,9 +23,8 @@ def test_shifted_gram_matches_rebuild_after_50_rounds(variant):
     spec = random_r(2)
     eta = default_eta(spec, p.m)
     gamma = p.loss.gamma
-    h0 = p.h_all(np.zeros(p.d))
     m_cubic = p.constants().hessian_lipschitz if variant == "cnl" else None
-    state = learn_init(p, np.zeros(p.d), h0, gamma, m_cubic)
+    state = learn_init(p, np.zeros(p.d), gamma, m_cubic)
     for _ in range(50):
         state = learn_round(p, state, spec, seed=4, eta=eta).state
     rebuilt = p.data_gram(state.h + 2.0 * gamma)
@@ -40,11 +39,40 @@ def test_gram_stays_exactly_symmetric_across_a_rebuild(variant):
     spec = random_r(2)
     eta = default_eta(spec, p.m)
     gamma = None if variant == "nl1" else p.loss.gamma
-    state = learn_init(p, np.zeros(p.d), p.h_all(np.zeros(p.d)), gamma)
+    state = learn_init(p, np.zeros(p.d), gamma)
     for _ in range(REBUILD_PERIOD + 2):
         state = learn_round(p, state, spec, seed=5, eta=eta).state
         assert np.array_equal(state.h_matrix, state.h_matrix.T)
     assert state.rebuild_drift > 0.0     # the rebuild ran
+
+
+@pytest.mark.parametrize("variant", ["nl1", "nl2"])
+def test_gram_is_rebuilt_every_rebuild_period_rounds(variant, monkeypatch):
+    # after REBUILD_PERIOD rounds, and not one round earlier, the gram is the
+    # rebuild from the coefficients (shifted by 2*gamma for nl2) bit for bit,
+    # and rebuild_drift is its relative distance from the incremental gram
+    p = small_problem(seed=32)
+    spec = random_r(2)
+    eta = default_eta(spec, p.m)
+    gamma = None if variant == "nl1" else p.loss.gamma
+    shift = 0.0 if gamma is None else 2.0 * gamma
+
+    def states():
+        state = learn_init(p, np.zeros(p.d), gamma)
+        for _ in range(REBUILD_PERIOD):
+            state = learn_round(p, state, spec, seed=5, eta=eta).state
+            yield state
+
+    *_, early, at_period = states()
+    assert not np.array_equal(early.h_matrix, p.data_gram(early.h + shift))
+    rebuilt = p.data_gram(at_period.h + shift)
+    assert np.array_equal(at_period.h_matrix, rebuilt)
+    monkeypatch.setattr(methods, "REBUILD_PERIOD", 2 * REBUILD_PERIOD)
+    *_, incremental = states()
+    assert np.array_equal(incremental.h, at_period.h)
+    drift = np.linalg.norm(incremental.h_matrix - rebuilt) / np.linalg.norm(rebuilt)
+    assert at_period.rebuild_drift > 0.0
+    assert at_period.rebuild_drift == pytest.approx(drift, rel=1e-12, abs=0.0)
 
 
 def test_mean_gram_is_built_once_per_problem(monkeypatch):

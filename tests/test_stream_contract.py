@@ -20,11 +20,11 @@ from distnewton.errors import InputError
 from distnewton.rngs import RngStream, seeded_generator
 
 SPECS = [identity(), random_r(1), random_r(3), random_r(7), dithering(),
-         dithering(s=2, q=3.0), natural(), bernoulli(random_r(1), 0.25),
+         natural(), bernoulli(random_r(1), 0.25),
          bernoulli(dithering(s=3), 0.5), bernoulli(natural(), 0.7),
          bernoulli(bernoulli(random_r(2), 0.5), 0.5)]
 IDS = ["identity", "random_r1", "random_r3", "random_r7", "dithering",
-       "dithering_q3", "natural", "bernoulli_random_r", "bernoulli_dithering",
+       "natural", "bernoulli_random_r", "bernoulli_dithering",
        "bernoulli_natural", "bernoulli_bernoulli"]
 
 
