@@ -84,7 +84,10 @@ MAX_FEATURES = 1 << 16
 # 8 bytes each, so 2**26 of them hold 512 MiB before any copy is made.
 MAX_SYNTH_VALUES = 1 << 26
 
-_NOT_COLON_OR_SPACE = bytes(c for c in range(256) if c not in b": ")
+# The most digits a field converted by arithmetic may have: its value is
+# below 2**53, so each step of the conversion is exact in float64 and the
+# result is the number int() or float() reads from the same bytes.
+_MAX_DIGITS = 15
 
 
 def parse_libsvm(source, d_hint: int | None = None) -> Dataset:
@@ -95,63 +98,117 @@ def parse_libsvm(source, d_hint: int | None = None) -> Dataset:
     are finite floats. The feature dimension is the largest index seen, or
     ``d_hint`` if that is larger; absent features are zero.
 
-    Valid text is read in one batched pass: the lines are split into
-    tokens, and the labels, indices and values are each converted by
-    ``float`` or ``int`` in one call and checked with numpy. Only text that
-    this pass rejects is scanned line by line, to raise the ParseError of
-    the first bad line in file order.
+    Valid text is read in one numpy pass over its bytes (``_byte_pass``).
+    Text with a non-ASCII character is first split by ``str.splitlines``
+    and ``str.split`` and joined again with ASCII separators. Only text
+    that the pass rejects is scanned line by line, to raise the ParseError
+    of the first bad line in file order.
     """
     # checked first: the feature matrix is allocated rows x d_hint wide
     if d_hint is not None and d_hint > MAX_FEATURES:
         raise InputError(f"d_hint {d_hint} exceeds the maximum width {MAX_FEATURES}")
     raw = source if isinstance(source, (bytes, str)) else source.read()
-    try:
-        text = raw if isinstance(raw, str) else raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 text",
-                         raw.count(b"\n", 0, exc.start) + 1) from None
+    text = raw if isinstance(raw, str) else None    # decoded only when needed
+    if text is None and not raw.isascii():
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 text",
+                             raw.count(b"\n", 0, exc.start) + 1) from None
+    if text is not None:    # surrogatepass: a lone surrogate fails float(), not encode()
+        raw = text.encode() if text.isascii() else "\n".join(
+            " ".join(line.split()) for line in text.splitlines()).encode(
+                "utf-8", "surrogatepass")
 
-    label_texts: list[str] = []
-    counts: list[int] = []          # feature tokens per record
-    toks: list[str] = []
-    for line in text.splitlines():
-        tokens = line.split()
-        if tokens:
-            label_texts.append(tokens[0])
-            counts.append(len(tokens) - 1)
-            toks += tokens[1:]
-    n_tok = len(toks)
-    spaced = " ".join(toks)
-    del toks            # keeps the tokens and the texts split from them from coexisting
-    # one colon per token holds for all tokens exactly when colons and
-    # spaces alternate in the space-joined tokens
-    if spaced.encode().translate(None, _NOT_COLON_OR_SPACE) != (b": " * n_tok)[:-1]:
-        _raise_first_fault(text)
-    texts = spaced.replace(" ", ":").split(":") if n_tok else []
-    del spaced
-    try:
-        labels = np.fromiter(map(float, label_texts), np.float64, len(label_texts))
-        idx = np.fromiter(map(int, texts[0::2]), np.int64, n_tok)
-        val = np.fromiter(map(float, texts[1::2]), np.float64, n_tok)
-    except (ValueError, OverflowError):     # OverflowError: an index past int64
-        _raise_first_fault(text)
-    del texts
-    per_record = np.asarray(counts, dtype=np.int64)
-    record = np.repeat(np.arange(len(counts)), per_record)
-    starts = np.cumsum(per_record) - per_record
-    prev = np.zeros(n_tok, dtype=np.int64)      # the index before, 0 at a line's start
-    prev[1:] = idx[:-1]
-    prev[starts[starts < n_tok]] = 0
-    if not (np.isin(labels, (-1.0, 0.0, 1.0)).all() and np.isfinite(val).all()
-            and (idx > prev).all() and (idx <= MAX_FEATURES).all()):
-        _raise_first_fault(text)
-    if not label_texts:
+    parsed = _byte_pass(raw)
+    if parsed is None:
+        _raise_first_fault(raw.decode() if text is None else text)
+    labels, record, idx, val = parsed
+    if not len(labels):
         raise ParseError("no data points in input")
 
-    max_index = max(d_hint or 0, int(idx.max()) if n_tok else 0)
-    features = np.zeros((len(label_texts), max_index), dtype=np.float64)
+    max_index = max(d_hint or 0, int(idx.max()) if len(idx) else 0)
+    features = np.zeros((len(labels), max_index), dtype=np.float64)
     features[record, idx - 1] = val
     return Dataset(features=features, labels=np.where(labels <= 0.0, -1.0, 1.0))
+
+
+def _byte_pass(raw: bytes):
+    """The labels, each feature's record, indices and values of text whose
+    separators are ASCII, or None if the text breaks a rule that
+    ``_raise_first_fault`` checks.
+
+    ASCII whitespace is bytes 9-13 and 28-32; of those, 10-13 and 28-30 end
+    a line (``str.split`` and ``str.splitlines``). Every other byte is token
+    text: a control byte there fails int() and float() like any bad token."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    space = np.ones(len(buf) + 2, dtype=bool)
+    np.logical_or(buf - 9 < 5, buf - 28 < 5, out=space[1:-1])
+    bounds = np.flatnonzero(space[1:] != space[:-1])    # token starts and ends, alternating
+    starts, ends = bounds[0::2], bounds[1::2]
+    # the first token after a line break, and the first of all, opens a record
+    opens = np.zeros(len(starts) + 1, dtype=bool)
+    opens[np.searchsorted(starts, np.flatnonzero((buf - 10 < 4) | (buf - 28 < 3)))] = True
+    opens = opens[:-1]
+    opens[:1] = True
+    feat = np.flatnonzero(~opens)
+    colons = np.flatnonzero(buf == ord(":"))
+    # the k-th colon lies inside the k-th feature token with text on both
+    # sides: then every feature token holds exactly one colon and no label any
+    lo, hi = starts[feat], ends[feat]
+    if not (len(colons) == len(feat) and (lo < colons).all() and (colons < hi - 1).all()):
+        return None
+
+    labels = _field_numbers(buf, starts[opens], ends[opens], float)
+    idx = _field_numbers(buf, lo, colons, int)
+    val = _field_numbers(buf, colons + 1, hi, float)
+    if labels is None or idx is None or val is None:
+        return None
+    prev = np.zeros_like(idx)       # the index before, 0 at a record's first feature
+    prev[1:] = idx[:-1]
+    prev[opens[feat - 1]] = 0
+    if not (np.isin(labels, (-1.0, 0.0, 1.0)).all() and np.isfinite(val).all()
+            and (idx > prev).all() and (idx <= MAX_FEATURES).all()):
+        return None
+    per_record = np.diff(np.append(np.flatnonzero(opens), len(opens))) - 1
+    return labels, np.repeat(np.arange(len(labels)), per_record), idx, val
+
+
+def _field_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, kind):
+    """The numbers ``kind`` (int or float) reads from the fields
+    ``buf[lo:hi]``, or None if one is not such a number.
+
+    A field of at most ``_MAX_DIGITS`` ASCII digits after an optional sign
+    is converted by digit arithmetic, one digit column at a time; any other
+    goes through ``kind``."""
+    sign = buf[lo]
+    first = lo + ((sign == ord("+")) | (sign == ord("-")))
+    digits = hi - first
+    plain = (digits >= 1) & (digits <= _MAX_DIGITS)
+    number = np.zeros(len(lo))
+    for k in range(_MAX_DIGITS):
+        live = plain & (digits > k)
+        if not live.any():
+            break
+        digit = buf.take(first + k, mode="clip") - 48     # clipped bytes are not live
+        plain &= ~live | (digit < 10)
+        number = np.where(live, number * 10 + digit, number)
+    np.negative(number, out=number, where=sign == ord("-"))
+    out = number.astype(np.int64) if kind is int else number
+
+    q = np.flatnonzero(~plain)
+    if len(q):
+        # the other fields alone, every byte around them made a space: the
+        # fields are disjoint and none is empty, so each bound toggles once
+        bounds = np.zeros(len(buf) + 1, dtype=bool)
+        bounds[lo[q]] = bounds[hi[q]] = True
+        kept = (buf - 32) * np.logical_xor.accumulate(bounds)[:-1] + 32
+        try:
+            texts = kept.tobytes().decode("utf-8", "surrogatepass").split()
+            out[q] = np.fromiter(map(kind, texts), out.dtype, len(q))
+        except (ValueError, OverflowError):     # OverflowError: an index past int64
+            return None
+    return out
 
 
 def _raise_first_fault(text: str) -> NoReturn:

@@ -557,14 +557,17 @@ def _admit(method: str, p: Problem, spec: Optional[CompressorSpec],
             raise ConfigError(f"method {method!r} reads no {name}")
         if not (_finite_real(value) and value > 0):
             raise ConfigError(f"{name} must be a finite number > 0, not {value!r}")
-    x0 = np.zeros(p.d) if opts.x0 is None else opts.x0
-    if not (np.iterable(x0) and all(_is_a(v, numbers.Real) for v in x0)):
-        raise InputError(f"x0 is not an array of numbers: {opts.x0!r}")
-    if not all(_finite_real(v) for v in x0):    # before the float conversion
-        raise InputError("x0 has non-finite entries")
-    x0 = np.array(x0, dtype=np.float64)
-    if x0.shape != (p.d,):
-        raise InputError(f"x0 has shape {x0.shape}, but the problem has d={p.d}")
+    if opts.x0 is None:
+        x0 = np.zeros(p.d)
+    else:
+        x0 = opts.x0
+        if not (np.iterable(x0) and all(_is_a(v, numbers.Real) for v in x0)):
+            raise InputError(f"x0 is not an array of numbers: {opts.x0!r}")
+        if not all(_finite_real(v) for v in x0):    # before the float conversion
+            raise InputError("x0 has non-finite entries")
+        x0 = np.array(x0, dtype=np.float64)
+        if x0.shape != (p.d,):
+            raise InputError(f"x0 has shape {x0.shape}, but the problem has d={p.d}")
     if rec.eta is not None and not rec.bounded and p.lam <= 0:
         raise ConfigError("nonnegative curvature learning requires lam > 0")
     if rec.monotone and not math.isfinite(p.constants().hessian_lipschitz):

@@ -6,11 +6,14 @@ Run from the repository root:
 
 Each trial starts from a tiny valid synthetic config for a random method and
 replaces one or two config fields, or one ``synth`` or ``compressor`` key,
-with a value from a fixed pool of awkward values. It runs ``cli.main`` on
-the config in-process. Every exception that escapes ``main`` is a broken
-contract (it would exit 1 with a traceback): each distinct exception type
-and raising line prints once, with the first config that hit it. The exit
-status is 1 when any was found and 0 when none was.
+with a value from a fixed pool of awkward values. Half the trials replace
+fields the drawn method reads (``fields_read``), so that a failure needing
+one method, field and value together, such as cnl with ``"lam": 1e308``,
+is drawn often. It runs ``cli.main`` on the config in-process. Every
+exception that escapes ``main`` is a broken contract (it would exit 1 with
+a traceback): each distinct exception type and raising line prints once,
+with the first config that hit it. The exit status is 1 when any was found
+and 0 when none was.
 
 The trials stay small: the data holds 2*5*3 values, ``max_iters`` is never
 replaced (it stays 3), and every size a pool value can ask for is refused
@@ -29,7 +32,7 @@ import traceback
 import warnings
 from pathlib import Path
 
-from distnewton import cli
+from distnewton import cli, harness
 from distnewton.harness import COMPRESSED_METHODS, METHOD_NAMES
 
 POOL = [True, False, 0, 1, -1, 2**63, 2**64, 10**400, -10**400, 1e308, -1e308,
@@ -57,7 +60,26 @@ def base_config(rng: random.Random) -> dict:
     return cfg
 
 
+def fields_read(method: str) -> list[str]:
+    """The config fields that reach the method's own code: the objective's
+    lam, the start x0, each rate the method's row of the method table
+    defaults, its compressor, and a learner's option."""
+    rec = harness._METHODS[method]
+    fields = ["lam", "x0"] + [name for name in ("eta", "stepsize", "theta")
+                              if getattr(rec, name) is not None]
+    if rec.needs_spec:
+        fields.append("compressor")
+    if rec.eta is not None:         # the learners
+        fields.append("option")
+    return fields
+
+
 def mutate(rng: random.Random, cfg: dict) -> dict:
+    if rng.random() < 0.5:
+        read = fields_read(cfg["method"])
+        for name in rng.sample(read, rng.choice((1, 2))):
+            cfg[name] = rng.choice(POOL)
+        return cfg
     choice = rng.randrange(3)
     if choice == 1:
         cfg["synth"][rng.choice(SYNTH_KEYS)] = rng.choice(POOL)

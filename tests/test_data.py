@@ -160,7 +160,17 @@ class TestParse:
         "+1 1:1\n-1 2:1 2:nan\n", "+1 2:1 1:nan\n", "-1\n+1 1:1 :\n",
         "+1 1:1\n-1 100000000000000000000:1\n", "+1 100000000000000000000:x\n",
         "+1 100000000000000000000:nan\n", "+1 3:1 70000:1\n", "+1 70000:1 2:1\n",
-    ])
+        "+1 1:\ud800\n", "+1 1:1\x00\n", "\x7f\n", "-1\r\n+1 2:3\x1c\x1d0 1:1\x1f3:4\n",
+        "+1 0000000000000001:5 000000000000002:-000000000000007\n",
+        # past 15 digits float() reads the run: digit arithmetic in float64
+        # rounds some 17-digit runs twice, to another number
+        "+1 1:87915795054720153 2:-12345678901234567890 3:9999999999999999\n",
+        "\u0663 1:1\n", "-1 1:1\u00a02:\u0663\u20283:x\n",
+    ] + [f"-1{brk}+1 1:1{brk}0 2:3{brk}"   # each line break, after a label alone
+         for brk in ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                     "\u2029"]]
+      + [f"{sep}-1{sep}1:1{sep}2:3{sep}\n+1{sep}3:1\n"   # each token separator
+         for sep in ["\t", "\x1f", "\u00a0", "\u3000", " \t\x1f "]])
     def test_outcome_matches_the_reference(self, text):
         outcome = parse_outcome(parse_libsvm, text)
         assert outcome == parse_outcome(reference_parse_libsvm, text)
@@ -180,26 +190,53 @@ def test_valid_text_never_enters_the_line_scan(monkeypatch):
 
 
 # one_of picks a branch uniformly, so repeated branches make well-formed
-# tokens common and errors also turn up late in a file
+# tokens common and errors also turn up late in a file. Besides ASCII, the
+# texts hold digits int() and float() read (U+0661, U+0663), control bytes
+# no token may hold, and digit runs of 15, 16 and 20 digits: the parser
+# converts up to 15 by arithmetic and longer ones by int() or float().
 LABEL_TEXTS = st.one_of(*[st.sampled_from(["+1", "-1", "0", "1", "1.0"]) for _ in range(9)],
-                        st.sampled_from(["2", "x", "-1:1"]))
+                        st.sampled_from(["2", "x", "-1:1", "-0", "+\u0661", "1\x00",
+                                         "000000000000001", "0000000000000001"]))
 FEATURE_TEXTS = st.one_of(
     *[st.builds("{}:{}".format, st.sampled_from(["1", "2", "3", "7", "1_0", "+4",
                                                      "70000", "100000000000000000000"]),
                 st.sampled_from(["1", "0.5", "-0.0", "1e-3", "1_5"])) for _ in range(20)],
-    st.builds("{}:{}".format, st.sampled_from(["0", "-1", "", "a"]), st.just("1")),
+    st.builds("{}:{}".format, st.sampled_from(["0", "-1", "", "a", "\u0663", "3\x7f",
+                                               "000000000000002", "0000000000000002"]),
+              st.just("1")),
     st.builds("{}:{}".format, st.just("1"),
-              st.sampled_from(["nan", "-inf", "1e400", "", "x", "2:3"])),
+              st.sampled_from(["nan", "-inf", "1e400", "", "x", "2:3", "-0", "\u0663",
+                               "1\x0e", "\x081", "999999999999999", "-999999999999999",
+                               "9999999999999999", "12345678901234567890"])),
     st.sampled_from(["4", ":", "::"]))
+# every ASCII separator str.split() knows, and non-ASCII ones: U+00A0 splits
+# tokens, U+0085 and U+2028 also end lines
+SEPARATORS = st.sampled_from([" "] * 8 + ["  ", "\t", "\x1f", "\u00a0"])
+LINE_BREAKS = st.sampled_from(["\n"] * 8 + ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d",
+                                            "\x1e", "\x85", "\u2028", "\n\n", "\n \t\n"])
+EDGES = st.sampled_from([""] * 4 + [" ", "\t", "\n", "\r\n", "\n \n", "\u00a0"])
+
+
+@st.composite
+def libsvm_texts(draw):
+    """LIBSVM-like text: records of the tokens above, with leading, trailing
+    and blank lines, any separator between tokens and any line break."""
+    text = draw(EDGES)
+    records = st.tuples(LABEL_TEXTS, st.lists(FEATURE_TEXTS, max_size=5))
+    for k, (label, feats) in enumerate(draw(st.lists(records, max_size=6))):
+        text += (draw(LINE_BREAKS) if k else "") + draw(EDGES) + label
+        text += "".join(draw(SEPARATORS) + f for f in feats) + draw(EDGES)
+    return text + draw(EDGES)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(LABEL_TEXTS, st.lists(FEATURE_TEXTS, max_size=5)), max_size=6),
-       st.sampled_from([None, 2, 20]))
-def test_outcome_matches_the_reference_on_any_tokens(records, d_hint):
-    text = "\n".join(" ".join([label, *feats]) for label, feats in records)
-    outcome = parse_outcome(parse_libsvm, text, d_hint)
-    assert outcome == parse_outcome(reference_parse_libsvm, text, d_hint)
+@given(libsvm_texts(), st.sampled_from([None, 2, 20]))
+def test_outcome_matches_the_reference_on_any_tokens(text, d_hint):
+    expected = parse_outcome(reference_parse_libsvm, text, d_hint)
+    assert parse_outcome(parse_libsvm, text, d_hint) == expected
+    # as bytes, ASCII text is read without decoding and other text decoded first
+    assert parse_outcome(lambda t, d_hint: parse_libsvm(t.encode(), d_hint=d_hint),
+                         text, d_hint) == expected
 
 
 @settings(max_examples=50, deadline=None)

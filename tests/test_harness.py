@@ -8,6 +8,7 @@ import textwrap
 import threading
 import time
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from distnewton import harness, linalg, methods
 from distnewton.compressors import (bernoulli, bit_cost, ceil_log2, identity, natural,
-                                    random_r)
+                                    omega, random_r)
 from distnewton.data import Dataset
 from distnewton.errors import ConfigError, InputError, ReplicaMismatchError
 from distnewton.harness import (_METHODS, Budget, RunOptions, WorkerCharge,
@@ -107,6 +108,19 @@ class TestConfigValidation:
         # once per call, attributed to the caller of run_experiment, not to
         # the harness
         assert [w.filename for w in record] == [__file__] * 2
+
+    @pytest.mark.parametrize("excess, warns", [(0.9e-15, False), (1.1e-15, True)])
+    def test_eta_warning_edge(self, excess, warns):
+        # the default 1/(omega+1) is a rounded quotient, so a rate 1e-15 above
+        # it still counts as the default
+        p = small_problem(lam=1e-2)
+        eta = 1.0 / (omega(random_r(1), p.m) + 1.0) + excess
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            run_experiment("nl1", p, random_r(1), Budget(max_iters=1), seed=0,
+                           oracles=cached_optimum(p),
+                           opts=RunOptions(eta=eta, diagnostics=False))
+        assert [str(w.message).startswith("learning rate") for w in record] == [True] * warns
 
     @pytest.mark.parametrize("method, name, value", [
         ("gd", "stepsize", -1.0), ("nl1", "eta", -0.5), ("nl2", "eta", math.nan),
@@ -721,6 +735,22 @@ class TestTheoryConstants:
             assert all(math.isnan(r.phi) for r in trace.rows), method
             if scale != 1.0:
                 assert not any("in_neighborhood" in r.extras for r in trace.rows)
+
+    @pytest.mark.parametrize("method", ["nl1", "nl2", "cnl"])
+    def test_neighborhood_radius_matches_its_closed_form(self, method):
+        # nl1: lam^2 / (12 nu^2 R^6); nl2 and cnl: mu^2 / (432 m n nu^2 R^6),
+        # mu = lambda_min(H*) + lam = the smallest eigenvalue of P's Hessian at x*
+        p = small_problem(lam=0.1, seed=2)
+        o = cached_optimum(p)
+        c = p.constants()
+        if method == "nl1":
+            want = p.lam ** 2 / (12 * c.nu ** 2 * c.max_row_norm ** 6)
+        else:
+            mu = np.linalg.eigvalsh(p.hessian(o.x_star))[0]
+            want = mu ** 2 / (432 * p.m * p.n * c.nu ** 2 * c.max_row_norm ** 6)
+        run = harness._admit(method, p, random_r(1), RunOptions())._replace(oracles=o)
+        learner = harness._Learner(run, _METHODS[method].bounded, method == "cnl")
+        assert learner.neighborhood == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_cnl_rejects_an_infinite_cubic_coefficient(self):
         p = small_problem()
