@@ -275,24 +275,32 @@ def _outroot(args) -> Path:
     return Path(os.environ.get("DISTNEWTON_OUT", "runs"))
 
 
+def _compare_label(cfg: ExperimentConfig) -> str:
+    """A config's row name in compare's table and combined CSV."""
+    return f"{cfg.method}{('_' + cfg.tag) if cfg.tag else ''}"
+
+
 def _prepare(cfgs: list[ExperimentConfig],
              outroot: Path) -> tuple[Problem, Oracles, Path]:
     """The CLI's one admission path: the problem the configs share, its
     oracles and their cache file under outroot. Each config is validated,
     all must have one ``problem_key``, configs that differ must have
-    different trace stems, and each is admitted on the problem by
+    different compare labels, and each is admitted on the problem by
     ``harness._admit`` before the oracles are read or computed."""
-    stems: dict[str, ExperimentConfig] = {}
+    labels: dict[str, ExperimentConfig] = {}
     for cfg in cfgs:
         cfg.validate()
         if cfg.problem_key() != cfgs[0].problem_key():
             raise ConfigError(
                 "compare requires identical dataset, partition, loss, and lam "
                 f"across configs; {cfg.stem()} differs")
-        # one stem is one trace file, which a second, different run would overwrite
-        if stems.setdefault(cfg.stem(), cfg).to_dict() != cfg.to_dict():
-            raise ConfigError(f"two different configs write the trace {cfg.stem()}; "
-                              "give them distinct tags")
+        # a label is one row of compare's output and, with the shared problem
+        # key and the seed, one trace stem: a second, different run would
+        # make the row ambiguous or overwrite the trace
+        label = _compare_label(cfg)
+        if labels.setdefault(label, cfg).to_dict() != cfg.to_dict():
+            raise ConfigError(f"two different configs share the compare label {label} "
+                              f"({cfg.stem()}); give them distinct tags")
     p = cfgs[0].build_problem()
     for cfg in cfgs:
         _admit(cfg.method, p, cfg.compressor_spec(), cfg.run_options())
@@ -341,7 +349,7 @@ def cmd_compare(args) -> int:
     for cfg in configs:
         trace = execute_config(cfg, outroot, prepared)
         trace.write(outroot, cfg.stem())
-        traces.append((f"{cfg.method}{('_' + cfg.tag) if cfg.tag else ''}", trace))
+        traces.append((_compare_label(cfg), trace))
 
     combined = ["method,iter,bits_up_cum,gap"]
     for label, trace in traces:

@@ -273,8 +273,10 @@ def _compress(spec: CompressorSpec, x: np.ndarray,
     fired = u[:, 0] < spec.p
     out = np.zeros((n, m))
     if np.count_nonzero(fired):
-        inner, _ = _compress(spec.inner, x[fired], u[fired, 1:])
+        inner, inner_fired = _compress(spec.inner, x[fired], u[fired, 1:])
         out[fired] = inner / spec.p
+        if inner_fired is not None:           # a nested wrapper that held back sent nothing
+            fired[fired] = inner_fired
     return out, fired
 
 

@@ -113,8 +113,9 @@ def parse_libsvm(source, d_hint: int | None = None) -> Dataset:
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 text",
-                             raw.count(b"\n", 0, exc.start) + 1) from None
+            # the valid prefix, then the bad byte as U+FFFD, which ends no line
+            line = len(raw[:exc.start + 1].decode("utf-8", "replace").splitlines())
+            raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 text", line) from None
     if text is not None:    # surrogatepass: a lone surrogate fails float(), not encode()
         raw = text.encode() if text.isascii() else "\n".join(
             " ".join(line.split()) for line in text.splitlines()).encode(

@@ -5,9 +5,9 @@ aggregates in fixed worker order, steps the iterate, and broadcasts it.
 The ledger charges each payload with the closed-form bit costs (32-bit
 scalars by convention) and keeps the full payload log so cumulative totals
 can be re-derived independently. A run builds each distinct payload
-descriptor once and hands every round references to it, so the ledger
-prices a descriptor once, on the first round that charges it, and looks the
-price up by identity on every later charge.
+descriptor once and hands every round references to it; a descriptor is
+priced when it is built and carries that price, so a round's charge is a
+sum of carried prices.
 
 Every method is one row of the private table ``_METHODS``: whether it needs
 a compressor spec, its default stepsize, shift rate and learning rate,
@@ -77,6 +77,10 @@ class WorkerCharge:
     index_bits: int = 0                  # ceil(log2 nm) id bits per vector
     raw_sym_floats: int = 0              # symmetric-matrix floats (naive baseline)
     coeff_floats: int = 0                # raw coefficient floats (structured baseline)
+    price: int = field(init=False, repr=False, compare=False)   # bits(), set once
+
+    def __post_init__(self):
+        object.__setattr__(self, "price", self.bits())
 
     def bits(self) -> int:
         total = SCALAR_BITS * (self.grad_floats + self.beta_scalars
@@ -90,14 +94,9 @@ class WorkerCharge:
 
 @dataclass(frozen=True)
 class RoundCharge:
-    iteration: int
-    per_worker_bits: tuple
+    up_bits: int
     down_bits: int
     charges: tuple
-
-    @property
-    def up_bits(self) -> int:
-        return sum(self.per_worker_bits)
 
 
 @dataclass
@@ -107,23 +106,12 @@ class CommLedger:
     rounds: list = field(default_factory=list)
     up_cum: int = 0
     down_cum: int = 0
-    # bits() of every descriptor charged so far, keyed by id(): ``rounds``
-    # holds each charged descriptor, so no key outlives its object
-    priced: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def charge_round(ledger: CommLedger, iteration: int,
-                 charges: list[WorkerCharge], broadcast_floats: int) -> RoundCharge:
-    priced = ledger.priced
-    per_worker = []
-    for c in charges:
-        bits = priced.get(id(c))
-        if bits is None:
-            bits = priced[id(c)] = c.bits()
-        per_worker.append(bits)
-    rec = RoundCharge(iteration=iteration, per_worker_bits=tuple(per_worker),
-                      down_bits=SCALAR_BITS * broadcast_floats,
-                      charges=tuple(charges))
+def charge_round(ledger: CommLedger, charges: list[WorkerCharge],
+                 broadcast_floats: int) -> RoundCharge:
+    rec = RoundCharge(up_bits=sum(c.price for c in charges),
+                      down_bits=SCALAR_BITS * broadcast_floats, charges=tuple(charges))
     ledger.rounds.append(rec)
     ledger.up_cum += rec.up_bits
     ledger.down_cum += rec.down_bits
@@ -298,8 +286,7 @@ class _Run(NamedTuple):
 # A method's start function takes the admitted run and returns (step, phi):
 # step(k) runs round k and returns (x^{k+1}, one WorkerCharge per worker,
 # trace extras); phi() is the Lyapunov function at the current state. Equal
-# payloads within a run are one WorkerCharge object, which ``charge_round``
-# prices once.
+# payloads within a run are one WorkerCharge object, priced once when built.
 
 def _no_phi() -> float:
     return math.nan
@@ -374,8 +361,8 @@ class _Learner:
             p, run.x0, p.loss.gamma if bounded else None,
             p.constants().hessian_lipschitz if cubic else None)
         self.server_h = self.state.h.copy()
-        self.hull_lo: Optional[Array] = None
-        self.hull_hi: Optional[Array] = None
+        self.hull_lo = self.state.h.copy()     # h(x0), the first visited h(x^t)
+        self.hull_hi = self.state.h.copy()
         self.neighborhood = self._neighborhood_radius_sq()
         c = p.constants()
         try:                            # phi's weight on ||h - h*||^2
@@ -428,12 +415,8 @@ class _Learner:
         extras["replica_ok"] = True        # kept in the trace as the health flag
 
         # convex-hull tracking of coefficients against visited h(x^t)
-        if self.hull_lo is None:
-            self.hull_lo = out.h_at_x.copy()
-            self.hull_hi = out.h_at_x.copy()
-        else:
-            np.minimum(self.hull_lo, out.h_at_x, out=self.hull_lo)
-            np.maximum(self.hull_hi, out.h_at_x, out=self.hull_hi)
+        np.minimum(self.hull_lo, out.h_at_x, out=self.hull_lo)
+        np.maximum(self.hull_hi, out.h_at_x, out=self.hull_hi)
         pad = HULL_EPS * (1.0 + np.abs(self.hull_hi))
         extras["hull_ok"] = bool(
             np.all(self.state.h >= self.hull_lo - pad)
@@ -625,7 +608,7 @@ def run_experiment(method: str, p: Problem, spec: Optional[CompressorSpec],
         start = time.perf_counter() if opts.timing else None
         x, charges, extras = step(k)
         wall = (time.perf_counter() - start) * 1e3 if opts.timing else math.nan
-        charge_round(ledger, k, charges, broadcast_floats=p.d)
+        charge_round(ledger, charges, broadcast_floats=p.d)
         k += 1
         row = metrics(x, extras, wall, k)
         if rec.monotone:

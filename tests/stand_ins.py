@@ -13,7 +13,17 @@ import numpy as np
 
 from distnewton.data import Dataset, partition
 from distnewton.methods import reference_optimum
-from distnewton.problem import Problem, loss_model
+from distnewton.problem import Problem, loss_model, make_problem
+
+
+def small_problem(loss: str = "logistic", lam: float = 1e-2, count: int = 40,
+                  d: int = 5, n: int = 4, seed: int = 0) -> Problem:
+    """Standard-normal feature rows with fair-coin labels, split over n
+    workers; ``seed`` draws the data and the shuffle."""
+    g = np.random.default_rng(seed)
+    ds = Dataset(features=g.standard_normal((count, d)),
+                 labels=np.where(g.random(count) < 0.5, -1.0, 1.0))
+    return make_problem(ds, n=n, shuffle_seed=seed, loss_kind=loss, lam=lam)
 
 
 def sparse_binary_dataset(count: int, d: int, nnz: int, seed: int,

@@ -684,6 +684,18 @@ class TestCompare:
         assert stem in err and "tag" in err
         assert not out.exists()          # no trace and no oracle cache
 
+    def test_configs_sharing_a_compare_label_write_nothing(self, tmp_path, capsys):
+        # seeds 1 and 2 write two traces but would print two rows named gd
+        a, _ = base_config(tmp_path, method="gd", seed=1)
+        b = tmp_path / "seed2.json"
+        b.write_text(json.dumps({**json.loads(a.read_text()), "seed": 2}))
+        out = tmp_path / "out"
+        rc = main(["compare", str(a), str(b), "--outdir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "compare label gd " in err and "tag" in err
+        assert not out.exists()          # no trace and no oracle cache
+
     def test_distinct_tags_write_both_traces(self, tmp_path, capsys):
         paths, stems = [], []
         for r in (1, 4):

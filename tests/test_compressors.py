@@ -207,6 +207,14 @@ class TestBernoulli:
         se = math.sqrt(0.05 * 0.95 / draws)
         assert abs(fired / draws - 0.05) <= 4 * se
 
+    def test_nested_wrapper_that_held_back_did_not_fire(self):
+        # the outer wrapper fires on ~90% of rows, the inner on ~10% of those;
+        # a row either wrapper held back is all zero and marked not fired
+        spec = bernoulli(bernoulli(random_r(1), 0.1), 0.9)
+        out = compress_with_info(spec, np.ones((200, 8)), RngStream(1, 0))
+        assert np.array_equal(out.fired, out.values.any(axis=1))
+        assert 150 < np.count_nonzero(~out.fired) < 200
+
 
 class TestUnbiasedness:
     @pytest.mark.parametrize("spec", [

@@ -153,6 +153,16 @@ class TestParse:
             parse_libsvm(b"+1 1:1\n-1 1:\xff\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("raw", [b"+1 1:1\r-1 1:\xff\r", b"+1 1:1\x1c-1 1:\xff\n",
+                                     b"+1 1:1\r\n\xff 1:1\n"])
+    def test_bytes_that_are_not_utf8_count_every_line_break(self, raw):
+        # str.splitlines ends a line at \r and \x1c too, as every other ParseError counts
+        with pytest.raises(ParseError, match="line 2: byte 0xff is not UTF-8") as exc:
+            parse_libsvm(raw)
+        assert exc.value.line == 2
+        with pytest.raises(ParseError, match="line 2:"):
+            parse_libsvm(raw.replace(b"\xff", b"x"))
+
     @pytest.mark.parametrize("text", [
         "+1 1:2:3\n", "+1 1:2:3 4\n", "+1 4\n", "+1 1:\n", "+1 :5\n",
         "+1 1:nan\n", "+1 3:1 2:1\n", "+1 1_0:1\n", "2 1:1\n",

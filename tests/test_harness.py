@@ -26,16 +26,9 @@ from distnewton.harness import (_METHODS, Budget, RunOptions, WorkerCharge,
 from distnewton.linalg import smallest_eigenvalue
 from distnewton.methods import reference_optimum
 from distnewton.problem import make_problem
-from stand_ins import a2a_shaped_problem, cached_optimum
+from stand_ins import a2a_shaped_problem, cached_optimum, small_problem
 
 NOT_NUMBERS = "x0 is not an array of numbers"
-
-
-def small_problem(loss="logistic", lam=1e-2, count=40, d=5, n=4, seed=0):
-    g = np.random.default_rng(seed)
-    ds = Dataset(features=g.standard_normal((count, d)),
-                 labels=np.where(g.random(count) < 0.5, -1.0, 1.0))
-    return make_problem(ds, n=n, shuffle_seed=seed, loss_kind=loss, lam=lam)
 
 
 def wide_problem(n=15, m=1, d=123, loss="logistic", lam=1e-3):
@@ -217,14 +210,14 @@ class TestLedger:
         p = wide_problem(n=2, d=123)
         trace = run_experiment("newton", p, None, Budget(max_iters=1), seed=0,
                                oracles=cached_optimum(p))
-        per_worker = trace.ledger.rounds[0].per_worker_bits[0]
+        per_worker = trace.ledger.rounds[0].charges[0].bits()
         assert per_worker == 32 * 123 + 32 * (123 * 124) // 2
 
     def test_coefficient_newton_round_charge(self):
         p = small_problem(count=40, d=5, n=4)
         trace = run_experiment("newton_coeff", p, None, Budget(max_iters=1), seed=0,
                                oracles=cached_optimum(p))
-        per_worker = trace.ledger.rounds[0].per_worker_bits[0]
+        per_worker = trace.ledger.rounds[0].charges[0].bits()
         assert per_worker == 32 * 5 + 32 * p.m
 
     def test_nl2_option2_round_charge(self):
@@ -232,7 +225,7 @@ class TestLedger:
         trace = run_experiment(
             "nl2", p, random_r(1), Budget(max_iters=1), seed=0, oracles=cached_optimum(p),
             opts=RunOptions(option=2, diagnostics=False))
-        per_worker = trace.ledger.rounds[0].per_worker_bits[0]
+        per_worker = trace.ledger.rounds[0].charges[0].bits()
         assert p.m == 151
         assert per_worker == 32 * 7 + (32 + ceil_log2(151)) + 32
 
@@ -261,7 +254,27 @@ class TestLedger:
         p = small_problem(d=5)
         trace = run_experiment("dcgd", p, natural(), Budget(max_iters=1), seed=0,
                                oracles=cached_optimum(p))
-        assert trace.ledger.rounds[0].per_worker_bits[0] == 9 * 5
+        assert trace.ledger.rounds[0].charges[0].bits() == 9 * 5
+
+    def test_nested_bernoulli_charges_one_bit_per_zero_row(self, monkeypatch):
+        spec = bernoulli(bernoulli(random_r(1), 0.1), 0.9)
+        p = small_problem(lam=1e-2, count=60, n=6)
+        original, payloads = methods.dcgd_round, []
+
+        def captured(*args):
+            x, payload = original(*args)
+            payloads.append(payload)
+            return x, payload
+
+        monkeypatch.setattr(methods, "dcgd_round", captured)
+        trace = run_experiment("dcgd", p, spec, Budget(max_iters=12), seed=5,
+                               oracles=cached_optimum(p))
+        zero_rows = 0
+        for rec, payload in zip(trace.ledger.rounds, payloads, strict=True):
+            for charge, row in zip(rec.charges, payload.values, strict=True):
+                zero_rows += not row.any()
+                assert charge.bits() == (32 + ceil_log2(p.d) if row.any() else 1)
+        assert 0 < zero_rows < 12 * p.n
 
     def test_cumulative_equals_recomputation(self):
         p = small_problem(lam=1e-2)
@@ -320,9 +333,10 @@ class TestLedger:
         trace = self._descriptor_run(method, spec, option)
         up = 0
         for rec in trace.ledger.rounds:
-            assert rec.per_worker_bits == tuple(c.bits() for c in rec.charges)
-            assert len(rec.per_worker_bits) == 6
-            up += sum(c.bits() for c in rec.charges)
+            assert [c.price for c in rec.charges] == [c.bits() for c in rec.charges]
+            assert len(rec.charges) == 6
+            assert rec.up_bits == sum(c.bits() for c in rec.charges)
+            up += rec.up_bits
         assert up == trace.ledger.up_cum == trace.final().bits_up_cum
         assert recompute_ledger_totals(trace.ledger) == (
             trace.ledger.up_cum, trace.ledger.down_cum)

@@ -14,16 +14,10 @@ from distnewton.methods import (DianaState, bfgs_init, bfgs_step, dcgd_round,
                                 learn_init, learn_round, mn_step, newton_step,
                                 ns_step, reference_optimum, solve_cubic_model)
 from distnewton.problem import make_problem
-from stand_ins import a2a_shaped_problem, cached_a2a, phishing_shaped_problem
+from stand_ins import (a2a_shaped_problem, cached_a2a, phishing_shaped_problem,
+                       small_problem)
 
 EPS = np.finfo(np.float64).eps
-
-
-def small_problem(loss="logistic", lam=1e-2, count=40, d=5, n=4, seed=0):
-    g = np.random.default_rng(seed)
-    ds = Dataset(features=g.standard_normal((count, d)),
-                 labels=np.where(g.random(count) < 0.5, -1.0, 1.0))
-    return make_problem(ds, n=n, shuffle_seed=seed, loss_kind=loss, lam=lam)
 
 
 class TestNewton:

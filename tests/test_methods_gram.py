@@ -3,18 +3,9 @@ import pytest
 
 from distnewton import linalg, methods, problem
 from distnewton.compressors import random_r
-from distnewton.data import Dataset
 from distnewton.harness import Budget, run_experiment
 from distnewton.methods import REBUILD_PERIOD, default_eta, learn_init, learn_round
-from distnewton.problem import make_problem
-from stand_ins import cached_optimum
-
-
-def small_problem(lam=1e-2, count=40, d=5, n=4, seed=0):
-    g = np.random.default_rng(seed)
-    ds = Dataset(features=g.standard_normal((count, d)),
-                 labels=np.where(g.random(count) < 0.5, -1.0, 1.0))
-    return make_problem(ds, n=n, shuffle_seed=seed, loss_kind="logistic", lam=lam)
+from stand_ins import cached_optimum, small_problem
 
 
 @pytest.mark.parametrize("variant", ["nl2", "cnl"])

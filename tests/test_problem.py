@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,14 +10,10 @@ from distnewton.errors import InputError
 from distnewton.linalg import smallest_eigenvalue
 from distnewton.problem import LOGISTIC_NU, Problem, loss_model, make_problem
 
+from stand_ins import small_problem
 from test_worker_pass import dense_problem, legacy_worker, start_point
 
-
-def tiny_problem(loss="logistic", lam=0.0, n=2, count=10, d=3, seed=0):
-    g = np.random.default_rng(seed)
-    ds = Dataset(features=g.standard_normal((count, d)),
-                 labels=np.where(g.random(count) < 0.5, -1.0, 1.0))
-    return make_problem(ds, n=n, shuffle_seed=seed, loss_kind=loss, lam=lam)
+tiny_problem = functools.partial(small_problem, lam=0.0, n=2, count=10, d=3)
 
 
 # Reference loss fields, one function per derivative: the fused kernel
