@@ -15,6 +15,7 @@ Output root comes from --outdir or the DISTNEWTON_OUT environment variable
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import numbers
@@ -494,7 +495,9 @@ def _config_from_args(args, method_optional: bool = False) -> ExperimentConfig:
     return ExperimentConfig.from_dict(base)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it is."""
     ap = argparse.ArgumentParser(
         prog="distnewton",
         description="Simulated parameter-server runs of distributed "
@@ -504,16 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="run one experiment")
     _add_problem_flags(sp)
     _add_method_flags(sp)
-    sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("refopt", help="compute/caches the reference optimum")
     _add_problem_flags(sp)
-    sp.set_defaults(fn=cmd_refopt)
 
     sp = sub.add_parser("compare", help="run several configs and rank them")
     sp.add_argument("configs", nargs="+", help="JSON config files")
     sp.add_argument("--outdir")
-    sp.set_defaults(fn=cmd_compare)
 
     sp = sub.add_parser("gen-data", help="synthesize a Gaussian LIBSVM dataset")
     sp.add_argument("--n", type=int, required=True)
@@ -522,14 +522,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--variance", type=float, default=10.0)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=cmd_gen_data)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the verb's command is looked up by name on every call, so a rebinding
+    # of a ``cmd_*`` name (tests, the benchmark's tracer) is seen
+    command = globals()["cmd_" + args.verb.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (ConfigError, InputError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

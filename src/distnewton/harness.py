@@ -310,32 +310,19 @@ def _stateless(update, charge):
     return start
 
 
-def _compressed_charges(run: _Run) -> Callable[[bool], WorkerCharge]:
-    """A compressed gradient's descriptor, made once per run for each value
-    of whether it fired."""
-    return functools.cache(
-        lambda fired: WorkerCharge(compressed=(run.spec, run.p.d, fired)))
-
-
-def _start_dcgd(run: _Run):
-    x = run.x0
-    charges = _compressed_charges(run)
-
-    def step(k):
-        nonlocal x
-        x, payload = methods.dcgd_round(run.p, x, run.spec, run.seed, k, run.stepsize)
-        return x, list(map(charges, payload.fired.tolist())), {}
-    return step, _no_phi
-
-
 def _start_diana(run: _Run):
+    """diana, and dcgd: its row reads no theta, so its shifts stay at zero."""
     state = methods.diana_init(run.p, run.x0)
-    charges = _compressed_charges(run)
+    theta = 0.0 if run.theta is None else run.theta
+    # a compressed gradient's descriptor, made once per run for each value
+    # of whether it fired
+    charges = functools.cache(
+        lambda fired: WorkerCharge(compressed=(run.spec, run.p.d, fired)))
 
     def step(k):
         nonlocal state
         state, payload = methods.diana_round(run.p, state, run.spec, run.seed,
-                                             run.stepsize, run.theta)
+                                             run.stepsize, theta)
         return state.x, list(map(charges, payload.fired.tolist())), {}
     return step, _no_phi
 
@@ -484,7 +471,7 @@ _METHODS = {
     "gd": _Method(_stateless(lambda run, x: methods.gd_step(run.p, x, run.stepsize),
                              _grad_charge),
                   stepsize=lambda p, spec: 1.0 / p.grad_lipschitz_bound()),
-    "dcgd": _Method(_start_dcgd, needs_spec=True, stepsize=_first_order_stepsize),
+    "dcgd": _Method(_start_diana, needs_spec=True, stepsize=_first_order_stepsize),
     "diana": _Method(_start_diana, needs_spec=True, stepsize=_first_order_stepsize,
                      theta=lambda p, spec: 1.0 / (omega(spec, p.d) + 1.0)),
     "bfgs": _Method(_start_bfgs),

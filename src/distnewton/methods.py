@@ -7,7 +7,9 @@ NEWTON-LEARN with three choices: the projection (nonnegative cone, or clamp
 to [-gamma, gamma]), the estimate (the plain coefficient gram, or its
 shift-dominated scaling) and the step (SPD solve, or cubic model). A bound
 gamma picks the clamp and the dominated estimate, and a cubic coefficient
-picks the cubic step: nl1 has neither, nl2 has gamma, cnl has both.
+picks the cubic step: nl1 has neither, nl2 has gamma, cnl has both. The
+compressed first-order baselines share one round too, ``diana_round``:
+DCGD is DIANA with theta = 0 and zero shifts.
 
 Round functions are pure: they consume a state and the round's randomness
 identity, ``RngStream(seed, iteration)``, and return the successor state
@@ -384,14 +386,6 @@ def default_first_order_stepsize(p: Problem, spec: CompressorSpec) -> float:
     return 1.0 / ((1.0 + 2.0 * w / p.n) * p.grad_lipschitz_bound())
 
 
-def dcgd_round(p: Problem, x: Array, spec: CompressorSpec, seed: int,
-               iteration: int, stepsize: float) -> tuple[Array, CompressedPayload]:
-    """Compressed gradient descent: average of compressed local gradients."""
-    grads = p.local_grad(slice(None), x) + p.lam * x
-    payload = compress_with_info(spec, grads, RngStream(seed, iteration))
-    return x - stepsize * payload.values.mean(axis=0), payload
-
-
 @dataclass
 class DianaState:
     x: Array
@@ -406,7 +400,12 @@ def diana_init(p: Problem, x0: Array) -> DianaState:
 
 def diana_round(p: Problem, state: DianaState, spec: CompressorSpec, seed: int,
                 stepsize: float, theta: float) -> tuple[DianaState, CompressedPayload]:
-    """Variance-reduced compressed gradient round with learned shifts."""
+    """Variance-reduced compressed gradient round with learned shifts
+    (DIANA: Mishchenko et al., arXiv:1901.09269, Alg. 1). Each worker
+    compresses its local gradient minus its shift, the server averages shift
+    plus message, and each shift moves by theta times the message. From zero
+    shifts with theta = 0 the shifts stay zero and the round is compressed
+    gradient descent (DCGD: Khirirat et al., arXiv:1806.06573) bit for bit."""
     diffs = p.local_grad(slice(None), state.x) + p.lam * state.x - state.shifts
     payload = compress_with_info(spec, diffs, RngStream(seed, state.iteration))
     values = payload.values

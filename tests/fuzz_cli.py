@@ -51,8 +51,10 @@ SYNTH_KEYS = ["n", "m", "d", "seed", "mean", "variance"]
 COMPRESSOR_KEYS = ["kind", "r", "s", "p", "inner"]
 
 
-def base_config(rng: random.Random) -> dict:
-    method = rng.choice(METHOD_NAMES)
+def base_config(rng: random.Random, method: str | None = None) -> dict:
+    """A tiny valid synth config for ``method``, or for a method drawn from rng."""
+    if method is None:
+        method = rng.choice(METHOD_NAMES)
     cfg = {"method": method, "seed": 1, "lam": 1e-2, "n": 2, "max_iters": 3,
            "synth": {"n": 2, "m": 5, "d": 3, "seed": 0}}
     if method in COMPRESSED_METHODS:

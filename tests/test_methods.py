@@ -9,10 +9,10 @@ from distnewton.data import Dataset
 from distnewton.errors import ConfigError, InputError, NumericalError
 from distnewton import linalg, methods
 from distnewton.linalg import smallest_eigenvalue
-from distnewton.methods import (DianaState, bfgs_init, bfgs_step, dcgd_round,
-                                default_eta, diana_init, diana_round, gd_step,
-                                learn_init, learn_round, mn_step, newton_step,
-                                ns_step, reference_optimum, solve_cubic_model)
+from distnewton.methods import (DianaState, bfgs_init, bfgs_step, default_eta,
+                                diana_init, diana_round, gd_step, learn_init,
+                                learn_round, mn_step, newton_step, ns_step,
+                                reference_optimum, solve_cubic_model)
 from distnewton.problem import make_problem
 from stand_ins import (a2a_shaped_problem, cached_a2a, phishing_shaped_problem,
                        small_problem)
@@ -375,9 +375,10 @@ class TestFirstOrder:
         p = small_problem("logistic", lam=1e-2)
         x0 = np.full(p.d, 0.2)
         alpha = 0.5 / p.grad_lipschitz_bound()
-        x_dcgd, _ = dcgd_round(p, x0, identity(), seed=0, iteration=0,
-                               stepsize=alpha)
-        assert np.allclose(x_dcgd, gd_step(p, x0, alpha), atol=1e-14)
+        # dcgd is diana from zero shifts with theta = 0
+        state, _ = diana_round(p, diana_init(p, x0), identity(), seed=0,
+                               stepsize=alpha, theta=0.0)
+        assert np.allclose(state.x, gd_step(p, x0, alpha), atol=1e-14)
 
     def test_diana_with_grad_shifts_and_identity_equals_gd(self):
         p = small_problem("logistic", lam=1e-2)

@@ -194,9 +194,12 @@ def test_dcgd_round_equals_per_worker_loop(a2a_1e3):
     p = a2a_1e3
     spec, x = random_r(7), start_point(p)
     stepsize = methods.default_first_order_stepsize(p, spec)
-    x_new, payload = methods.dcgd_round(p, x, spec, 5, 3, stepsize)
+    # dcgd is diana from zero shifts with theta = 0, on round 3's stream
+    state = methods.DianaState(x=x.copy(), shifts=np.zeros((p.n, p.d)), iteration=3)
+    out, payload = methods.diana_round(p, state, spec, 5, stepsize, 0.0)
     assert payload.values.shape == (p.n, p.d) and payload.fired.all()
-    assert np.array_equal(x_new, legacy_dcgd_round(p, x, spec, 5, 3, stepsize))
+    assert np.array_equal(out.x, legacy_dcgd_round(p, x, spec, 5, 3, stepsize))
+    assert not out.shifts.any()
 
 
 def test_diana_round_equals_per_worker_loop(a2a_1e3):
@@ -364,16 +367,15 @@ def compressed_iterates_digest(method, rounds=12):
     if method in ("dcgd", "diana"):
         spec = random_r(3)
         stepsize = methods.default_first_order_stepsize(p, spec)
-        x = x0
-        state = methods.DianaState(x=x0.copy(),
-                                   shifts=p.local_grad(slice(None), x0) + p.lam * x0)
-        for k in range(rounds):
-            if method == "dcgd":
-                x, _ = methods.dcgd_round(p, x, spec, 9, k, stepsize)
-                digest.update(x.tobytes())
-            else:
-                state, _ = methods.diana_round(p, state, spec, 9, stepsize, 0.5)
-                digest.update(state.x.tobytes() + state.shifts.tobytes())
+        if method == "dcgd":        # diana from zero shifts with theta = 0
+            state, theta = methods.diana_init(p, x0), 0.0
+        else:
+            state, theta = methods.DianaState(
+                x=x0.copy(), shifts=p.local_grad(slice(None), x0) + p.lam * x0), 0.5
+        for _ in range(rounds):
+            state, _ = methods.diana_round(p, state, spec, 9, stepsize, theta)
+            digest.update(state.x.tobytes() if method == "dcgd"
+                          else state.x.tobytes() + state.shifts.tobytes())
         return digest.hexdigest()
     spec = bernoulli(random_r(2), 0.5) if method == "cnl" else random_r(2)
     eta = methods.default_eta(spec, p.m)
